@@ -15,6 +15,7 @@ turns that into exit code 2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -218,11 +219,18 @@ def _validate(cfg: ExperimentConfig):
         )
     for key, attr in (("grid.L", "L"), ("time.dt", "dt"), ("time.T", "T"),
                       ("weight.epsilon", "epsilon"), ("weight.b", "b")):
-        if getattr(cfg, attr) <= 0:
-            raise ConfigError(f"key {key!r} must be positive")
+        if not (0 < getattr(cfg, attr) < math.inf):
+            raise ConfigError(f"key {key!r} must be positive and finite")
+    if not (0.0 <= cfg.theta <= 1.0):
+        raise ConfigError(f"key 'time.theta' must lie in [0, 1], got {cfg.theta}")
+    steps = round(cfg.T / cfg.dt)
+    if steps < 1 or abs(steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
+        raise ConfigError(
+            f"key 'time.T' = {cfg.T} is not a whole number of steps of time.dt = {cfg.dt}"
+        )
     if cfg.n < 8:
         raise ConfigError("key 'grid.n' must be at least 8")
-    if cfg.v < 0:
+    if not (cfg.v >= 0):
         raise ConfigError("key 'weight.v' must be nonnegative")
     if cfg.b < 5.0 * cfg.epsilon:
         raise ConfigError(

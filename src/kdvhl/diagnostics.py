@@ -188,15 +188,20 @@ class TraceIntegral:
     empty: bool
 
 
-def _equation_d3(traces, bd: BoundaryData, forcing, times):
-    """Third trace from the equation: u_xxx(0) = F(0,.) - f' - 2 f u_x(0,.)."""
-    f = np.array([bd.f(t) for t in times])
-    fp = np.array([bd.fprime(t) for t in times])
-    F0 = np.zeros_like(f)
+def _wall_traces(bd: BoundaryData, forcing, t: float, d1: float):
+    """f(t) and the third trace from the equation, u_xxx(0) = F(0,t) - f' - 2 f u_x(0)."""
+    f = float(bd.f(t))
+    F0 = 0.0
     if forcing is not None:
-        x0 = np.array([0.0])
-        F0 = np.array([float(np.asarray(forcing(x0, t)).ravel()[0]) for t in times])
-    return F0 - fp - 2.0 * f * traces.d1
+        F0 = float(np.asarray(forcing(np.array([0.0]), t)).ravel()[0])
+    return f, F0 - float(bd.fprime(t)) - 2.0 * f * d1
+
+
+def _equation_d3(traj: Trajectory):
+    """Equation-route third trace at every step of a trajectory."""
+    tr = traj.traces
+    return np.array([_wall_traces(traj.boundary, traj.config.forcing, t, d1)[1]
+                     for t, d1 in zip(tr.times, tr.d1)])
 
 
 def trace_integral(traj: Trajectory, k: int, wspec: WeightSpec, j: int = 1,
@@ -219,7 +224,7 @@ def trace_integral(traj: Trajectory, k: int, wspec: WeightSpec, j: int = 1,
     if t0 >= t1:
         return TraceIntegral(value=0.0, k=k, t_start=t0, t_end=t1, empty=True)
     if k == 3:
-        g = _equation_d3(traj.traces, traj.boundary, traj.config.forcing, times)
+        g = _equation_d3(traj)
     else:
         g = traj.traces.order(k)
     m = (times >= t0 - 1e-12) & (times <= t1 + 1e-12)
@@ -236,8 +241,7 @@ def trace_identity_residual(traj: Trajectory):
     boundary identity the equation forces; shrinks at discretization order.
     """
     times = traj.traces.times
-    d3_eq = _equation_d3(traj.traces, traj.boundary, traj.config.forcing, times)
-    r = traj.traces.d3 - d3_eq
+    r = traj.traces.d3 - _equation_d3(traj)
     rms = float(np.sqrt(np.mean(r * r)))
     return times, r, rms
 
@@ -247,40 +251,69 @@ def _aux_cutoff(eps: float, b: float) -> CutoffSpec:
     return CutoffSpec(eps, b)
 
 
+@lru_cache(maxsize=16)
+def _trace_d4_weights(h: float):
+    return fd_weights(np.arange(6, dtype=float) * h, 0.0, 4)
+
+
 def _trace_d4(field: Field) -> float:
     """One-sided fourth-derivative probe (order 2); noisy, used only where the
     weight has already switched on at the boundary."""
-    h = field.grid.h
-    w = fd_weights(np.arange(6, dtype=float) * h, 0.0, 4)
-    return float(w @ field.values[:6])
+    return float(_trace_d4_weights(field.grid.h) @ field.values[:6])
 
 
-def _identity_terms(field: Field, level: int, wspec: WeightSpec,
-                    bd: BoundaryData, forcing) -> dict:
-    """All signed identity terms except the dJ/dt piece, plus J itself."""
-    grid = field.grid
-    x = grid.nodes
+@dataclass
+class _State:
+    """What the per-state diagnostics read at one time level, evaluated once.
+
+    derivs holds u and D_k u for k = 1, 2 and, when asked for, 3 (else None).
+    c3, chi0 = chi(a0, 0..2) at the boundary argument a0 = v t - x0, and the
+    forcing F on the nodes exist only for identity bookkeeping.
+    """
+
+    field: Field
+    derivs: tuple
+    c0: np.ndarray
+    c1: np.ndarray
+    c3: Optional[np.ndarray]
+    chi0: Optional[tuple]
+    F: Optional[np.ndarray]
+    f: float
+    d1t: float
+    d2t: float
+    d3t: float  # equation route
+
+
+def _evaluate_state(field: Field, D: dict, wspec: WeightSpec, bd: BoundaryData,
+                    forcing, identity: bool) -> _State:
+    """Evaluate a _State; u_xxx is computed when D holds the k = 3 operator."""
+    x = field.grid.nodes
     t = field.t
     u = field.values
-    D1 = deriv_matrix(grid, 1)
-    w = D1 @ u
-    q = deriv_matrix(grid, 2) @ u
+    derivs = (u, D[1] @ u, D[2] @ u, D[3] @ u if 3 in D else None)
     c0 = moving_weight(wspec, x, t, 0)
     c1 = moving_weight(wspec, x, t, 1)
-    c3 = moving_weight(wspec, x, t, 3)
+    c3 = chi0 = F = None
+    if identity:
+        c3 = moving_weight(wspec, x, t, 3)
+        a0 = wspec.v * t - wspec.x0
+        chi0 = tuple(float(chi(wspec.cutoff, a0, k)) for k in (0, 1, 2))
+        if forcing is not None:
+            F = np.asarray(forcing(x, t), dtype=float)
+    _, d1t, d2t, _ = trace_derivs(field)
+    f, d3t = _wall_traces(bd, forcing, t, d1t)
+    return _State(field=field, derivs=derivs, c0=c0, c1=c1, c3=c3, chi0=chi0, F=F,
+                  f=f, d1t=d1t, d2t=d2t, d3t=d3t)
+
+
+def _identity_terms(st: _State, level: int, wspec: WeightSpec, D: dict) -> dict:
+    """All signed identity terms except the dJ/dt piece, plus J itself."""
+    grid = st.field.grid
+    u, w, q, qx = st.derivs
+    c0, c1, c3 = st.c0, st.c1, st.c3
+    b0, b1, b2 = st.chi0
     v = wspec.v
-    cut = wspec.cutoff
-    a0 = v * t - wspec.x0  # weight argument at the boundary
-    b0 = float(chi(cut, a0, 0))
-    b1 = float(chi(cut, a0, 1))
-    b2 = float(chi(cut, a0, 2))
-    d0, d1t, d2t, d3t_raw = trace_derivs(field)
-    f = float(bd.f(t))
-    fp = float(bd.fprime(t))
-    F0 = 0.0
-    if forcing is not None:
-        F0 = float(np.asarray(forcing(np.array([0.0]), t)).ravel()[0])
-    d3t = F0 - fp - 2.0 * f * d1t  # equation route
+    f, d1t, d2t, d3t = st.f, st.d1t, st.d2t, st.d3t
 
     out = {}
     if level == 1:
@@ -290,9 +323,8 @@ def _identity_terms(field: Field, level: int, wspec: WeightSpec,
         out["weight_third"] = -0.5 * _weighted_sq(grid, w, c3)
         out["nl_cubic"] = integrate(w**3 * c0, grid)
         out["nl_transport"] = -integrate(u * w * w * c1, grid)
-        if forcing is not None:
-            Fx = D1 @ np.asarray(forcing(x, t), dtype=float)
-            out["forcing"] = -integrate(Fx * w * c0, grid)
+        if st.F is not None:
+            out["forcing"] = -integrate((D[1] @ st.F) * w * c0, grid)
         else:
             out["forcing"] = 0.0
         out["trace_d3d1"] = -d3t * d1t * b0
@@ -301,19 +333,17 @@ def _identity_terms(field: Field, level: int, wspec: WeightSpec,
         out["trace_d1sq"] = -0.5 * d1t * d1t * b2
         out["trace_cubic"] = -f * d1t * d1t * b0
     elif level == 2:
-        qx = deriv_matrix(grid, 3) @ u
         out["J"] = _weighted_sq(grid, q, c0)
         out["weight_transport"] = -0.5 * v * _weighted_sq(grid, q, c1)
         out["smoothing"] = 1.5 * _weighted_sq(grid, qx, c1)
         out["weight_third"] = -0.5 * _weighted_sq(grid, q, c3)
         out["nl_steepening"] = 5.0 * integrate(w * q * q * c0, grid)
         out["nl_transport"] = -integrate(u * q * q * c1, grid)
-        if forcing is not None:
-            Fxx = deriv_matrix(grid, 2) @ np.asarray(forcing(x, t), dtype=float)
-            out["forcing"] = -integrate(Fxx * q * c0, grid)
+        if st.F is not None:
+            out["forcing"] = -integrate((D[2] @ st.F) * q * c0, grid)
         else:
             out["forcing"] = 0.0
-        d4t = _trace_d4(field) if b0 != 0.0 else 0.0
+        d4t = _trace_d4(st.field) if b0 != 0.0 else 0.0
         out["trace_d4d2"] = -d4t * d2t * b0
         out["trace_d3sq"] = 0.5 * d3t * d3t * b0
         out["trace_d3d2"] = d3t * d2t * b1
@@ -376,8 +406,10 @@ def identity_residual(traj: Trajectory, level: int, wspec: WeightSpec) -> Identi
         raise ValueError("identity residual needs uniformly spaced snapshots")
     series = {}
     J = np.empty_like(times)
+    D = {k: deriv_matrix(traj.grid, k) for k in ((1, 2, 3) if level == 2 else (1, 2))}
     for i, snap in enumerate(traj.snapshots):
-        vals = _identity_terms(snap, level, wspec, traj.boundary, traj.config.forcing)
+        st = _evaluate_state(snap, D, wspec, traj.boundary, traj.config.forcing, True)
+        vals = _identity_terms(st, level, wspec, D)
         J[i] = vals.pop("J")
         for k2, v2 in vals.items():
             series.setdefault(k2, np.empty_like(times))[i] = v2
@@ -515,39 +547,29 @@ class RunningDiagnostics:
         self._kato_prev = {}
         self._peak = np.zeros(grid.n)
         self._stri4 = []
-        self._D = {k: deriv_matrix(grid, k) for k in (1, 2, 3)}
+        third = 2 in cfg.identity_levels or cfg.l >= 3 or 3 in cfg.kato_orders
+        self._D = {k: deriv_matrix(grid, k) for k in ((1, 2, 3) if third else (1, 2))}
 
     def __call__(self, field: Field):
         cfg = self.cfg
         ws = cfg.wspec
         g = self.grid
-        x = g.nodes
         t = field.t
-        u = field.values
-        w = self._D[1] @ u
-        q = self._D[2] @ u
-        c0 = moving_weight(ws, x, t, 0)
-        c1 = moving_weight(ws, x, t, 1)
+        st = _evaluate_state(field, self._D, ws, self.bd, self.forcing,
+                             bool(cfg.identity_levels))
+        u, w, q, qx = st.derivs
         self.t.append(t)
-        self.J1.append(_weighted_sq(g, w, c0))
-        self.J2.append(_weighted_sq(g, q, c0))
+        self.J1.append(_weighted_sq(g, w, st.c0))
+        self.J2.append(_weighted_sq(g, q, st.c0))
         if cfg.l >= 3:
-            qx = self._D[3] @ u
-            self.J3.append(_weighted_sq(g, qx, c0))
+            self.J3.append(_weighted_sq(g, qx, st.c0))
         self.mass.append(integrate(u * u, g))
 
-        kcp = _weighted_sq(g, q, c1)
+        kcp = _weighted_sq(g, q, st.c1)
         i0, i1 = _hard_window_indices(g, ws, cfg.hard_window_R, t)
         kwin = integrate(q * q, g, window=(i0, i1))
-        d0, d1t, d2t, d3t_raw = trace_derivs(field)
-        f = float(self.bd.f(t))
-        fp = float(self.bd.fprime(t))
-        F0 = 0.0
-        if self.forcing is not None:
-            F0 = float(np.asarray(self.forcing(np.array([0.0]), t)).ravel()[0])
-        d3t = F0 - fp - 2.0 * f * d1t
-        tr2_inst = d2t * d2t
-        tr3_inst = d3t * d3t
+        tr2_inst = st.d2t * st.d2t
+        tr3_inst = st.d3t * st.d3t
 
         if self._prev is not None:
             dt = t - self._prev["t"]
@@ -558,15 +580,14 @@ class RunningDiagnostics:
         self._prev = {"t": t, "kcp": kcp, "kwin": kwin, "tr2": tr2_inst, "tr3": tr3_inst}
 
         for lv in cfg.identity_levels:
-            vals = _identity_terms(field, lv, ws, self.bd, self.forcing)
+            vals = _identity_terms(st, lv, ws, self._D)
             self.identity_J[lv].append(vals.pop("J"))
             store = self.identity[lv]
             for k2, v2 in vals.items():
                 store.setdefault(k2, []).append(v2)
 
         for j in cfg.kato_orders:
-            gj = u if j == 0 else self._D[j] @ u
-            g2 = gj * gj
+            g2 = st.derivs[j] * st.derivs[j]
             if j in self._kato_prev:
                 dt = t - self._prev_t_kato
                 self._kato[j] += 0.5 * dt * (g2 + self._kato_prev[j])

@@ -5,6 +5,9 @@ third derivative); rows too close to an edge fall back to one-sided stencils of
 the same width, which keeps every row at accuracy order >= 2.  Stencil weights
 come from the classic recurrence for finite-difference coefficients on
 arbitrary nodes, so boundary closures and trace probes share one code path.
+On a uniform grid a row's weights depend only on its stencil's width and the
+row's offset inside it, so each distinct stencil (at most five per operator)
+is derived once and copied into every row that uses it.
 """
 
 from __future__ import annotations
@@ -112,31 +115,34 @@ class TraceSeries:
         return (self.d0, self.d1, self.d2, self.d3)[k]
 
 
-def _row_stencil(i: int, n: int, k: int):
-    """(first node, width) of the row-i stencil: centered inside, one-sided
+def _row_stencils(n: int, k: int):
+    """First node and width of every row's stencil: centered inside, one-sided
     same-width near the edges so accuracy order 2 holds on every row."""
+    i = np.arange(n)
     if k == 1:
-        return min(max(i - 1, 0), n - 3), 3
+        return np.clip(i - 1, 0, n - 3), np.full(n, 3)
     if k == 2:
-        if 1 <= i <= n - 2:
-            return i - 1, 3
-        return (0, 4) if i == 0 else (n - 4, 4)
+        lo, m = i - 1, np.full(n, 3)
+        lo[0], lo[-1] = 0, n - 4
+        m[0] = m[-1] = 4
+        return lo, m
     if k == 3:
-        if 2 <= i <= n - 3:
-            return i - 2, 5
-        return (0, 5) if i < 2 else (n - 5, 5)
+        return np.clip(i - 2, 0, n - 5), np.full(n, 5)
     raise ValueError(f"derivative order must be 1, 2 or 3, got {k}")
 
 
 @lru_cache(maxsize=64)
 def _deriv_matrix_cached(n: int, h: float, k: int):
-    rows, cols, data = [], [], []
-    for i in range(n):
-        lo, m = _row_stencil(i, n, k)
-        w = fd_weights(np.arange(m, dtype=float) * h, (i - lo) * h, k)
-        rows.extend([i] * m)
-        cols.extend(range(lo, lo + m))
-        data.extend(w)
+    lo, m = _row_stencils(n, k)
+    offset = np.arange(n) - lo
+    start = np.cumsum(m) - m  # first COO entry of each row
+    rows = np.repeat(np.arange(n), m)
+    cols = np.repeat(lo, m) + np.arange(len(rows)) - np.repeat(start, m)
+    data = np.empty(len(rows))
+    for off, width in sorted(set(zip(offset.tolist(), m.tolist()))):
+        w = fd_weights(np.arange(width, dtype=float) * h, off * h, k)
+        first = start[(offset == off) & (m == width)]
+        data[first[:, None] + np.arange(width)] = w
     return csr_matrix((data, (rows, cols)), shape=(n, n))
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.sparse import csc_matrix, identity as sp_identity
+from scipy.sparse import csr_matrix, identity as sp_identity
 from scipy.sparse.linalg import splu
 
 from .discretization import Field, Grid1D, TraceSeries, deriv_matrix, trace_derivs
@@ -148,15 +148,19 @@ class _System:
         self.grid, self.dt, self.theta = grid, dt, theta
         self.D3 = deriv_matrix(grid, 3)
         self.D1 = deriv_matrix(grid, 1)
-        A = (sp_identity(n, format="lil") + (theta * dt) * self.D3.tolil()).tolil()
-        A.rows[0], A.data[0] = [0], [1.0]
-        # right closure: u(L) = 0 with u_x(L) = 0 imposed through the last
-        # interior node; pinning both end values keeps the wall exactly
-        # energy-neutral for the centered interior stencil
-        A.rows[n - 2], A.data[n - 2] = [n - 2], [1.0]
-        A.rows[n - 1], A.data[n - 1] = [n - 1], [1.0]
+        A = (sp_identity(n, format="csr") + (theta * dt) * self.D3).tocoo()
+        # row 0 is the Dirichlet row; right closure: u(L) = 0 with u_x(L) = 0
+        # imposed through the last interior node; pinning both end values
+        # keeps the wall exactly energy-neutral for the centered interior stencil
+        pinned = np.array([0, n - 2, n - 1])
+        free = ~np.isin(A.row, pinned)
+        A = csr_matrix(
+            (np.concatenate([A.data[free], np.ones(3)]),
+             (np.concatenate([A.row[free], pinned]), np.concatenate([A.col[free], pinned]))),
+            shape=(n, n),
+        )
         try:
-            self.lu = splu(csc_matrix(A))
+            self.lu = splu(A.tocsc())
         except RuntimeError as exc:
             raise SolverError(f"implicit system is singular: {exc}") from exc
 

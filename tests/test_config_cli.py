@@ -74,6 +74,12 @@ def test_semantic_validation():
         parse_config("weight.v = -1.0")
     with pytest.raises(ConfigError, match="trace_branch"):
         parse_config("diagnostics.trace_branch = 5")
+    with pytest.raises(ConfigError, match="time.theta"):
+        parse_config("time.theta = 2")
+    with pytest.raises(ConfigError, match="time.T"):
+        parse_config("time.dt = 0.3\ntime.T = 1.0")
+    with pytest.raises(ConfigError, match="grid.L"):
+        parse_config("grid.L = nan")
 
 
 def test_bool_and_intlist_forms():
@@ -135,6 +141,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     rc = main(["simulate", "--config", "no_such_recipe", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("time.theta", "2"), ("time.T", "0.25"),
+                                       ("grid.L", "nan")])
+def test_cli_invalid_config_exit_code(tmp_path, capsys, key, value):
+    lines = [ln for ln in MINI_SIMULATE.splitlines() if not ln.startswith(key + " ")]
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    rc = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "z")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err and err.count("\n") == 1
 
 
 def test_cli_solver_failure_exit_code(tmp_path, capsys):

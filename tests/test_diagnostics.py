@@ -7,6 +7,7 @@ from kdvhl.datagen import gaussian_bump
 from kdvhl.diagnostics import (
     DiagnosticsConfig,
     RunningDiagnostics,
+    _trace_d4,
     dissipation_audit,
     identity_residual,
     interpolation_check,
@@ -195,3 +196,14 @@ def test_maximal_dominates_initial_mass(diag_run):
     traj, _, _ = diag_run
     e0 = np.sqrt(integrate(traj.snapshots[0].values ** 2, traj.grid))
     assert maximal_functional(traj) >= e0 * (1.0 - 1e-12)
+
+
+def test_trace_d4_exact_on_quintics():
+    # two grid spacings in turn: a weight cache keyed on anything but h would
+    # hand the second grid the first one's weights
+    for L in (0.7, 2.59):
+        g = Grid1D(L, 8)
+        for deg in range(6):
+            got = _trace_d4(Field(g, (g.nodes + 0.5) ** deg, 0.0))
+            exact = 0.0 if deg < 4 else {4: 24.0, 5: 120.0 * 0.5}[deg]
+            assert got == pytest.approx(exact, abs=1e-6 * max(1.0, exact)), (L, deg)

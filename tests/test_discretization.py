@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix, csr_matrix, identity as sp_identity
+from scipy.sparse.linalg import splu
 
 from kdvhl.discretization import (
     Field,
@@ -14,6 +16,7 @@ from kdvhl.discretization import (
     trace_derivs,
     weighted_l2,
 )
+from kdvhl.solver import _System
 from kdvhl.weights import CutoffSpec, WeightSpec
 
 
@@ -85,6 +88,46 @@ def test_deriv_matrix_second_order_on_smooth(k):
         errs.append(np.max(np.abs(got - exact)))
     order = np.log2(errs[0] / errs[1])
     assert order >= 1.9
+
+
+def _per_row_deriv_matrix(n, h, k):
+    """Reference assembly: one Fornberg call per row, centered inside and
+    one-sided same-width near the edges."""
+    rows, cols, data = [], [], []
+    for i in range(n):
+        if k == 1:
+            lo, m = min(max(i - 1, 0), n - 3), 3
+        elif k == 2:
+            lo, m = (i - 1, 3) if 1 <= i <= n - 2 else ((0, 4) if i == 0 else (n - 4, 4))
+        else:
+            lo, m = (i - 2, 5) if 2 <= i <= n - 3 else ((0, 5) if i < 2 else (n - 5, 5))
+        w = fd_weights(np.arange(m, dtype=float) * h, (i - lo) * h, k)
+        rows.extend([i] * m)
+        cols.extend(range(lo, lo + m))
+        data.extend(w)
+    return csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
+@pytest.mark.parametrize("n", [8, 9, 601])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_deriv_matrix_equals_per_row_reference(n, k):
+    g = Grid1D(30.0, n)
+    got = deriv_matrix(g, k)
+    ref = _per_row_deriv_matrix(n, g.h, k)
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
+
+
+def test_implicit_system_solve_matches_lil_reference():
+    g = Grid1D(40.0, 801)
+    dt, theta = 0.0125, 0.5
+    n = g.n
+    A = (sp_identity(n, format="lil") + (theta * dt) * deriv_matrix(g, 3).tolil()).tolil()
+    for r in (0, n - 2, n - 1):
+        A.rows[r], A.data[r] = [r], [1.0]
+    ref = splu(csc_matrix(A))
+    b = np.random.default_rng(7).standard_normal(n)
+    assert np.array_equal(_System(g, dt, theta).lu.solve(b), ref.solve(b))
 
 
 def test_deriv_matrix_invalid_order():
