@@ -41,11 +41,12 @@ from .oracle import (
     ManufacturedSolution,
     PeriodicGrid,
     WholelineTrajectory,
+    WindowProbe,
     decaying_hump,
     extract_halfline_data,
-    mms_forcing,
     spectral_restriction,
     wholeline_solve,
+    wholeline_times,
 )
 from .solver import (
     BoundaryData,
@@ -68,15 +69,16 @@ __all__ = [
     "Grid1D", "IdentityBreakdown", "InterpolationCheck", "KinkSpec",
     "ManufacturedSolution", "PeriodicGrid", "ResolutionWarning",
     "RunningDiagnostics", "SolverConfig", "SolverError", "TraceIntegral",
-    "TraceSeries", "Trajectory", "WeightSpec", "WholelineTrajectory",
+    "TraceSeries", "Trajectory", "WeightSpec", "WholelineTrajectory", "WindowProbe",
     "boundary_pulse", "check_compatibility", "chi", "decaying_hump", "deriv",
     "deriv_matrix", "dissipation_audit", "dump_config", "eta",
     "extract_halfline_data", "fd_weights", "gaussian_bump",
     "identity_residual", "integrate", "interpolation_check", "kato_functional",
-    "kink_data", "load_config", "maximal_functional", "mms_forcing",
+    "kink_data", "load_config", "maximal_functional",
     "moving_weight", "parse_config", "propagation_functional", "rho",
     "smoothing_functional", "solve", "soliton_boundary", "soliton_data",
     "soliton_solution", "spectral_restriction", "step", "stopping_time",
     "strichartz_functional", "trace_derivs", "trace_identity_residual",
-    "trace_integral", "weighted_l2", "wholeline_solve", "zero_boundary",
+    "trace_integral", "weighted_l2", "wholeline_solve", "wholeline_times",
+    "zero_boundary",
 ]

@@ -218,7 +218,8 @@ def _validate(cfg: ExperimentConfig):
             f"key 'boundary.kind': {cfg.boundary_kind!r} not one of {_BOUNDARY_KINDS}"
         )
     for key, attr in (("grid.L", "L"), ("time.dt", "dt"), ("time.T", "T"),
-                      ("weight.epsilon", "epsilon"), ("weight.b", "b")):
+                      ("weight.epsilon", "epsilon"), ("weight.b", "b"),
+                      ("oracle.cfl", "oracle_cfl")):
         if not (0 < getattr(cfg, attr) < math.inf):
             raise ConfigError(f"key {key!r} must be positive and finite")
     if not (0.0 <= cfg.theta <= 1.0):
@@ -238,6 +239,8 @@ def _validate(cfg: ExperimentConfig):
         )
     if cfg.levels < 1:
         raise ConfigError("key 'study.levels' must be at least 1")
+    if cfg.oracle_samples < 1:
+        raise ConfigError("key 'oracle.samples' must be at least 1")
     if cfg.trace_branch not in (1, 2, 3):
         raise ConfigError("key 'diagnostics.trace_branch' must be 1, 2 or 3")
 

@@ -26,16 +26,23 @@ from .diagnostics import (
     DiagnosticsConfig,
     RunningDiagnostics,
     dissipation_audit,
-    identity_residual,
     interpolation_check,
     stopping_time,
     trace_identity_residual,
     trace_integral,
 )
 from .discretization import Field, Grid1D, deriv_matrix, integrate
-from .oracle import PeriodicGrid, decaying_hump, extract_halfline_data, wholeline_solve
-from .solver import BoundaryData, SolverConfig, solve
-from .weights import CutoffSpec, WeightSpec, chi
+from .oracle import (
+    PeriodicGrid,
+    WindowProbe,
+    decaying_hump,
+    extract_halfline_data,
+    spectral_restriction,
+    wholeline_solve,
+    wholeline_times,
+)
+from .solver import SolverConfig, check_compatibility, solve
+from .weights import CutoffSpec, WeightSpec
 
 SCHEMA = "kdvhl-report-v1"
 
@@ -91,14 +98,14 @@ def scenario(cfg: ExperimentConfig):
         u0 = ms.initial(grid)
         forcing = ms.forcing
         exact = ms.u
-        if cfg.boundary_kind == "auto":
-            return grid, u0, ms.boundary(), forcing, exact
     else:
         raise ConfigError(f"unhandled data kind {cfg.data_kind!r}")
 
     if cfg.boundary_kind == "auto":
         if cfg.data_kind == "soliton":
             bd = soliton_boundary(cfg.data_c, cfg.data_center)
+        elif cfg.data_kind == "mms":
+            bd = ms.boundary()
         else:
             bd = boundary_pulse("zero")
     elif cfg.boundary_kind == "zero":
@@ -109,6 +116,12 @@ def scenario(cfg: ExperimentConfig):
     else:
         bd = boundary_pulse("ramped-cosine", A=cfg.boundary_A, omega=cfg.boundary_omega,
                             ramp=cfg.boundary_ramp)
+    compat = check_compatibility(u0, bd)
+    if not compat.ok:
+        raise ConfigError(
+            f"data.* and boundary.* disagree at the corner: |u0(0) - f(0)| = "
+            f"{compat.mismatch:.3e} > {compat.tol:.0e} (move data.center or change boundary.*)"
+        )
     return grid, u0, bd, forcing, exact
 
 
@@ -412,39 +425,44 @@ def run_oracle_compare(cfg: ExperimentConfig):
                             cfg.oracle_width)(per.nodes)
     else:
         raise ConfigError(f"key 'oracle.kind': unknown kind {cfg.oracle_kind!r}")
-    wtraj = wholeline_solve(u0w, per, cfg.T, cfl=cfg.oracle_cfl)
-
     grid = Grid1D(cfg.L, cfg.n)
-    u0, bd = extract_halfline_data(wtraj, cfg.oracle_x_star, grid)
-    scfg = solver_config(cfg, None, snapshot_stride=1)
-    traj = solve(u0, scfg, bd)
 
-    k = per.wavenumbers
-    pts = cfg.oracle_x_star + grid.nodes - per.x_left
-    phase = np.exp(1j * np.outer(k, pts))
-
-    sample_ts = np.linspace(0.0, cfg.T, cfg.oracle_samples)
-    norms = []
-    rows = []
-    for ts in sample_ts:
-        kh = int(round(ts / cfg.dt))
-        th = traj.times[kh]
-        # cubic interpolation of the stored periodic history at th
-        j = np.searchsorted(wtraj.times, th)
-        j = min(max(j, 2), len(wtraj.times) - 2)
+    # the half-line steps compared, and for each the 4 whole-line steps whose
+    # cubic Lagrange interpolant gives the reference spectrum at that time
+    wtimes = wholeline_times(u0w, per, cfg.T, cfl=cfg.oracle_cfl)
+    ksamples = [int(round(ts / cfg.dt)) for ts in np.linspace(0.0, cfg.T, cfg.oracle_samples)]
+    windows = []
+    for kh in ksamples:
+        th = kh * cfg.dt
+        j = np.searchsorted(wtimes, th)
+        j = min(max(j, 2), len(wtimes) - 2)
         idx = np.arange(j - 2, j + 2)
-        tloc = wtraj.times[idx]
+        tloc = wtimes[idx]
         lag = np.array([
             np.prod([(th - tloc[b]) / (tloc[a] - tloc[b]) for b in range(4) if b != a])
             for a in range(4)
         ])
-        state = lag @ wtraj.states[idx]
-        restr = (np.fft.fft(state) @ phase).real / per.m
-        uh = traj.snapshots[kh].values
-        dnorm = float(np.sqrt(integrate((uh - restr) ** 2, grid)))
-        rnorm = float(np.sqrt(integrate(restr**2, grid)))
+        windows.append((idx, lag))
+    probe = WindowProbe(per, cfg.oracle_x_star, grid,
+                        keep=np.concatenate([idx for idx, _ in windows]).tolist())
+    wtraj = wholeline_solve(u0w, per, cfg.T, cfl=cfg.oracle_cfl, observers=[probe])
+
+    u0, bd = extract_halfline_data(wtraj, probe)
+    stride = max(1, int(np.gcd.reduce(ksamples)))  # store only the sampled steps
+    traj = solve(u0, solver_config(cfg, None, snapshot_stride=stride), bd)
+    snaps = dict(zip(traj.snapshot_steps, traj.snapshots))
+
+    spectra = np.array([lag @ np.array([probe.spectra[i] for i in idx])
+                        for idx, lag in windows])
+    restr = spectral_restriction(spectra, per, cfg.oracle_x_star + grid.nodes)
+    norms = []
+    rows = []
+    for kh, ref in zip(ksamples, restr):
+        uh = snaps[kh].values
+        dnorm = float(np.sqrt(integrate((uh - ref) ** 2, grid)))
+        rnorm = float(np.sqrt(integrate(ref**2, grid)))
         norms.append(rnorm)
-        rows.append({"t": float(th), "diff_l2": dnorm, "restriction_l2": rnorm})
+        rows.append({"t": float(traj.times[kh]), "diff_l2": dnorm, "restriction_l2": rnorm})
     scale = max(norms)
     for r in rows:
         r["rel"] = r["diff_l2"] / scale if scale > 0 else 0.0

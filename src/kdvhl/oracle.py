@@ -3,9 +3,12 @@ solutions.
 
 The whole-line solver integrates u_t + u_xxx + (u^2)_x = 0 on a large periodic
 domain with an integrating-factor RK4 (the dispersive phase is exact, only the
-nonlinear flux is stepped) and 2/3-rule dealiasing.  Restricting such a run to
-a window [x*, x*+L] manufactures inflow data for the half-line solver whose
-answer can then be cross-checked against the restriction itself.
+nonlinear flux is stepped) and 2/3-rule dealiasing.  The data are real, so the
+march runs on the half spectrum (rfft/irfft).  It is streamed: observers see
+every step's spectrum and no state is kept, so it needs O(m + nsteps) memory
+(one spectrum and the time grid) however long it runs.  Restricting such a
+run to a window [x*, x*+L] manufactures inflow data for the half-line solver
+whose answer can then be cross-checked against the restriction itself.
 """
 
 from __future__ import annotations
@@ -16,20 +19,24 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
+from .config import ConfigError
 from .discretization import Field, Grid1D
-from .solver import BoundaryData
+from .solver import BoundaryData, SolverError
 
 __all__ = [
     "PeriodicGrid",
     "WholelineTrajectory",
+    "WindowProbe",
+    "wholeline_times",
     "wholeline_solve",
+    "spectral_restriction",
     "extract_halfline_data",
     "ManufacturedSolution",
     "decaying_hump",
-    "mms_forcing",
 ]
 
 _SUPPORT_TOL = 1e-10
+_BLOCK = 256  # points per block of the restriction matrix
 
 
 @dataclass(frozen=True)
@@ -42,9 +49,9 @@ class PeriodicGrid:
 
     def __post_init__(self):
         if not (self.P > 0.0):
-            raise ValueError(f"period must be positive, got {self.P}")
+            raise ConfigError(f"period must be positive, got {self.P}")
         if self.m < 16 or (self.m & (self.m - 1)) != 0:
-            raise ValueError(f"m must be a power of two >= 16, got {self.m}")
+            raise ConfigError(f"m must be a power of two >= 16, got {self.m}")
 
     @property
     def dx(self) -> float:
@@ -56,24 +63,71 @@ class PeriodicGrid:
 
     @property
     def wavenumbers(self):
-        return 2.0 * np.pi * np.fft.fftfreq(self.m, d=self.dx)
+        """The m/2 + 1 nonnegative wavenumbers of the half spectrum (rfft order)."""
+        return 2.0 * np.pi * np.fft.rfftfreq(self.m, d=self.dx)
 
 
 @dataclass
 class WholelineTrajectory:
-    """Dense periodic history: states[k] is the solution at times[k]."""
+    """Time grid of a streamed march; the states went to its observers."""
 
     grid: PeriodicGrid
     times: np.ndarray
-    states: np.ndarray
+
+
+def _restriction_matrix(grid: PeriodicGrid, x, order: int = 0):
+    """Matrix R with Re(uhat @ R) the order-th derivative of the series at x.
+
+    Modes 1 .. m/2-1 stand for a conjugate pair each, so they count twice.
+    """
+    k = grid.wavenumbers
+    w = np.full(k.size, 2.0 / grid.m)
+    w[0] = w[-1] = 1.0 / grid.m
+    R = np.exp(1j * np.outer(k, np.asarray(x, dtype=float) - grid.x_left))
+    R *= (w * (1j * k) ** order)[:, None]
+    return R
+
+
+def spectral_restriction(uhat, grid: PeriodicGrid, x, order: int = 0):
+    """Evaluate a half spectrum (or a stack of them, one per row), or its
+    order-th derivative, at the points x by its trigonometric series.
+
+    The matrix is built over blocks of points, so a wide window never holds
+    an (m/2+1) x len(x) complex array.  einsum keeps the products on one
+    thread: a multithreaded BLAS loses more waking its idle workers for each
+    block than it gains on products this small.
+    """
+    uhat = np.asarray(uhat)
+    x = np.asarray(x, dtype=float)
+    out = np.empty(uhat.shape[:-1] + x.shape)
+    for s in range(0, x.size, _BLOCK):
+        R = _restriction_matrix(grid, x[s:s + _BLOCK], order)
+        out[..., s:s + _BLOCK] = np.einsum("...k,kj->...j", uhat, R).real
+    return out
+
+
+def wholeline_times(u0_values, grid: PeriodicGrid, T: float,
+                    dt: Optional[float] = None, cfl: float = 0.5) -> np.ndarray:
+    """The step times of wholeline_solve for the same arguments.
+
+    dt defaults to cfl * dx / max|2 u0| (the nonlinear advection limit; the
+    stiff dispersive part is integrated exactly) and is shrunk to divide T.
+    """
+    if dt is None:
+        speed = max(2.0 * float(np.max(np.abs(u0_values))), 1e-8)
+        dt = cfl * grid.dx / speed
+    nsteps = max(1, int(np.ceil(T / dt - 1e-12)))
+    return (T / nsteps) * np.arange(nsteps + 1)
 
 
 def wholeline_solve(u0_values, grid: PeriodicGrid, T: float,
-                    dt: Optional[float] = None, cfl: float = 0.5) -> WholelineTrajectory:
-    """March the periodic problem to time T, storing every step.
+                    dt: Optional[float] = None, cfl: float = 0.5,
+                    observers=()) -> WholelineTrajectory:
+    """March the periodic problem to time T.
 
-    dt defaults to cfl * dx / max|2 u0| (the nonlinear advection limit; the
-    stiff dispersive part is integrated exactly).  Data must be effectively
+    Each observer is called as obs(step, t, uhat) with the half spectrum
+    rfft(u) at step 0 and after every step; an observer must not modify uhat
+    and should copy what it keeps.  Data must be effectively
     compactly supported: below 1e-10 within P/8 of both period ends.
     """
     u0 = np.asarray(u0_values, dtype=float)
@@ -82,89 +136,92 @@ def wholeline_solve(u0_values, grid: PeriodicGrid, T: float,
     guard = int(np.ceil(grid.m / 8))
     edge = max(np.max(np.abs(u0[:guard])), np.max(np.abs(u0[-guard:])))
     if edge > _SUPPORT_TOL:
-        raise ValueError(
+        raise ConfigError(
             f"periodic support guard violated: |u0| reaches {edge:.2e} within "
             f"P/8 of a period end (limit {_SUPPORT_TOL:.0e})"
         )
-    if dt is None:
-        speed = max(2.0 * float(np.max(np.abs(u0))), 1e-8)
-        dt = cfl * grid.dx / speed
-    nsteps = max(1, int(np.ceil(T / dt - 1e-12)))
-    dt = T / nsteps
+    times = wholeline_times(u0, grid, T, dt, cfl)
+    dt = times[1]
 
     k = grid.wavenumbers
     L = 1j * k**3
-    kmax = np.max(np.abs(k))
-    mask = np.abs(k) <= (2.0 / 3.0) * kmax
+    # 2/3 rule: the kept modes are a prefix of the half spectrum, so the flux
+    # multiplier -ik carries the output mask and zero-padding the input one
+    dealias = k <= (2.0 / 3.0) * k[-1]
+    nkeep = int(np.count_nonzero(dealias))
+    flux = np.where(dealias, -1j * k, 0.0)
     E = np.exp(0.5 * dt * L)
     E2 = E * E
 
     def nonlin(uhat):
-        u = np.fft.ifft(np.where(mask, uhat, 0.0)).real
-        qhat = np.fft.fft(u * u)
-        return -1j * k * np.where(mask, qhat, 0.0)
+        u = np.fft.irfft(uhat[:nkeep], n=grid.m)
+        return flux * np.fft.rfft(u * u)
 
-    states = np.empty((nsteps + 1, grid.m))
-    states[0] = u0
-    times = dt * np.arange(nsteps + 1)
-    uhat = np.fft.fft(u0)
-    for step in range(1, nsteps + 1):
-        Nv = nonlin(uhat)
-        a = E * (uhat + (0.5 * dt) * Nv)
-        Na = nonlin(a)
-        b = E * uhat + (0.5 * dt) * Na
-        Nb = nonlin(b)
-        c = E2 * uhat + dt * (E * Nb)
-        Nc = nonlin(c)
-        uhat = E2 * uhat + (dt / 6.0) * (E2 * Nv + 2.0 * E * (Na + Nb) + Nc)
-        u = np.fft.ifft(uhat).real
-        if not np.all(np.isfinite(u)):
-            raise RuntimeError(f"whole-line solve went non-finite at t={times[step]:.6g}")
-        states[step] = u
-    return WholelineTrajectory(grid=grid, times=times, states=states)
-
-
-def spectral_restriction(traj: WholelineTrajectory, step: int, x):
-    """Evaluate the stored periodic state at arbitrary points by its series."""
-    g = traj.grid
-    uhat = np.fft.fft(traj.states[step])
-    phase = np.exp(1j * np.outer(np.asarray(x, dtype=float) - g.x_left, g.wavenumbers))
-    return (phase @ uhat).real / g.m
+    uhat = np.fft.rfft(u0)
+    for obs in observers:
+        obs(0, 0.0, uhat)
+    # a blow-up is reported once, by the non-finite check, not by overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, len(times)):
+            Nv = nonlin(uhat)
+            a = E * (uhat + (0.5 * dt) * Nv)
+            Na = nonlin(a)
+            b = E * uhat + (0.5 * dt) * Na
+            Nb = nonlin(b)
+            c = E2 * uhat + dt * (E * Nb)
+            Nc = nonlin(c)
+            uhat = E2 * uhat + (dt / 6.0) * (E2 * Nv + 2.0 * E * (Na + Nb) + Nc)
+            if not np.all(np.isfinite(uhat)):
+                raise SolverError(f"whole-line solve went non-finite at t={times[step]:.6g}")
+            for obs in observers:
+                obs(step, times[step], uhat)
+    return WholelineTrajectory(grid=grid, times=times)
 
 
-def extract_halfline_data(traj: WholelineTrajectory, x_star: float,
-                          grid: Grid1D) -> tuple[Field, BoundaryData]:
-    """Restrict a whole-line run to [x*, x*+L]: initial data plus inflow trace.
+class WindowProbe:
+    """wholeline_solve observer for the window [x*, x*+L] of the half-line grid.
 
-    f(t) samples the solution at x*; fprime comes from the equation itself,
-    f'(t) = -(u_xxx + 2 u u_x)(x*, t), evaluated spectrally, so no time
-    differencing enters.  Both are interpolated in t by cubic splines.
+    Records u, u_x and u_xxx at x* on every step (one small product each) and
+    keeps the spectra of step 0 and of the steps in keep, nothing more.
     """
-    g = traj.grid
-    if not (g.x_left <= x_star and x_star + grid.L <= g.x_left + g.P):
-        raise ValueError(
-            f"window [{x_star}, {x_star + grid.L}] is not contained in the "
-            f"period [{g.x_left}, {g.x_left + g.P}]"
-        )
-    k = g.wavenumbers
-    F = np.fft.fft(traj.states, axis=1)
 
-    pts = x_star + grid.nodes - g.x_left
-    phase0 = np.exp(1j * np.outer(k, pts))
-    u0_vals = (F[0] @ phase0).real / g.m
+    def __init__(self, grid: PeriodicGrid, x_star: float, window: Grid1D, keep=()):
+        if not (grid.x_left <= x_star and x_star + window.L <= grid.x_left + grid.P):
+            raise ConfigError(
+                f"window [{x_star}, {x_star + window.L}] is not contained in the "
+                f"period [{grid.x_left}, {grid.x_left + grid.P}]"
+            )
+        self.grid, self.x_star, self.window = grid, x_star, window
+        self.keep = frozenset(keep) | {0}
+        self.spectra = {}
+        self.traces = []
+        self._taps = np.hstack([_restriction_matrix(grid, [x_star], p) for p in (0, 1, 3)])
 
-    e0 = np.exp(1j * k * (x_star - g.x_left))
-    fvals = (F @ e0).real / g.m
-    d1 = (F @ ((1j * k) * e0)).real / g.m
-    d3 = (F @ ((1j * k) ** 3 * e0)).real / g.m
+    def __call__(self, step: int, t: float, uhat):
+        self.traces.append((uhat @ self._taps).real)
+        if step in self.keep:
+            self.spectra[step] = uhat.copy()
+
+
+def extract_halfline_data(traj: WholelineTrajectory,
+                          probe: WindowProbe) -> tuple[Field, BoundaryData]:
+    """Restrict a probed whole-line run to [x*, x*+L]: initial data plus inflow trace.
+
+    f(t) is the solution at x*; fprime comes from the equation itself,
+    f'(t) = -(u_xxx + 2 u u_x)(x*, t), evaluated spectrally, so no time
+    differencing enters.
+    """
+    fvals, d1, d3 = np.array(probe.traces).T
     fpvals = -(d3 + 2.0 * fvals * d1)
+    u0_vals = spectral_restriction(probe.spectra[0], probe.grid,
+                                   probe.x_star + probe.window.nodes)
 
     # quintic interpolation keeps the f / f' pair mutually consistent to
     # well below the boundary-validation tolerance
     fs = make_interp_spline(traj.times, fvals, k=5)
     fps = make_interp_spline(traj.times, fpvals, k=5)
     bd = BoundaryData(f=lambda t: float(fs(t)), fprime=lambda t: float(fps(t)))
-    return Field(grid, u0_vals, 0.0), bd
+    return Field(probe.window, u0_vals, 0.0), bd
 
 
 @dataclass
@@ -241,7 +298,3 @@ def decaying_hump(amplitude: float = 1.0, center: float = 8.0,
 
     return ManufacturedSolution(u=u, u_x=u_x, u_xxx=u_xxx, u_t=u_t)
 
-
-def mms_forcing(ms: ManufacturedSolution):
-    """Forcing callable with the (x, t) signature the solver expects."""
-    return ms.forcing

@@ -144,7 +144,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key,value", [("time.theta", "2"), ("time.T", "0.25"),
-                                       ("grid.L", "nan")])
+                                       ("grid.L", "nan"), ("data.center", "0"),
+                                       ("oracle.samples", "0"), ("oracle.cfl", "0")])
 def test_cli_invalid_config_exit_code(tmp_path, capsys, key, value):
     lines = [ln for ln in MINI_SIMULATE.splitlines() if not ln.startswith(key + " ")]
     cfgfile = tmp_path / "bad.cfg"
@@ -153,6 +154,40 @@ def test_cli_invalid_config_exit_code(tmp_path, capsys, key, value):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and key in err and err.count("\n") == 1
+
+
+ORACLE_MINI = """
+experiment = oracle-compare
+grid.L = 40.0
+grid.n = 201
+time.dt = 0.05
+time.T = 1.0
+oracle.P = 120.0
+oracle.m = 256
+oracle.x_left = -30.0
+oracle.x_star = 20.0
+oracle.cfl = 0.4
+oracle.kind = soliton
+oracle.center = 12.0
+"""
+
+
+@pytest.mark.parametrize("overrides,code,phrase", [
+    ({"oracle.center": "80"}, 2, "support guard"),
+    ({"oracle.x_star": "60"}, 2, "not contained"),
+    ({"oracle.m": "100"}, 2, "power of two"),
+    ({"oracle.kind": "bump", "oracle.amplitude": "50", "oracle.center": "10",
+      "oracle.cfl": "100"}, 3, "non-finite"),
+])
+def test_cli_oracle_failure_exit_codes(tmp_path, capsys, overrides, code, phrase):
+    lines = [ln for ln in ORACLE_MINI.splitlines() if ln.split(" =")[0] not in overrides]
+    cfgfile = tmp_path / "bad_oracle.cfg"
+    cfgfile.write_text("\n".join(lines + [f"{k} = {v}" for k, v in overrides.items()]) + "\n")
+    rc = main(["oracle-compare", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == code
+    err = capsys.readouterr().err
+    prefix = "config error" if code == 2 else "solver failure"
+    assert err.startswith(prefix) and phrase in err and err.count("\n") == 1
 
 
 def test_cli_solver_failure_exit_code(tmp_path, capsys):
