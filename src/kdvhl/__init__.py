@@ -25,18 +25,12 @@ from .diagnostics import (
     RunningDiagnostics,
     TraceIntegral,
     dissipation_audit,
-    identity_residual,
     interpolation_check,
-    kato_functional,
-    maximal_functional,
-    propagation_functional,
-    smoothing_functional,
     stopping_time,
-    strichartz_functional,
     trace_identity_residual,
     trace_integral,
 )
-from .discretization import Field, Grid1D, TraceSeries, deriv, deriv_matrix, fd_weights, integrate, trace_derivs, weighted_l2
+from .discretization import Field, Grid1D, TraceSeries, deriv_matrix, fd_weights, integrate, trace_derivs
 from .oracle import (
     ManufacturedSolution,
     PeriodicGrid,
@@ -56,7 +50,6 @@ from .solver import (
     Trajectory,
     check_compatibility,
     solve,
-    step,
     zero_boundary,
 )
 from .weights import CutoffSpec, WeightSpec, chi, eta, moving_weight, rho
@@ -70,15 +63,15 @@ __all__ = [
     "ManufacturedSolution", "PeriodicGrid", "ResolutionWarning",
     "RunningDiagnostics", "SolverConfig", "SolverError", "TraceIntegral",
     "TraceSeries", "Trajectory", "WeightSpec", "WholelineTrajectory", "WindowProbe",
-    "boundary_pulse", "check_compatibility", "chi", "decaying_hump", "deriv",
+    "boundary_pulse", "check_compatibility", "chi", "decaying_hump",
     "deriv_matrix", "dissipation_audit", "dump_config", "eta",
     "extract_halfline_data", "fd_weights", "gaussian_bump",
-    "identity_residual", "integrate", "interpolation_check", "kato_functional",
-    "kink_data", "load_config", "maximal_functional",
-    "moving_weight", "parse_config", "propagation_functional", "rho",
-    "smoothing_functional", "solve", "soliton_boundary", "soliton_data",
-    "soliton_solution", "spectral_restriction", "step", "stopping_time",
-    "strichartz_functional", "trace_derivs", "trace_identity_residual",
-    "trace_integral", "weighted_l2", "wholeline_solve", "wholeline_times",
+    "integrate", "interpolation_check",
+    "kink_data", "load_config",
+    "moving_weight", "parse_config", "rho",
+    "solve", "soliton_boundary", "soliton_data",
+    "soliton_solution", "spectral_restriction", "stopping_time",
+    "trace_derivs", "trace_identity_residual",
+    "trace_integral", "wholeline_solve", "wholeline_times",
     "zero_boundary",
 ]

@@ -2,6 +2,7 @@
 
     kdvhl <experiment> --config <path-or-recipe> [--out DIR] [--levels N] [--quiet]
 
+The config's `experiment` key must name the same experiment as the subcommand.
 Writes report.json, summary.txt and one CSV per recorded time series into the
 output directory.  Exit codes: 0 success, 2 configuration problem, 3 solver
 failure.
@@ -108,8 +109,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args.config)
+        if cfg.experiment != args.experiment:
+            raise ConfigError(f"key 'experiment' is {cfg.experiment!r} but the subcommand "
+                              f"is {args.experiment!r}")
         runner = _RUNNERS[args.experiment]
         if args.experiment in _LEVELED:
+            if args.levels is not None and args.levels < 1:
+                raise ConfigError(f"--levels must be at least 1, got {args.levels}")
             report, series = runner(cfg, levels=args.levels)
         else:
             report, series = runner(cfg)

@@ -219,9 +219,15 @@ def _validate(cfg: ExperimentConfig):
         )
     for key, attr in (("grid.L", "L"), ("time.dt", "dt"), ("time.T", "T"),
                       ("weight.epsilon", "epsilon"), ("weight.b", "b"),
+                      ("data.c", "data_c"), ("oracle.c", "oracle_c"),
                       ("oracle.cfl", "oracle_cfl")):
         if not (0 < getattr(cfg, attr) < math.inf):
             raise ConfigError(f"key {key!r} must be positive and finite")
+    for key, attr, low in (("grid.n", "n", 8), ("time.snapshot_stride", "snapshot_stride", 1),
+                           ("solver.picard_max", "picard_max", 1), ("data.m", "data_m", 1),
+                           ("study.levels", "levels", 1), ("oracle.samples", "oracle_samples", 1)):
+        if getattr(cfg, attr) < low:
+            raise ConfigError(f"key {key!r} must be at least {low}")
     if not (0.0 <= cfg.theta <= 1.0):
         raise ConfigError(f"key 'time.theta' must lie in [0, 1], got {cfg.theta}")
     steps = round(cfg.T / cfg.dt)
@@ -229,20 +235,20 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(
             f"key 'time.T' = {cfg.T} is not a whole number of steps of time.dt = {cfg.dt}"
         )
-    if cfg.n < 8:
-        raise ConfigError("key 'grid.n' must be at least 8")
     if not (cfg.v >= 0):
         raise ConfigError("key 'weight.v' must be nonnegative")
     if cfg.b < 5.0 * cfg.epsilon:
         raise ConfigError(
             f"weight family needs b >= 5*epsilon; got b={cfg.b}, epsilon={cfg.epsilon}"
         )
-    if cfg.levels < 1:
-        raise ConfigError("key 'study.levels' must be at least 1")
-    if cfg.oracle_samples < 1:
-        raise ConfigError("key 'oracle.samples' must be at least 1")
-    if cfg.trace_branch not in (1, 2, 3):
-        raise ConfigError("key 'diagnostics.trace_branch' must be 1, 2 or 3")
+    for key, attr in (("diagnostics.l", "l"), ("diagnostics.trace_branch", "trace_branch")):
+        if getattr(cfg, attr) not in (1, 2, 3):
+            raise ConfigError(f"key {key!r} must be 1, 2 or 3")
+    if not set(cfg.identity_levels) <= {1, 2}:
+        raise ConfigError("key 'diagnostics.identity_levels' may hold only levels 1 and 2")
+    if cfg.R is not None and not (cfg.epsilon < cfg.R < math.inf):
+        raise ConfigError(f"key 'diagnostics.R' = {cfg.R} must be finite and exceed "
+                          f"weight.epsilon = {cfg.epsilon}")
 
 
 def dump_config(cfg: ExperimentConfig) -> dict:

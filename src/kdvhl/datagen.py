@@ -72,14 +72,6 @@ class KinkSpec:
                 f"support ({self.env_lo}, {self.env_hi})"
             )
 
-    @classmethod
-    def for_weight_origin(cls, x0: float, m: int = 1, amplitude: float = 1.0,
-                          base=None) -> "KinkSpec":
-        """Default geometry keyed to a weight origin x0: the rough point at
-        x0/2 and the envelope inside (x0/4, 3*x0/4), strictly left of x0."""
-        return cls(m=m, x1=0.5 * x0, amplitude=amplitude,
-                   env_lo=0.25 * x0, env_hi=0.75 * x0, base=base)
-
 
 def kink_data(spec: KinkSpec, grid: Grid1D) -> Field:
     """Sample the kink profile on a grid; warns if the envelope is unresolved."""

@@ -33,16 +33,10 @@ from .weights import CutoffSpec, WeightSpec, chi, moving_weight
 __all__ = [
     "DiagnosticsConfig",
     "stopping_time",
-    "propagation_functional",
-    "smoothing_functional",
     "TraceIntegral",
     "trace_integral",
     "trace_identity_residual",
     "IdentityBreakdown",
-    "identity_residual",
-    "kato_functional",
-    "strichartz_functional",
-    "maximal_functional",
     "InterpolationCheck",
     "interpolation_check",
     "DissipationAudit",
@@ -62,6 +56,9 @@ _TERM_ORDER_L2 = (
     "trace_d4d2", "trace_d3sq", "trace_d3d2", "trace_d2sq", "trace_cubic",
 )
 
+# derivative orders j of the Kato functional sup_x int_0^T (d_x^j u)^2 dt
+_KATO_ORDERS = (1, 2)
+
 
 @dataclass(frozen=True)
 class DiagnosticsConfig:
@@ -75,15 +72,11 @@ class DiagnosticsConfig:
     """
 
     wspec: WeightSpec
-    l: int = 2
     identity_levels: tuple = ()
     R: Optional[float] = None
     delta: Optional[float] = None
-    kato_orders: tuple = (1, 2)
 
     def __post_init__(self):
-        if self.l not in (1, 2, 3):
-            raise ValueError(f"derivative level l must be 1, 2 or 3, got {self.l}")
         if not set(self.identity_levels) <= {1, 2}:
             raise ValueError("identity bookkeeping is available for levels 1 and 2 only")
         if self.R is not None and self.R <= self.wspec.cutoff.epsilon:
@@ -91,9 +84,6 @@ class DiagnosticsConfig:
                 f"hard-window width R={self.R} must exceed epsilon="
                 f"{self.wspec.cutoff.epsilon}"
             )
-        for j in self.kato_orders:
-            if j not in (0, 1, 2, 3):
-                raise ValueError(f"kato order {j} outside direct-differencing range")
 
     @property
     def hard_window_R(self) -> float:
@@ -120,61 +110,12 @@ def _weighted_sq(grid: Grid1D, vals, w) -> float:
     return integrate(vals * vals * w, grid)
 
 
-def propagation_functional(traj: Trajectory, j: int, wspec: WeightSpec):
-    """J_j(t) = int (d_x^j u)^2 chi(x + v t - x0) dx over stored snapshots.
-
-    The weight's support imposes the moving lower limit max(x0 + eps - v t, 0)
-    automatically.  Returns (times, values).
-    """
-    if j > 3:
-        raise ValueError("direct differencing supports j <= 3 only")
-    D = deriv_matrix(traj.grid, j) if j > 0 else None
-    x = traj.grid.nodes
-    times = np.array([s.t for s in traj.snapshots])
-    vals = np.empty_like(times)
-    for i, snap in enumerate(traj.snapshots):
-        g = snap.values if j == 0 else D @ snap.values
-        w = moving_weight(wspec, x, snap.t, 0)
-        vals[i] = _weighted_sq(traj.grid, g, w)
-    return times, vals
-
-
 def _hard_window_indices(grid: Grid1D, wspec: WeightSpec, R: float, t: float):
     lo = max(wspec.x0 + wspec.cutoff.epsilon - wspec.v * t, 0.0)
     hi = wspec.x0 + R - wspec.v * t
     i0 = int(np.ceil(lo / grid.h - 1e-12))
     i1 = int(np.floor(hi / grid.h + 1e-12))
     return i0, i1
-
-
-def smoothing_functional(traj: Trajectory, j: int, wspec: WeightSpec,
-                         mode: str = "chiprime", R: Optional[float] = None):
-    """Accumulated gain K_j = iint (d_x^{j+1} u)^2 * (window) dx dt.
-
-    mode "chiprime" weighs by chi'(x + v t - x0); mode "window" integrates over
-    the sliding slab [max(x0+eps-v t, 0), x0+R-v t].  Returns (times, running).
-    """
-    if j + 1 > 3:
-        raise ValueError("smoothing functional needs j+1 <= 3")
-    if mode not in ("chiprime", "window"):
-        raise ValueError(f"unknown smoothing mode {mode!r}")
-    Rw = R if R is not None else wspec.cutoff.b
-    if mode == "window" and Rw <= wspec.cutoff.epsilon:
-        raise ValueError(f"hard window needs R > epsilon, got R={Rw}")
-    D = deriv_matrix(traj.grid, j + 1)
-    x = traj.grid.nodes
-    times = np.array([s.t for s in traj.snapshots])
-    inst = np.empty_like(times)
-    for i, snap in enumerate(traj.snapshots):
-        g = D @ snap.values
-        if mode == "chiprime":
-            w = moving_weight(wspec, x, snap.t, 1)
-            inst[i] = _weighted_sq(traj.grid, g, w)
-        else:
-            i0, i1 = _hard_window_indices(traj.grid, wspec, Rw, snap.t)
-            inst[i] = integrate(g * g, traj.grid, window=(i0, i1))
-    running = np.concatenate([[0.0], np.cumsum(0.5 * (inst[1:] + inst[:-1]) * np.diff(times))])
-    return times, running
 
 
 @dataclass
@@ -332,7 +273,7 @@ def _identity_terms(st: _State, level: int, wspec: WeightSpec, D: dict) -> dict:
         out["trace_d2d1"] = d2t * d1t * b1
         out["trace_d1sq"] = -0.5 * d1t * d1t * b2
         out["trace_cubic"] = -f * d1t * d1t * b0
-    elif level == 2:
+    else:
         out["J"] = _weighted_sq(grid, q, c0)
         out["weight_transport"] = -0.5 * v * _weighted_sq(grid, q, c1)
         out["smoothing"] = 1.5 * _weighted_sq(grid, qx, c1)
@@ -349,8 +290,6 @@ def _identity_terms(st: _State, level: int, wspec: WeightSpec, D: dict) -> dict:
         out["trace_d3d2"] = d3t * d2t * b1
         out["trace_d2sq"] = -0.5 * d2t * d2t * b2
         out["trace_cubic"] = -f * d2t * d2t * b0
-    else:
-        raise ValueError(f"identity bookkeeping exists for levels 1 and 2, got {level}")
     return out
 
 
@@ -390,64 +329,6 @@ class IdentityBreakdown:
             level=level, times=times, J=J, terms=full,
             residual=residual, normalized=normalized, scale=scale,
         )
-
-
-def identity_residual(traj: Trajectory, level: int, wspec: WeightSpec) -> IdentityBreakdown:
-    """Evaluate the level-1 or level-2 identity on a snapshot-dense trajectory.
-
-    Snapshots must be uniformly spaced in time (dJ/dt is centered-differenced
-    on the snapshot times, one-sided at the endpoints).
-    """
-    times = np.array([s.t for s in traj.snapshots])
-    if len(times) < 3:
-        raise ValueError("identity residual needs at least 3 snapshots")
-    gaps = np.diff(times)
-    if np.max(np.abs(gaps - gaps[0])) > 1e-9 * max(1.0, gaps[0]):
-        raise ValueError("identity residual needs uniformly spaced snapshots")
-    series = {}
-    J = np.empty_like(times)
-    D = {k: deriv_matrix(traj.grid, k) for k in ((1, 2, 3) if level == 2 else (1, 2))}
-    for i, snap in enumerate(traj.snapshots):
-        st = _evaluate_state(snap, D, wspec, traj.boundary, traj.config.forcing, True)
-        vals = _identity_terms(st, level, wspec, D)
-        J[i] = vals.pop("J")
-        for k2, v2 in vals.items():
-            series.setdefault(k2, np.empty_like(times))[i] = v2
-    return IdentityBreakdown.assemble(level, times, J, series)
-
-
-def kato_functional(traj: Trajectory, j: int):
-    """sup_x int_0^T (d_x^j u)^2 dt from snapshots; returns (value, x_argmax)."""
-    if j > 3:
-        raise ValueError("direct differencing supports j <= 3 only")
-    D = deriv_matrix(traj.grid, j) if j > 0 else None
-    times = np.array([s.t for s in traj.snapshots])
-    acc = np.zeros(traj.grid.n)
-    prev = None
-    for i, snap in enumerate(traj.snapshots):
-        g = snap.values if j == 0 else D @ snap.values
-        g2 = g * g
-        if prev is not None:
-            acc += 0.5 * (g2 + prev) * (times[i] - times[i - 1])
-        prev = g2
-    imax = int(np.argmax(acc))
-    return float(acc[imax]), float(traj.grid.nodes[imax])
-
-
-def strichartz_functional(traj: Trajectory) -> float:
-    """(int_0^T sup_x |u_x|^4 dt)^(1/4) from snapshots."""
-    D = deriv_matrix(traj.grid, 1)
-    times = np.array([s.t for s in traj.snapshots])
-    sup4 = np.array([np.max(np.abs(D @ s.values)) ** 4 for s in traj.snapshots])
-    return float(np.trapezoid(sup4, times) ** 0.25)
-
-
-def maximal_functional(traj: Trajectory) -> float:
-    """(int sup_t |u|^2 dx)^(1/2) from snapshots."""
-    peak = np.zeros(traj.grid.n)
-    for s in traj.snapshots:
-        np.maximum(peak, np.abs(s.values), out=peak)
-    return float(np.sqrt(integrate(peak * peak, traj.grid)))
 
 
 @dataclass
@@ -534,7 +415,6 @@ class RunningDiagnostics:
         self.t = []
         self.J1 = []
         self.J2 = []
-        self.J3 = []
         self.mass = []
         self.k_cp = [0.0]
         self.k_win = [0.0]
@@ -543,11 +423,11 @@ class RunningDiagnostics:
         self.identity = {lv: {} for lv in cfg.identity_levels}
         self.identity_J = {lv: [] for lv in cfg.identity_levels}
         self._prev = None
-        self._kato = {j: np.zeros(grid.n) for j in cfg.kato_orders}
+        self._kato = {j: np.zeros(grid.n) for j in _KATO_ORDERS}
         self._kato_prev = {}
         self._peak = np.zeros(grid.n)
         self._stri4 = []
-        third = 2 in cfg.identity_levels or cfg.l >= 3 or 3 in cfg.kato_orders
+        third = 2 in cfg.identity_levels
         self._D = {k: deriv_matrix(grid, k) for k in ((1, 2, 3) if third else (1, 2))}
 
     def __call__(self, field: Field):
@@ -557,12 +437,10 @@ class RunningDiagnostics:
         t = field.t
         st = _evaluate_state(field, self._D, ws, self.bd, self.forcing,
                              bool(cfg.identity_levels))
-        u, w, q, qx = st.derivs
+        u, w, q, _ = st.derivs
         self.t.append(t)
         self.J1.append(_weighted_sq(g, w, st.c0))
         self.J2.append(_weighted_sq(g, q, st.c0))
-        if cfg.l >= 3:
-            self.J3.append(_weighted_sq(g, qx, st.c0))
         self.mass.append(integrate(u * u, g))
 
         kcp = _weighted_sq(g, q, st.c1)
@@ -586,7 +464,7 @@ class RunningDiagnostics:
             for k2, v2 in vals.items():
                 store.setdefault(k2, []).append(v2)
 
-        for j in cfg.kato_orders:
+        for j in _KATO_ORDERS:
             g2 = st.derivs[j] * st.derivs[j]
             if j in self._kato_prev:
                 dt = t - self._prev_t_kato
@@ -612,10 +490,8 @@ class RunningDiagnostics:
             "maximal": float(np.sqrt(integrate(self._peak**2, self.grid))),
             "kato": {j: (float(np.max(self._kato[j])),
                          float(self.grid.nodes[int(np.argmax(self._kato[j]))]))
-                     for j in self.cfg.kato_orders},
+                     for j in _KATO_ORDERS},
         }
-        if self.cfg.l >= 3:
-            out["J3"] = np.asarray(self.J3)
         out["identity"] = {}
         for lv in self.cfg.identity_levels:
             series = {k: np.asarray(v) for k, v in self.identity[lv].items()}

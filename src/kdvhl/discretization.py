@@ -24,10 +24,8 @@ __all__ = [
     "TraceSeries",
     "fd_weights",
     "deriv_matrix",
-    "deriv",
     "trace_derivs",
     "integrate",
-    "weighted_l2",
 ]
 
 
@@ -151,11 +149,6 @@ def deriv_matrix(grid: Grid1D, k: int):
     return _deriv_matrix_cached(grid.n, grid.h, k)
 
 
-def deriv(field: Field, k: int):
-    """k-th spatial derivative of a field, second-order accurate everywhere."""
-    return deriv_matrix(field.grid, k) @ field.values
-
-
 @lru_cache(maxsize=16)
 def _trace_weights(h: float):
     # one-sided probes at x=0: 3 nodes for u_x, 4 for u_xx, 5 for u_xxx,
@@ -191,15 +184,3 @@ def integrate(values, grid: Grid1D, window=None) -> float:
         return 0.0
     seg = values[i0 : i1 + 1]
     return grid.h * (np.sum(seg) - 0.5 * (seg[0] + seg[-1]))
-
-
-def weighted_l2(field: Field, k: int, wspec, worder: int = 0) -> float:
-    """integral of (d^k u)^2 times the moving weight (or a weight derivative).
-
-    k = 0 uses the field itself; the weight is evaluated at the field's time.
-    """
-    from .weights import moving_weight
-
-    g = field.values if k == 0 else deriv(field, k)
-    w = moving_weight(wspec, field.grid.nodes, field.t, worder)
-    return integrate(g * g * w, field.grid)

@@ -159,7 +159,7 @@ def _run_with_diagnostics(cfg: ExperimentConfig, snapshot_stride=None):
     grid, u0, bd, forcing, exact = scenario(cfg)
     ws = weight_spec(cfg)
     dcfg = DiagnosticsConfig(
-        wspec=ws, l=cfg.l, identity_levels=tuple(cfg.identity_levels),
+        wspec=ws, identity_levels=tuple(cfg.identity_levels),
         R=cfg.R, delta=cfg.delta,
     )
     rd = RunningDiagnostics(grid, bd, dcfg, forcing=forcing)

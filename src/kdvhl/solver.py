@@ -26,7 +26,6 @@ __all__ = [
     "CompatibilityResult",
     "check_compatibility",
     "Trajectory",
-    "step",
     "solve",
 ]
 
@@ -84,9 +83,6 @@ class SolverConfig:
     picard_tol: float = 1e-12
     nonlinear: bool = True
     forcing: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    compat_tol: float = 1e-10
-    allow_incompatible: bool = False
-    validate_boundary: bool = True
     snapshot_stride: int = 1
 
     def __post_init__(self):
@@ -217,13 +213,6 @@ def _advance(field: Field, cfg: SolverConfig, bd: BoundaryData, sys_: _System):
     return Field(field.grid, uk, tn), delta
 
 
-def step(state: Field, cfg: SolverConfig, bd: BoundaryData) -> Field:
-    """Advance one dt (systems are cached, so repeated calls stay cheap)."""
-    sys_ = _system_cached(state.grid.n, state.grid.L, cfg.dt, cfg.theta)
-    new, _ = _advance(state, cfg, bd, sys_)
-    return new
-
-
 def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Trajectory:
     """March nsteps = T/dt steps from u0, recording traces every step.
 
@@ -232,13 +221,12 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
     every snapshot_stride-th state (endpoints always included).
     """
     nsteps = cfg.nsteps
-    compat = check_compatibility(u0, bd, cfg.compat_tol)
-    if not compat.ok and not cfg.allow_incompatible:
+    compat = check_compatibility(u0, bd)
+    if not compat.ok:
         raise ValueError(
             f"incompatible data: |u0(0) - f(0)| = {compat.mismatch:.3e} > {compat.tol:.1e}"
         )
-    if cfg.validate_boundary:
-        bd.validate(cfg.T)
+    bd.validate(cfg.T)
     sys_ = _system_cached(u0.grid.n, u0.grid.L, cfg.dt, cfg.theta)
     times = np.empty(nsteps + 1)
     d0 = np.empty(nsteps + 1)

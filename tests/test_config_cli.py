@@ -145,7 +145,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("key,value", [("time.theta", "2"), ("time.T", "0.25"),
                                        ("grid.L", "nan"), ("data.center", "0"),
-                                       ("oracle.samples", "0"), ("oracle.cfl", "0")])
+                                       ("oracle.samples", "0"), ("oracle.cfl", "0"),
+                                       ("diagnostics.l", "4"),
+                                       ("diagnostics.identity_levels", "3"),
+                                       ("diagnostics.R", "0.1"), ("data.m", "0"),
+                                       ("data.c", "-1"), ("oracle.c", "-1"),
+                                       ("time.snapshot_stride", "0"),
+                                       ("solver.picard_max", "0")])
 def test_cli_invalid_config_exit_code(tmp_path, capsys, key, value):
     lines = [ln for ln in MINI_SIMULATE.splitlines() if not ln.startswith(key + " ")]
     cfgfile = tmp_path / "bad.cfg"
@@ -221,6 +227,24 @@ def test_cli_levels_override(tmp_path):
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
     assert len(report["levels"]) == 2
+
+
+def test_cli_levels_must_be_positive(tmp_path, capsys):
+    rc = main(["converge", "--config", "mms", "--out", str(tmp_path / "l"), "--quiet",
+               "--levels", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "--levels" in err and err.count("\n") == 1
+    assert not (tmp_path / "l").exists()
+
+
+def test_cli_subcommand_must_match_experiment(tmp_path, capsys):
+    # the mms recipe says experiment = converge
+    rc = main(["simulate", "--config", "mms", "--out", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'experiment'" in err and err.count("\n") == 1
+    assert not (tmp_path / "m").exists()
 
 
 def test_cli_deterministic_reports(tmp_path):

@@ -23,13 +23,6 @@ def test_kink_spec_validation():
         KinkSpec(m=1, x1=2.5, amplitude=1.0, env_lo=1.0, env_hi=2.0)
 
 
-def test_kink_default_geometry_keyed_to_origin():
-    spec = KinkSpec.for_weight_origin(4.0)
-    assert spec.x1 == pytest.approx(2.0)
-    assert spec.env_lo < spec.x1 < spec.env_hi
-    assert spec.env_hi <= 3.0  # strictly left of x0
-
-
 def test_kink_profile_support():
     g = Grid1D(40.0, 1601)
     spec = KinkSpec(m=1, x1=1.9, amplitude=1.0, env_lo=1.0, env_hi=2.2)

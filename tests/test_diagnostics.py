@@ -1,22 +1,22 @@
-"""Window functionals and identity bookkeeping, online vs offline routes."""
+"""Window functionals and identity bookkeeping of the online observer, checked
+against closed forms of the exact soliton and under grid refinement."""
+
+import math
 
 import numpy as np
 import pytest
+import sympy as sp
+from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
-from kdvhl.datagen import gaussian_bump
+from kdvhl.datagen import ResolutionWarning, gaussian_bump, soliton_boundary, soliton_data
 from kdvhl.diagnostics import (
     DiagnosticsConfig,
     RunningDiagnostics,
     _trace_d4,
     dissipation_audit,
-    identity_residual,
     interpolation_check,
-    kato_functional,
-    maximal_functional,
-    propagation_functional,
-    smoothing_functional,
     stopping_time,
-    strichartz_functional,
     trace_identity_residual,
     trace_integral,
 )
@@ -27,16 +27,20 @@ from kdvhl.weights import CutoffSpec, WeightSpec
 WS = WeightSpec(cutoff=CutoffSpec(0.4, 2.0), v=1.0, x0=4.0)
 
 
-@pytest.fixture(scope="module")
-def diag_run():
-    """Short nonlinear run with the online accumulator attached."""
-    grid = Grid1D(16.0, 161)
+def _bump_run(n, dt):
+    """Short nonlinear bump run on [0, 16] with the online accumulator attached."""
+    grid = Grid1D(16.0, n)
     u0 = Field(grid, gaussian_bump(0.8, 6.0, 1.0)(grid.nodes), 0.0)
-    dcfg = DiagnosticsConfig(wspec=WS, l=2, identity_levels=(1, 2))
+    dcfg = DiagnosticsConfig(wspec=WS, identity_levels=(1, 2))
     rd = RunningDiagnostics(grid, zero_boundary(), dcfg)
-    cfg = SolverConfig(dt=0.01, T=0.4, snapshot_stride=1)
+    cfg = SolverConfig(dt=dt, T=0.4, snapshot_stride=1)
     traj = solve(u0, cfg, zero_boundary(), observers=[rd])
     return traj, rd.finish(), dcfg
+
+
+@pytest.fixture(scope="module")
+def diag_run():
+    return _bump_run(161, 0.01)
 
 
 def test_stopping_time_branches():
@@ -50,87 +54,29 @@ def test_stopping_time_branches():
 
 def test_diagnostics_config_validation():
     with pytest.raises(ValueError):
-        DiagnosticsConfig(wspec=WS, l=4)
-    with pytest.raises(ValueError):
         DiagnosticsConfig(wspec=WS, identity_levels=(3,))
     with pytest.raises(ValueError):
         DiagnosticsConfig(wspec=WS, R=0.1)
-    with pytest.raises(ValueError):
-        DiagnosticsConfig(wspec=WS, kato_orders=(4,))
     d = DiagnosticsConfig(wspec=WS)
     assert d.hard_window_R == WS.cutoff.b
     assert d.young_delta() == pytest.approx(0.05 / WS.sup_chi_prime**2)
     assert DiagnosticsConfig(wspec=WS, delta=0.01).young_delta() == 0.01
 
 
-def test_online_J_matches_offline(diag_run):
-    traj, fin, _ = diag_run
-    for j, key in ((1, "J1"), (2, "J2")):
-        times, vals = propagation_functional(traj, j, WS)
-        assert np.max(np.abs(times - fin["times"])) == 0.0
-        assert np.max(np.abs(vals - fin[key])) <= 1e-13
-
-
-def test_online_smoothing_matches_offline(diag_run):
-    traj, fin, dcfg = diag_run
-    _, run_cp = smoothing_functional(traj, 1, WS, mode="chiprime")
-    _, run_win = smoothing_functional(traj, 1, WS, mode="window", R=dcfg.hard_window_R)
-    assert run_cp[-1] == pytest.approx(fin["K1_chiprime"][-1], rel=1e-12, abs=1e-15)
-    assert run_win[-1] == pytest.approx(fin["K1_window"][-1], rel=1e-12, abs=1e-15)
-
-
 def test_smoothing_chiprime_bounded_by_window(diag_run):
-    traj, _, dcfg = diag_run
-    _, run_cp = smoothing_functional(traj, 1, WS, mode="chiprime")
-    _, run_win = smoothing_functional(traj, 1, WS, mode="window", R=WS.cutoff.b)
-    bound = WS.sup_chi_prime * run_win[-1]
-    assert run_cp[-1] <= bound * (1.0 + 1e-12)
+    _, fin, dcfg = diag_run
+    assert dcfg.hard_window_R == WS.cutoff.b
+    bound = WS.sup_chi_prime * fin["K1_window"][-1]
+    assert fin["K1_chiprime"][-1] <= bound * (1.0 + 1e-12)
 
 
-def test_smoothing_mode_validation(diag_run):
-    traj, _, _ = diag_run
-    with pytest.raises(ValueError):
-        smoothing_functional(traj, 1, WS, mode="soft")
-    with pytest.raises(ValueError):
-        smoothing_functional(traj, 1, WS, mode="window", R=0.1)
-    with pytest.raises(ValueError):
-        smoothing_functional(traj, 3, WS)
-
-
-def test_online_sup_functionals_match_offline(diag_run):
-    traj, fin, _ = diag_run
-    for j in (1, 2):
-        val, xarg = kato_functional(traj, j)
-        assert fin["kato"][j][0] == pytest.approx(val, rel=1e-12)
-        assert fin["kato"][j][1] == xarg
-    assert strichartz_functional(traj) == pytest.approx(fin["strichartz"], rel=1e-12)
-    assert maximal_functional(traj) == pytest.approx(fin["maximal"], rel=1e-12)
-
-
-def test_online_identity_matches_offline(diag_run):
-    traj, fin, _ = diag_run
+def test_identity_residual_decays_under_refinement(diag_run):
+    # joint halving of h and dt; the bound is the acceptance gate's (test 07)
+    _, coarse, _ = diag_run
+    _, fine, _ = _bump_run(321, 0.005)
     for lv in (1, 2):
-        off = identity_residual(traj, lv, WS)
-        on = fin["identity"][lv]
-        assert np.max(np.abs(on.residual - off.residual)) <= 1e-12
-        assert on.normalized == pytest.approx(off.normalized, rel=1e-9, abs=1e-15)
-
-
-def test_identity_needs_dense_uniform_snapshots():
-    grid = Grid1D(16.0, 161)
-    u0 = Field(grid, gaussian_bump(0.8, 6.0, 1.0)(grid.nodes), 0.0)
-    traj = solve(u0, SolverConfig(dt=0.01, T=0.05, snapshot_stride=5), zero_boundary())
-    with pytest.raises(ValueError, match="3 snapshots"):
-        identity_residual(traj, 1, WS)
-    traj2 = solve(u0, SolverConfig(dt=0.01, T=0.07, snapshot_stride=3), zero_boundary())
-    with pytest.raises(ValueError, match="uniformly spaced"):
-        identity_residual(traj2, 1, WS)
-
-
-def test_identity_rejects_unknown_level(diag_run):
-    traj, _, _ = diag_run
-    with pytest.raises(ValueError):
-        identity_residual(traj, 3, WS)
+        ratio = coarse["identity"][lv].normalized / fine["identity"][lv].normalized
+        assert ratio >= 2.5, (lv, ratio)
 
 
 def test_trace_integral_window_and_flags(diag_run):
@@ -186,16 +132,10 @@ def test_dissipation_audit_consistency(diag_run):
     assert aud.relative <= 0.15
 
 
-def test_propagation_functional_rejects_high_order(diag_run):
-    traj, _, _ = diag_run
-    with pytest.raises(ValueError):
-        propagation_functional(traj, 4, WS)
-
-
 def test_maximal_dominates_initial_mass(diag_run):
-    traj, _, _ = diag_run
+    traj, fin, _ = diag_run
     e0 = np.sqrt(integrate(traj.snapshots[0].values ** 2, traj.grid))
-    assert maximal_functional(traj) >= e0 * (1.0 - 1e-12)
+    assert fin["maximal"] >= e0 * (1.0 - 1e-12)
 
 
 def test_trace_d4_exact_on_quintics():
@@ -207,3 +147,127 @@ def test_trace_d4_exact_on_quintics():
             got = _trace_d4(Field(g, (g.nodes + 0.5) ** deg, 0.0))
             exact = 0.0 if deg < 4 else {4: 24.0, 5: 120.0 * 0.5}[deg]
             assert got == pytest.approx(exact, abs=1e-6 * max(1.0, exact)), (L, deg)
+
+
+def _soliton_references(c, x_c, L, T, ws):
+    """Every functional the observer reports, from the exact soliton.
+
+    Derivatives come from sympy; x integrals from adaptive quadrature; t
+    integrals from the trapezoid rule on 201 times.  The cutoff is rebuilt from
+    its definition (chi' is the bump exp(-1/((s-eps)(b-s))) of unit mass).
+    """
+    eps, b = ws.cutoff.epsilon, ws.cutoff.b
+    x, t = sp.symbols("x t", real=True)
+    u = sp.Rational(3, 2) * c / sp.cosh(sp.sqrt(c) / 2 * (x - c * t - x_c)) ** 2
+    exact, d1, d2 = (sp.lambdify((x, t), sp.diff(u, x, k), "numpy") for k in (0, 1, 2))
+    ts = np.linspace(0.0, T, 201)
+
+    def xquad(f, lo, hi, points=None):
+        return quad(f, lo, hi, epsrel=1e-12, epsabs=0.0, limit=200, points=points)[0]
+
+    def bump(s):
+        return math.exp(-1.0 / ((s - eps) * (b - s))) if eps < s < b else 0.0
+
+    norm = xquad(bump, eps, b)
+
+    def chi(s):
+        return 0.0 if s <= eps else 1.0 if s >= b else xquad(bump, eps, s) / norm
+
+    def arg(tt):  # the weight is chi(x + v t - x0)
+        return ws.v * tt - ws.x0
+
+    lo_T, hi_T = eps - arg(T), b - arg(T)
+    ref = {f"J{k}": xquad(lambda s, dk=dk: dk(s, T) ** 2 * chi(s + arg(T)), lo_T, L, [hi_T])
+           for k, dk in ((1, d1), (2, d2))}
+    kcp = [xquad(lambda s: d2(s, tt) ** 2 * bump(s + arg(tt)) / norm, eps - arg(tt), b - arg(tt))
+           for tt in ts]
+    kwin = [xquad(lambda s: d2(s, tt) ** 2, max(eps - arg(tt), 0.0), b - arg(tt)) for tt in ts]
+    ref["K1_chiprime"] = np.trapezoid(kcp, ts)
+    ref["K1_window"] = np.trapezoid(kwin, ts)
+    # sup_x |u_x| is the same at every time while the crest is inside the domain
+    sup_ux = -minimize_scalar(lambda s: -abs(d1(s, 0.0)), bounds=(x_c - 3.0, x_c),
+                              method="bounded", options={"xatol": 1e-10}).fun
+    ref["strichartz"] = np.trapezoid(np.full_like(ts, sup_ux**4), ts) ** 0.25
+    # sup_t u(x, t)^2 sits at the time the crest is nearest x
+    ref["maximal"] = math.sqrt(xquad(lambda s: exact(s, min(max((s - x_c) / c, 0.0), T)) ** 2,
+                                     0.0, L, [x_c, x_c + c * T]))
+    kato = {}
+    xs = np.linspace(0.0, L, 3001)
+    for j, dj in ((1, d1), (2, d2)):
+        def G(s, dj=dj):
+            return np.trapezoid(dj(np.asarray(s)[..., None], ts) ** 2, ts, axis=-1)
+        i = int(np.argmax(G(xs)))
+        best = minimize_scalar(lambda s: -G(s), bounds=(xs[i - 1], xs[i + 1]),
+                               method="bounded", options={"xatol": 1e-10})
+        kato[j] = (-best.fun, G)
+    return ref, kato
+
+
+@pytest.fixture(scope="module")
+def soliton_runs():
+    """The exact-soliton references and the observer's output at two resolutions.
+
+    The crest starts at x = 9 and the weight's ramp [x0 + eps - v t, x0 + b - v t]
+    sweeps back across it.  The references are computed offline from the closed
+    form; every reported functional must approach them at second order under
+    joint halving of h and dt.
+    """
+    c, x_c, L, T = 1.0, 9.0, 30.0, 1.0
+    ws = WeightSpec(cutoff=CutoffSpec(0.4, 2.0), v=1.0, x0=8.0)
+    ref, kato = _soliton_references(c, x_c, L, T, ws)
+    fins = []
+    for n, dt in ((601, 0.01), (1201, 0.005)):
+        grid = Grid1D(L, n)
+        # the tail at x = 0 is 7.4e-4; the boundary data carries it exactly
+        with pytest.warns(ResolutionWarning):
+            u0 = soliton_data(c, x_c, grid)
+        bd = soliton_boundary(c, x_c)
+        rd = RunningDiagnostics(grid, bd, DiagnosticsConfig(wspec=ws))
+        solve(u0, SolverConfig(dt=dt, T=T), bd, observers=[rd])
+        fins.append(rd.finish())
+    return ref, kato, fins
+
+
+def _decay(ref, fins, pick):
+    """Ratio of coarse to fine relative error for each key of `ref`."""
+    errs = [{k: abs(pick(fin, k) / ref[k] - 1.0) for k in ref} for fin in fins]
+    return {k: errs[0][k] / errs[1][k] for k in ref}
+
+
+def test_online_J_matches_offline(soliton_runs):
+    ref, _, fins = soliton_runs
+    ref = {k: ref[k] for k in ("J1", "J2")}
+    decay = _decay(ref, fins, lambda fin, k: fin[k][-1])
+    for k in ref:
+        assert decay[k] >= 3.5, (k, decay)
+
+
+def test_online_smoothing_matches_offline(soliton_runs):
+    ref, _, fins = soliton_runs
+    ref = {k: ref[k] for k in ("K1_chiprime", "K1_window")}
+    decay = _decay(ref, fins, lambda fin, k: fin[k][-1])
+    assert decay["K1_chiprime"] >= 3.5, decay
+    # the hard window's ends snap to grid nodes, an O(h) effect
+    assert decay["K1_window"] >= 1.8, decay
+
+
+def test_online_sup_functionals_match_offline(soliton_runs):
+    ref, kato, fins = soliton_runs
+    ref = {k: ref[k] for k in ("strichartz", "maximal")}
+    for j, (sup, _) in kato.items():
+        ref[f"kato{j}"] = sup
+
+    def pick(fin, k):
+        return fin["kato"][int(k[-1])][0] if k.startswith("kato") else fin[k]
+
+    decay = _decay(ref, fins, pick)
+    for fin in fins:
+        for j, (sup, G) in kato.items():
+            value, x_arg = fin["kato"][j]
+            # the j = 1 functional has two equal crests (8.13 and 10.87), so
+            # the location is not compared: the exact functional at the
+            # returned node must be as close to the sup as the value itself
+            assert 1.0 - G(x_arg) / sup <= abs(value / sup - 1.0), (j, x_arg)
+    for k in ("strichartz", "maximal", "kato2"):
+        assert decay[k] >= 3.5, (k, decay)
+    assert decay["kato1"] >= 3.0, decay

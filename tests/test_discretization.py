@@ -9,15 +9,12 @@ from kdvhl.discretization import (
     Field,
     Grid1D,
     TraceSeries,
-    deriv,
     deriv_matrix,
     fd_weights,
     integrate,
     trace_derivs,
-    weighted_l2,
 )
 from kdvhl.solver import _System
-from kdvhl.weights import CutoffSpec, WeightSpec
 
 
 def test_fd_weights_classic_forward_difference():
@@ -135,12 +132,6 @@ def test_deriv_matrix_invalid_order():
         deriv_matrix(Grid1D(10.0, 11), 4)
 
 
-def test_deriv_wraps_matrix():
-    g = Grid1D(8.0, 81)
-    f = Field(g, g.nodes**3, 0.0)
-    assert np.allclose(deriv(f, 3), 6.0, atol=1e-7)
-
-
 def test_trace_derivs_on_polynomials():
     g = Grid1D(8.0, 81)
     assert trace_derivs(Field(g, g.nodes**2, 0.0)) == pytest.approx((0.0, 0.0, 2.0, 0.0), abs=1e-8)
@@ -174,14 +165,3 @@ def test_integrate_window_semantics():
     assert integrate(v, g, window=(50, 50)) == 0.0
     # out-of-range indices clip to the grid
     assert integrate(v, g, window=(-5, 200)) == pytest.approx(10.0)
-
-
-def test_weighted_l2_matches_direct_quadrature():
-    g = Grid1D(16.0, 161)
-    ws = WeightSpec(cutoff=CutoffSpec(0.4, 2.0), v=1.0, x0=4.0)
-    f = Field(g, np.exp(-((g.nodes - 6.0) ** 2)), 0.3)
-    from kdvhl.weights import moving_weight
-
-    w = moving_weight(ws, g.nodes, 0.3, 0)
-    direct = integrate(f.values**2 * w, g)
-    assert weighted_l2(f, 0, ws) == pytest.approx(direct, rel=1e-14)

@@ -11,7 +11,6 @@ from kdvhl.solver import (
     SolverError,
     check_compatibility,
     solve,
-    step,
     zero_boundary,
 )
 
@@ -75,28 +74,11 @@ def test_incompatible_corner_raises():
     assert not res.ok and res.mismatch == pytest.approx(0.1)
 
 
-def test_incompatible_corner_override():
-    g = Grid1D(20.0, 201)
-    u0 = Field(g, np.full(g.n, 1e-8), 0.0)
-    u0.values[-1] = 0.0
-    u0.values[-2] = 0.0
-    cfg = SolverConfig(dt=0.1, T=0.2, allow_incompatible=True)
-    traj = solve(u0, cfg, zero_boundary())
-    assert len(traj.times) == 3
-
-
 def test_inconsistent_boundary_pair_rejected():
     g = Grid1D(20.0, 201)
     bad = BoundaryData(f=lambda t: 0.1 * np.sin(t), fprime=lambda t: np.cos(t))
     with pytest.raises(ValueError, match="inconsistent"):
         solve(Field(g, np.zeros(g.n), 0.0), SolverConfig(dt=0.1, T=1.0), bad)
-
-
-def test_boundary_validation_can_be_skipped():
-    g = Grid1D(20.0, 201)
-    bad = BoundaryData(f=lambda t: 0.0, fprime=lambda t: 1.0)
-    cfg = SolverConfig(dt=0.1, T=0.2, validate_boundary=False)
-    solve(Field(g, np.zeros(g.n), 0.0), cfg, bad)
 
 
 def test_trace_sampling_every_step():
@@ -112,15 +94,6 @@ def test_snapshot_stride_keeps_endpoints():
     traj = solve(bump_field(g), cfg, zero_boundary())
     assert traj.snapshot_steps == [0, 7, 10]
     assert traj.snapshots[-1].t == pytest.approx(0.5)
-
-
-def test_step_matches_solve():
-    g = Grid1D(20.0, 201)
-    u0 = bump_field(g)
-    cfg = SolverConfig(dt=0.05, T=0.05)
-    one = step(Field(g, u0.values.copy(), 0.0), cfg, zero_boundary())
-    traj = solve(u0, cfg, zero_boundary())
-    assert np.array_equal(one.values, traj.final.values)
 
 
 def test_picard_divergence_raises():
@@ -189,6 +162,6 @@ def test_nonfinite_state_raises():
     g = Grid1D(20.0, 201)
     evil = BoundaryData(f=lambda t: 0.0 if t < 0.05 else float("nan"),
                         fprime=lambda t: 0.0)
-    cfg = SolverConfig(dt=0.05, T=0.5, validate_boundary=False)
+    cfg = SolverConfig(dt=0.05, T=0.5)
     with pytest.raises(SolverError, match="non-finite"):
         solve(Field(g, np.zeros(g.n), 0.0), cfg, evil)
