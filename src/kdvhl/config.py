@@ -99,6 +99,12 @@ class ExperimentConfig:
     oracle_samples: int = 9
     oracle_tol: float = 0.01
 
+    def kink_geometry(self):
+        """Kink point and envelope (x1, env_lo, env_hi); unset keys scale with x0."""
+        return (self.data_x1 if self.data_x1 is not None else 0.5 * self.x0,
+                self.data_env_lo if self.data_env_lo is not None else 0.25 * self.x0,
+                self.data_env_hi if self.data_env_hi is not None else 0.75 * self.x0)
+
 
 _KEYMAP = {
     "experiment": ("experiment", str),
@@ -219,10 +225,15 @@ def _validate(cfg: ExperimentConfig):
         )
     for key, attr in (("grid.L", "L"), ("time.dt", "dt"), ("time.T", "T"),
                       ("weight.epsilon", "epsilon"), ("weight.b", "b"),
-                      ("data.c", "data_c"), ("oracle.c", "oracle_c"),
-                      ("oracle.cfl", "oracle_cfl")):
+                      ("data.c", "data_c"), ("data.width", "data_width"),
+                      ("data.base_width", "data_base_width"), ("boundary.w", "boundary_w"),
+                      ("boundary.ramp", "boundary_ramp"), ("oracle.c", "oracle_c"),
+                      ("oracle.width", "oracle_width"), ("oracle.cfl", "oracle_cfl")):
         if not (0 < getattr(cfg, attr) < math.inf):
             raise ConfigError(f"key {key!r} must be positive and finite")
+    for key in ("weight.x0", "boundary.A", "boundary.t_c", "boundary.omega"):
+        if not math.isfinite(getattr(cfg, _KEYMAP[key][0])):
+            raise ConfigError(f"key {key!r} must be finite")
     for key, attr, low in (("grid.n", "n", 8), ("time.snapshot_stride", "snapshot_stride", 1),
                            ("solver.picard_max", "picard_max", 1), ("data.m", "data_m", 1),
                            ("study.levels", "levels", 1), ("oracle.samples", "oracle_samples", 1)):
@@ -235,8 +246,8 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(
             f"key 'time.T' = {cfg.T} is not a whole number of steps of time.dt = {cfg.dt}"
         )
-    if not (cfg.v >= 0):
-        raise ConfigError("key 'weight.v' must be nonnegative")
+    if not (0 <= cfg.v < math.inf):
+        raise ConfigError("key 'weight.v' must be nonnegative and finite")
     if cfg.b < 5.0 * cfg.epsilon:
         raise ConfigError(
             f"weight family needs b >= 5*epsilon; got b={cfg.b}, epsilon={cfg.epsilon}"
@@ -246,6 +257,10 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"key {key!r} must be 1, 2 or 3")
     if not set(cfg.identity_levels) <= {1, 2}:
         raise ConfigError("key 'diagnostics.identity_levels' may hold only levels 1 and 2")
+    x1, lo, hi = cfg.kink_geometry()
+    if cfg.data_kind == "kink" and not (lo < x1 < hi):
+        raise ConfigError(f"key 'data.x1' = {x1} must lie inside the envelope "
+                          f"(data.env_lo, data.env_hi) = ({lo}, {hi})")
     if cfg.R is not None and not (cfg.epsilon < cfg.R < math.inf):
         raise ConfigError(f"key 'diagnostics.R' = {cfg.R} must be finite and exceed "
                           f"weight.epsilon = {cfg.epsilon}")

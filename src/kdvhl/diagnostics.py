@@ -16,12 +16,22 @@ order higher.  Every term is recorded as a signed series; their sum is the
 residual, which must vanish to discretization order.  The third boundary
 derivative is taken from the equation itself, u_xxx(0) = F(0) - f' - 2 f u_x(0),
 with the one-sided stencil kept as a cross-check only.
+
+The observer's cost follows the weight's transition band eps < a < b of the
+argument a = x + v t - x0, found by binary search since a grows with x: off
+the band chi is exactly 0 or 1 and its derivatives vanish.  One stacked
+evaluation on [a(0)] + a(band) gives every order the terms need; node 0 rides
+along because chi(v t - x0) is both the trace factor chi0 and the trapezoid
+end weight at x = 0.  A chi' or chi''' term is a sum over the band.  A chi term
+is formed from the band on and summed over the grid with zeros on the left,
+in the full-grid order, so J_l keeps every bit (dJ/dt divides ulps by dt).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -207,22 +217,41 @@ def _trace_d4(field: Field) -> float:
 class _State:
     """What the per-state diagnostics read at one time level, evaluated once.
 
-    derivs holds u and D_k u for k = 1, 2 and, when asked for, 3 (else None).
-    c3, chi0 = chi(a0, 0..2) at the boundary argument a0 = v t - x0, and the
-    forcing F on the nodes exist only for identity bookkeeping.
+    derivs holds u and D_k u for k = 1, 2 and, when asked for, 3 (else None);
+    sq holds u_x^2 and u_xx^2.  The band is the node range lo <= i < hi where
+    eps < x_i + v t - x0 < b.  chi holds one row per order 0, 1 and, for
+    identity bookkeeping, 2 and 3; column 0 is the weight at x = 0 (the trace
+    factors chi0), the other columns the band.  The forcing F on the nodes
+    exists only for identity bookkeeping.
     """
 
     field: Field
     derivs: tuple
-    c0: np.ndarray
-    c1: np.ndarray
-    c3: Optional[np.ndarray]
-    chi0: Optional[tuple]
+    sq: tuple
+    lo: int
+    hi: int
+    chi: np.ndarray
     F: Optional[np.ndarray]
     f: float
     d1t: float
     d2t: float
     d3t: float  # equation route
+
+    def integral(self, k: int, *factors) -> float:
+        """Trapezoid of the product of the nodal factors times chi^(k)(x + v t - x0),
+        formed on the band only (k >= 1) or from the band on (k = 0, where chi = 1
+        right of the band); the module docstring gives the summation order."""
+        grid = self.field.grid
+        lo, hi, n = self.lo, self.hi, grid.n
+        c = self.chi[k]
+        if k == 0:
+            vals = np.zeros(n)
+            vals[lo:] = reduce(mul, [f[lo:] for f in factors])
+            vals[lo:hi] *= c[1:]
+            return integrate(vals, grid)
+        g = reduce(mul, [f[lo:hi] for f in factors])
+        last = g[-1] * c[-1] if hi == n and lo < n else 0.0  # band reaches x = L
+        return grid.h * (g @ c[1:] - 0.5 * (reduce(mul, [f[0] for f in factors]) * c[0] + last))
 
 
 def _evaluate_state(field: Field, D: dict, wspec: WeightSpec, bd: BoundaryData,
@@ -232,40 +261,37 @@ def _evaluate_state(field: Field, D: dict, wspec: WeightSpec, bd: BoundaryData,
     t = field.t
     u = field.values
     derivs = (u, D[1] @ u, D[2] @ u, D[3] @ u if 3 in D else None)
-    c0 = moving_weight(wspec, x, t, 0)
-    c1 = moving_weight(wspec, x, t, 1)
-    c3 = chi0 = F = None
-    if identity:
-        c3 = moving_weight(wspec, x, t, 3)
-        a0 = wspec.v * t - wspec.x0
-        chi0 = tuple(float(chi(wspec.cutoff, a0, k)) for k in (0, 1, 2))
-        if forcing is not None:
-            F = np.asarray(forcing(x, t), dtype=float)
+    cut = wspec.cutoff
+    a = x + wspec.v * t - wspec.x0
+    lo = int(np.searchsorted(a, cut.epsilon, "right"))
+    hi = int(np.searchsorted(a, cut.b, "left"))
+    c = chi(cut, np.concatenate((a[:1], a[lo:hi])), (0, 1, 2, 3) if identity else (0, 1))
+    F = None
+    if identity and forcing is not None:
+        F = np.asarray(forcing(x, t), dtype=float)
     _, d1t, d2t, _ = trace_derivs(field)
     f, d3t = _wall_traces(bd, forcing, t, d1t)
-    return _State(field=field, derivs=derivs, c0=c0, c1=c1, c3=c3, chi0=chi0, F=F,
-                  f=f, d1t=d1t, d2t=d2t, d3t=d3t)
+    return _State(field=field, derivs=derivs, sq=(derivs[1] * derivs[1], derivs[2] * derivs[2]),
+                  lo=lo, hi=hi, chi=c, F=F, f=f, d1t=d1t, d2t=d2t, d3t=d3t)
 
 
-def _identity_terms(st: _State, level: int, wspec: WeightSpec, D: dict) -> dict:
-    """All signed identity terms except the dJ/dt piece, plus J itself."""
-    grid = st.field.grid
+def _identity_terms(st: _State, level: int, wspec: WeightSpec, D: dict, kcp: float) -> dict:
+    """All signed identity terms except the dJ/dt piece; kcp = int u_xx^2 chi'."""
     u, w, q, qx = st.derivs
-    c0, c1, c3 = st.c0, st.c1, st.c3
-    b0, b1, b2 = st.chi0
+    ww, qq = st.sq
+    b0, b1, b2 = st.chi[:3, 0]
     v = wspec.v
     f, d1t, d2t, d3t = st.f, st.d1t, st.d2t, st.d3t
 
     out = {}
     if level == 1:
-        out["J"] = _weighted_sq(grid, w, c0)
-        out["weight_transport"] = -0.5 * v * _weighted_sq(grid, w, c1)
-        out["smoothing"] = 1.5 * _weighted_sq(grid, q, c1)
-        out["weight_third"] = -0.5 * _weighted_sq(grid, w, c3)
-        out["nl_cubic"] = integrate(w**3 * c0, grid)
-        out["nl_transport"] = -integrate(u * w * w * c1, grid)
+        out["weight_transport"] = -0.5 * v * st.integral(1, ww)
+        out["smoothing"] = 1.5 * kcp
+        out["weight_third"] = -0.5 * st.integral(3, ww)
+        out["nl_cubic"] = st.integral(0, ww, w)
+        out["nl_transport"] = -st.integral(1, u, ww)
         if st.F is not None:
-            out["forcing"] = -integrate((D[1] @ st.F) * w * c0, grid)
+            out["forcing"] = -st.integral(0, D[1] @ st.F, w)
         else:
             out["forcing"] = 0.0
         out["trace_d3d1"] = -d3t * d1t * b0
@@ -274,14 +300,13 @@ def _identity_terms(st: _State, level: int, wspec: WeightSpec, D: dict) -> dict:
         out["trace_d1sq"] = -0.5 * d1t * d1t * b2
         out["trace_cubic"] = -f * d1t * d1t * b0
     else:
-        out["J"] = _weighted_sq(grid, q, c0)
-        out["weight_transport"] = -0.5 * v * _weighted_sq(grid, q, c1)
-        out["smoothing"] = 1.5 * _weighted_sq(grid, qx, c1)
-        out["weight_third"] = -0.5 * _weighted_sq(grid, q, c3)
-        out["nl_steepening"] = 5.0 * integrate(w * q * q * c0, grid)
-        out["nl_transport"] = -integrate(u * q * q * c1, grid)
+        out["weight_transport"] = -0.5 * v * kcp
+        out["smoothing"] = 1.5 * st.integral(1, qx, qx)
+        out["weight_third"] = -0.5 * st.integral(3, qq)
+        out["nl_steepening"] = 5.0 * st.integral(0, w, qq)
+        out["nl_transport"] = -st.integral(1, u, qq)
         if st.F is not None:
-            out["forcing"] = -integrate((D[2] @ st.F) * q * c0, grid)
+            out["forcing"] = -st.integral(0, D[2] @ st.F, q)
         else:
             out["forcing"] = 0.0
         d4t = _trace_d4(st.field) if b0 != 0.0 else 0.0
@@ -421,7 +446,6 @@ class RunningDiagnostics:
         self.tr2 = [0.0]
         self.tr3 = [0.0]
         self.identity = {lv: {} for lv in cfg.identity_levels}
-        self.identity_J = {lv: [] for lv in cfg.identity_levels}
         self._prev = None
         self._kato = {j: np.zeros(grid.n) for j in _KATO_ORDERS}
         self._kato_prev = {}
@@ -437,15 +461,15 @@ class RunningDiagnostics:
         t = field.t
         st = _evaluate_state(field, self._D, ws, self.bd, self.forcing,
                              bool(cfg.identity_levels))
-        u, w, q, _ = st.derivs
+        u, w, _, _ = st.derivs
         self.t.append(t)
-        self.J1.append(_weighted_sq(g, w, st.c0))
-        self.J2.append(_weighted_sq(g, q, st.c0))
+        self.J1.append(st.integral(0, st.sq[0]))
+        self.J2.append(st.integral(0, st.sq[1]))
         self.mass.append(integrate(u * u, g))
 
-        kcp = _weighted_sq(g, q, st.c1)
+        kcp = st.integral(1, st.sq[1])
         i0, i1 = _hard_window_indices(g, ws, cfg.hard_window_R, t)
-        kwin = integrate(q * q, g, window=(i0, i1))
+        kwin = integrate(st.sq[1], g, window=(i0, i1))
         tr2_inst = st.d2t * st.d2t
         tr3_inst = st.d3t * st.d3t
 
@@ -458,14 +482,12 @@ class RunningDiagnostics:
         self._prev = {"t": t, "kcp": kcp, "kwin": kwin, "tr2": tr2_inst, "tr3": tr3_inst}
 
         for lv in cfg.identity_levels:
-            vals = _identity_terms(st, lv, ws, self._D)
-            self.identity_J[lv].append(vals.pop("J"))
             store = self.identity[lv]
-            for k2, v2 in vals.items():
+            for k2, v2 in _identity_terms(st, lv, ws, self._D, kcp).items():
                 store.setdefault(k2, []).append(v2)
 
         for j in _KATO_ORDERS:
-            g2 = st.derivs[j] * st.derivs[j]
+            g2 = st.sq[j - 1]
             if j in self._kato_prev:
                 dt = t - self._prev_t_kato
                 self._kato[j] += 0.5 * dt * (g2 + self._kato_prev[j])
@@ -495,7 +517,5 @@ class RunningDiagnostics:
         out["identity"] = {}
         for lv in self.cfg.identity_levels:
             series = {k: np.asarray(v) for k, v in self.identity[lv].items()}
-            out["identity"][lv] = IdentityBreakdown.assemble(
-                lv, times, np.asarray(self.identity_J[lv]), series
-            )
+            out["identity"][lv] = IdentityBreakdown.assemble(lv, times, out[f"J{lv}"], series)
         return out

@@ -81,14 +81,9 @@ def scenario(cfg: ExperimentConfig):
         if cfg.data_base_amplitude != 0.0:
             base = gaussian_bump(cfg.data_base_amplitude, cfg.data_base_center,
                                  cfg.data_base_width)
-        spec = KinkSpec(
-            m=cfg.data_m,
-            x1=cfg.data_x1 if cfg.data_x1 is not None else 0.5 * cfg.x0,
-            amplitude=cfg.data_amplitude,
-            env_lo=cfg.data_env_lo if cfg.data_env_lo is not None else 0.25 * cfg.x0,
-            env_hi=cfg.data_env_hi if cfg.data_env_hi is not None else 0.75 * cfg.x0,
-            base=base,
-        )
+        x1, env_lo, env_hi = cfg.kink_geometry()
+        spec = KinkSpec(m=cfg.data_m, x1=x1, amplitude=cfg.data_amplitude,
+                        env_lo=env_lo, env_hi=env_hi, base=base)
         u0 = kink_data(spec, grid)
     elif cfg.data_kind == "soliton":
         u0 = soliton_data(cfg.data_c, cfg.data_center, grid)

@@ -47,7 +47,8 @@ class BoundaryData:
     fprime: Callable[[float], float]
 
     def validate(self, T: float, rtol: float = 1e-6, n_probe: int = 9):
-        """Check fprime against a centered difference of f at probe times."""
+        """Check that f and fprime are finite and fprime matches a centered
+        difference of f at probe times."""
         ts = np.linspace(0.0, T, n_probe)
         dh = 6e-6 * max(1.0, T)
         if T <= 4.0 * dh:
@@ -56,8 +57,11 @@ class BoundaryData:
         scale = 1.0
         for t in ts:
             a = min(max(t, dh), T - dh)  # keep the probe inside [0, T]
-            fd = (self.f(a + dh) - self.f(a - dh)) / (2.0 * dh)
-            fp = self.fprime(a)
+            vals = (self.f(a + dh), self.f(a - dh), self.fprime(a))
+            if not np.all(np.isfinite(vals)):
+                raise ValueError(f"boundary data f or fprime is not finite near t = {a:.6g}")
+            fd = (vals[0] - vals[1]) / (2.0 * dh)
+            fp = vals[2]
             worst = max(worst, abs(fp - fd))
             scale = max(scale, abs(fp), abs(fd))
         if worst > rtol * scale:

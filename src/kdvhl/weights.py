@@ -51,39 +51,22 @@ def rho(x):
     return 1.0 + eta((np.asarray(x, dtype=float) + 2.0) / 3.0)
 
 
-def _bump_log_terms(s, eps, b):
-    """w, w', w'' for w(s) = -1/((s-eps)(b-s)) on the open support."""
+def _bump(s, eps, b, orders):
+    """Derivatives of the unnormalized bump exp(w), w = -1/((s-eps)(b-s)), at
+    points s inside (eps, b): one row per order in 0..2 from one exponent."""
+    s = np.asarray(s, dtype=float)
     p = s - eps
     q = b - s
     pq = p * q
+    pq2 = pq**2
     w = -1.0 / pq
     d = q - p                      # (pq)' since p' = 1, q' = -1
-    w1 = d / pq**2
-    w2 = -2.0 / pq**2 - 2.0 * d**2 / pq**3
-    return w, w1, w2
-
-
-def _bump(s, eps, b, order=0):
-    """Derivatives 0..2 of the unnormalized bump exp(-1/((s-eps)(b-s)))."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = (s > eps) & (s < b)
-    if not np.any(inside):
-        return out
-    w, w1, w2 = _bump_log_terms(s[inside], eps, b)
+    w1 = d / pq2
+    w2 = -2.0 / pq2 - 2.0 * d**2 / pq**3
     live = w > _LOG_FLOOR
-    g = np.zeros_like(w)
-    g[live] = np.exp(w[live])
-    if order == 0:
-        vals = g
-    elif order == 1:
-        vals = np.where(live, w1 * g, 0.0)
-    elif order == 2:
-        vals = np.where(live, (w2 + w1**2) * g, 0.0)
-    else:
-        raise ValueError("bump derivative order must be 0, 1 or 2")
-    out[inside] = vals
-    return out
+    g = np.where(live, np.exp(w), 0.0)
+    return np.array([g if k == 0 else np.where(live, (w1 if k == 1 else w2 + w1**2) * g, 0.0)
+                     for k in orders])
 
 
 @dataclass(frozen=True)
@@ -108,7 +91,7 @@ class CutoffSpec:
                 f"cutoff requires b >= 5*epsilon, got b={self.b}, epsilon={self.epsilon}"
             )
         z, _ = quad(
-            lambda s: float(_bump(np.array(s), self.epsilon, self.b)),
+            lambda s: float(_bump([s], self.epsilon, self.b, (0,))[0, 0]),
             self.epsilon,
             self.b,
             epsabs=0.0,
@@ -122,7 +105,7 @@ class CutoffSpec:
         half = 0.5 * (edges[1] - edges[0])
         mids = 0.5 * (edges[:-1] + edges[1:])
         pts = mids[:, None] + half * _GL_NODES[None, :]
-        panel = half * (_bump(pts, self.epsilon, self.b) @ _GL_WEIGHTS)
+        panel = half * (_bump(pts, self.epsilon, self.b, (0,))[0] @ _GL_WEIGHTS)
         cum = np.concatenate([[0.0], np.cumsum(panel)]) / z
         object.__setattr__(self, "_antideriv", CubicSpline(edges, cum))
 
@@ -132,27 +115,33 @@ class CutoffSpec:
         return self._norm
 
 
-def chi(spec: CutoffSpec, x, order: int = 0):
+def chi(spec: CutoffSpec, x, order=0):
     """Evaluate chi_{eps,b} (order=0) or its derivatives (order=1..3).
 
     chi is exactly 0 on (-inf, eps], exactly 1 on [b, inf); derivatives are
     exactly 0 outside (eps, b) and come from closed-form differentiation of
-    the normalized bump, so their supports are sharp.
+    the normalized bump, so their supports are sharp.  A tuple of orders gives
+    one stacked row per order from a single bump evaluation, each row equal
+    bit for bit to the single-order call.
     """
+    orders = (order,) if np.ndim(order) == 0 else tuple(order)
+    if not set(orders) <= {0, 1, 2, 3}:
+        raise ValueError(f"chi derivative order must be in 0..3, got {order}")
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    if order == 0:
-        out = np.zeros_like(x)
-        out[x >= spec.b] = 1.0
-        mid = (x > spec.epsilon) & (x < spec.b)
-        if np.any(mid):
-            out[mid] = np.clip(spec._antideriv(x[mid]), 0.0, 1.0)
-    elif order in (1, 2, 3):
-        out = _bump(x, spec.epsilon, spec.b, order - 1) / spec._norm
-    else:
-        raise ValueError(f"chi derivative order must be in 0..3, got {order}")
-    return out[0] if scalar else out
+    mid = (x > spec.epsilon) & (x < spec.b)
+    xm = x[mid]
+    ders = [k - 1 for k in orders if k > 0]
+    bump = iter(_bump(xm, spec.epsilon, spec.b, ders) / spec._norm if ders else ())
+    out = np.zeros((len(orders),) + x.shape)
+    for row, k in zip(out, orders):
+        if k == 0:
+            row[x >= spec.b] = 1.0
+        row[mid] = next(bump) if k else np.clip(spec._antideriv(xm), 0.0, 1.0)
+    if scalar:
+        out = out[:, 0]
+    return out if np.ndim(order) else out[0]
 
 
 @dataclass(frozen=True)
@@ -164,8 +153,8 @@ class WeightSpec:
     x0: float
 
     def __post_init__(self):
-        if self.v < 0.0:
-            raise ValueError(f"weight speed must satisfy v >= 0, got {self.v}")
+        if not (0.0 <= self.v < np.inf and np.isfinite(self.x0)):
+            raise ValueError(f"weight needs finite v >= 0 and x0, got v={self.v}, x0={self.x0}")
 
     @property
     def sup_chi_prime(self):

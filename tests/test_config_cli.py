@@ -143,6 +143,12 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+_INVALID_CONTEXT = {"boundary.w": {"boundary.kind": "gaussian-pulse"},
+                    "boundary.t_c": {"boundary.kind": "gaussian-pulse"},
+                    "boundary.ramp": {"boundary.kind": "ramped-cosine"},
+                    "data.x1": {"data.kind": "kink"}}  # default envelope (1, 3) at x0 = 4
+
+
 @pytest.mark.parametrize("key,value", [("time.theta", "2"), ("time.T", "0.25"),
                                        ("grid.L", "nan"), ("data.center", "0"),
                                        ("oracle.samples", "0"), ("oracle.cfl", "0"),
@@ -151,11 +157,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                                        ("diagnostics.R", "0.1"), ("data.m", "0"),
                                        ("data.c", "-1"), ("oracle.c", "-1"),
                                        ("time.snapshot_stride", "0"),
-                                       ("solver.picard_max", "0")])
+                                       ("solver.picard_max", "0"),
+                                       ("weight.x0", "nan"), ("weight.x0", "inf"),
+                                       ("weight.x0", "-inf"), ("weight.v", "inf"),
+                                       ("data.width", "0"), ("boundary.w", "0"),
+                                       ("data.x1", "0.5"), ("boundary.ramp", "0"),
+                                       ("boundary.t_c", "inf")])
 def test_cli_invalid_config_exit_code(tmp_path, capsys, key, value):
-    lines = [ln for ln in MINI_SIMULATE.splitlines() if not ln.startswith(key + " ")]
+    # keys that only act under another setting bring that setting along
+    context = {**_INVALID_CONTEXT.get(key, {}), key: value}
+    lines = [ln for ln in MINI_SIMULATE.splitlines() if ln.split(" = ")[0] not in context]
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+    cfgfile.write_text("\n".join(lines + [f"{k} = {v}" for k, v in context.items()]) + "\n")
     rc = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "z")])
     assert rc == 2
     err = capsys.readouterr().err

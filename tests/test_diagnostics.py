@@ -20,9 +20,9 @@ from kdvhl.diagnostics import (
     trace_identity_residual,
     trace_integral,
 )
-from kdvhl.discretization import Field, Grid1D, integrate
-from kdvhl.solver import SolverConfig, solve, zero_boundary
-from kdvhl.weights import CutoffSpec, WeightSpec
+from kdvhl.discretization import Field, Grid1D, deriv_matrix, integrate, trace_derivs
+from kdvhl.solver import BoundaryData, SolverConfig, solve, zero_boundary
+from kdvhl.weights import CutoffSpec, WeightSpec, chi, moving_weight
 
 WS = WeightSpec(cutoff=CutoffSpec(0.4, 2.0), v=1.0, x0=4.0)
 
@@ -147,6 +147,99 @@ def test_trace_d4_exact_on_quintics():
             got = _trace_d4(Field(g, (g.nodes + 0.5) ** deg, 0.0))
             exact = 0.0 if deg < 4 else {4: 24.0, 5: 120.0 * 0.5}[deg]
             assert got == pytest.approx(exact, abs=1e-6 * max(1.0, exact)), (L, deg)
+
+
+def _full_grid_reference(states, wspec, bd, forcing):
+    """Per-step J_1, J_2, accumulated K1_chiprime and the identity terms from
+    full-grid weights: every node weighted by moving_weight, chi0 from three
+    scalar chi calls, each integral one trapezoid over the whole grid."""
+    grid = states[0].grid
+    x = grid.nodes
+    D1, D2, D3 = (deriv_matrix(grid, k) for k in (1, 2, 3))
+    ref = {"J1": [], "J2": [], "K1_chiprime": [0.0], 1: {}, 2: {}}
+    kcp_prev = None
+    for fld in states:
+        t, u = fld.t, fld.values
+        w, q, qx = D1 @ u, D2 @ u, D3 @ u
+        c0, c1, c3 = (moving_weight(wspec, x, t, k) for k in (0, 1, 3))
+        b0, b1, b2 = (float(chi(wspec.cutoff, wspec.v * t - wspec.x0, k)) for k in (0, 1, 2))
+        F = forcing(x, t)
+        _, d1t, d2t, _ = trace_derivs(fld)
+        f = bd.f(t)
+        d3t = F[0] - bd.fprime(t) - 2.0 * f * d1t
+        d4t = _trace_d4(fld) if b0 != 0.0 else 0.0
+        kcp = integrate(q * q * c1, grid)
+        ref["J1"].append(integrate(w * w * c0, grid))
+        ref["J2"].append(integrate(q * q * c0, grid))
+        if kcp_prev is not None:
+            ref["K1_chiprime"].append(ref["K1_chiprime"][-1] + 0.5 * (t - t_prev) * (kcp + kcp_prev))
+        kcp_prev, t_prev = kcp, t
+        terms = {
+            1: {"weight_transport": -0.5 * wspec.v * integrate(w * w * c1, grid),
+                "smoothing": 1.5 * kcp,
+                "weight_third": -0.5 * integrate(w * w * c3, grid),
+                "nl_cubic": integrate(w**3 * c0, grid),
+                "nl_transport": -integrate(u * w * w * c1, grid),
+                "forcing": -integrate((D1 @ F) * w * c0, grid),
+                "trace_d3d1": -d3t * d1t * b0, "trace_d2sq": 0.5 * d2t * d2t * b0,
+                "trace_d2d1": d2t * d1t * b1, "trace_d1sq": -0.5 * d1t * d1t * b2,
+                "trace_cubic": -f * d1t * d1t * b0},
+            2: {"weight_transport": -0.5 * wspec.v * kcp,
+                "smoothing": 1.5 * integrate(qx * qx * c1, grid),
+                "weight_third": -0.5 * integrate(q * q * c3, grid),
+                "nl_steepening": 5.0 * integrate(w * q * q * c0, grid),
+                "nl_transport": -integrate(u * q * q * c1, grid),
+                "forcing": -integrate((D2 @ F) * q * c0, grid),
+                "trace_d4d2": -d4t * d2t * b0, "trace_d3sq": 0.5 * d3t * d3t * b0,
+                "trace_d3d2": d3t * d2t * b1, "trace_d2sq": -0.5 * d2t * d2t * b2,
+                "trace_cubic": -f * d2t * d2t * b0},
+        }
+        for lv in (1, 2):
+            for name, val in terms[lv].items():
+                ref[lv].setdefault(name, []).append(val)
+    return ref
+
+
+# weight origins x0 on [0, 16] with eps = 0.4, b = 2, v = 1 and t in [0, 0.3],
+# and what the weight is at x = 0 and x = L: the band inside the grid, across
+# x = 0 (chi0 strictly between 0 and 1), past x = 0 (empty band, the whole grid
+# in the tail), across x = L, and short of x = L (the weight zero everywhere)
+@pytest.mark.parametrize("x0,at0,atL", [(6.0, "0", "1"), (-1.0, "mid", "1"), (-3.0, "1", "1"),
+                                        (15.0, "0", "mid"), (20.0, "0", "0")])
+def test_band_restriction_matches_full_grid_weights(x0, at0, atL):
+    # a smooth state that vanishes at neither end, with boundary data and
+    # forcing, so every term and both trapezoid end weights are exercised
+    grid = Grid1D(16.0, 161)
+    x = grid.nodes
+    ws = WeightSpec(cutoff=CutoffSpec(0.4, 2.0), v=1.0, x0=x0)
+    bd = BoundaryData(f=lambda t: 0.1 + 0.2 * t, fprime=lambda t: 0.2)
+
+    def forcing(xs, t):
+        return 0.1 * np.sin(np.asarray(xs) - t)
+
+    states = [Field(grid, 0.5 * np.cos(0.7 * x + t) + 0.3 * np.sin(1.3 * x - 2.0 * t) + 0.2, t)
+              for t in np.linspace(0.0, 0.3, 7)]
+    rd = RunningDiagnostics(grid, bd, DiagnosticsConfig(wspec=ws, identity_levels=(1, 2)),
+                            forcing=forcing)
+    for fld in states:
+        rd(fld)
+    fin = rd.finish()
+    ref = _full_grid_reference(states, ws, bd, forcing)
+    times = fin["times"]
+    for lv in (1, 2):
+        ref[lv]["time_derivative"] = 0.5 * np.gradient(ref[f"J{lv}"], times)
+    pairs = [(name, fin[name], ref[name]) for name in ("J1", "J2", "K1_chiprime")]
+    pairs += [(f"l{lv} {name}", fin["identity"][lv].terms[name], series)
+              for lv in (1, 2) for name, series in ref[lv].items()]
+    assert len(pairs) == 3 + 2 * 12
+    for name, got, want in pairs:
+        want = np.asarray(want)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(np.asarray(got) - want)) <= 1e-12 * scale, (x0, name)
+    for t in times:
+        for xe, kind in ((0.0, at0), (grid.L, atL)):
+            c = float(moving_weight(ws, xe, t))
+            assert (c == float(kind)) if kind != "mid" else (0.0 < c < 1.0), (x0, t, xe)
 
 
 def _soliton_references(c, x_c, L, T, ws):

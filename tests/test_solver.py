@@ -159,9 +159,25 @@ def test_boundary_drain_dominates_unforced_energy_loss():
 
 
 def test_nonfinite_state_raises():
+    # a NaN planted in the initial data reaches the stepper's first solve
     g = Grid1D(20.0, 201)
-    evil = BoundaryData(f=lambda t: 0.0 if t < 0.05 else float("nan"),
-                        fprime=lambda t: 0.0)
-    cfg = SolverConfig(dt=0.05, T=0.5)
+    u0 = bump_field(g)
+    u0.values[g.n // 2] = np.nan
     with pytest.raises(SolverError, match="non-finite"):
-        solve(Field(g, np.zeros(g.n), 0.0), cfg, evil)
+        solve(u0, SolverConfig(dt=0.05, T=0.5), zero_boundary())
+
+
+@pytest.mark.parametrize("which", ["f", "fprime"])
+def test_nonfinite_boundary_data_rejected(which):
+    # NaN from t = 0.05 on: max(worst, nan) would keep the running worst at 0
+    def bad(t):
+        return 0.0 if t < 0.05 else float("nan")
+
+    def zero(t):
+        return 0.0
+
+    bd = BoundaryData(f=bad, fprime=zero) if which == "f" else BoundaryData(f=zero, fprime=bad)
+    with pytest.raises(ValueError, match="not finite"):
+        bd.validate(0.5)
+    with pytest.raises(ValueError, match="not finite"):
+        solve(Field(Grid1D(20.0, 201), np.zeros(201), 0.0), SolverConfig(dt=0.05, T=0.5), bd)

@@ -138,6 +138,13 @@ def test_weight_spec_rejects_negative_speed(cut):
         WeightSpec(cutoff=cut, v=-0.5, x0=4.0)
 
 
+@pytest.mark.parametrize("v,x0", [(np.inf, 4.0), (np.nan, 4.0), (1.0, np.nan),
+                                  (1.0, np.inf), (1.0, -np.inf)])
+def test_weight_spec_rejects_nonfinite_keys(cut, v, x0):
+    with pytest.raises(ValueError):
+        WeightSpec(cutoff=cut, v=v, x0=x0)
+
+
 def test_sup_chi_prime_reference_value(wspec):
     assert wspec.sup_chi_prime == pytest.approx(1.1756371919630966, rel=1e-9)
 
@@ -161,3 +168,15 @@ def test_moving_weight_derivative_orders(wspec):
     x = np.linspace(0.0, 10.0, 200)
     w1 = moving_weight(wspec, x, 0.5, 1)
     assert np.array_equal(w1, chi(wspec.cutoff, x + 0.5 - wspec.x0, 1))
+    # stacked orders, in any order and with the support edges and both
+    # plateaus sampled, match the single-order calls bit for bit
+    s = np.concatenate([np.linspace(-1.0, 3.0, 401), [EPS, B, EPS + 1e-9, B - 1e-9]])
+    orders = (3, 0, 2, 1)
+    stacked = chi(wspec.cutoff, s, orders)
+    assert stacked.shape == (4, s.size)
+    for row, k in zip(stacked, orders):
+        assert np.array_equal(row, chi(wspec.cutoff, s, k))
+    for x0 in (0.0, 1.3, EPS, B):
+        assert np.array_equal(chi(wspec.cutoff, x0, orders),
+                              [chi(wspec.cutoff, x0, k) for k in orders])
+    assert np.array_equal(moving_weight(wspec, x, 0.5, (0, 1))[1], w1)
