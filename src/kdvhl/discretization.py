@@ -13,7 +13,7 @@ is derived once and copied into every row that uses it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -78,9 +78,11 @@ class Grid1D:
     def h(self) -> float:
         return self.L / (self.n - 1)
 
-    @property
+    @cached_property
     def nodes(self):
-        return np.linspace(0.0, self.L, self.n)
+        nodes = np.linspace(0.0, self.L, self.n)
+        nodes.flags.writeable = False  # shared by every reader: copy it before writing
+        return nodes
 
 
 @dataclass

@@ -2,8 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.sparse import csc_matrix, csr_matrix, identity as sp_identity
-from scipy.sparse.linalg import splu
+from scipy.sparse import csc_matrix, csr_matrix, diags as sp_diags, identity as sp_identity
 
 from kdvhl.discretization import (
     Field,
@@ -53,6 +52,14 @@ def test_grid_validation():
     g = Grid1D(10.0, 11)
     assert g.h == pytest.approx(1.0)
     assert g.nodes[0] == 0.0 and g.nodes[-1] == 10.0
+
+
+def test_grid_nodes_built_once_and_read_only():
+    g = Grid1D(10.0, 11)
+    assert g.nodes is g.nodes
+    assert np.array_equal(g.nodes, np.linspace(0.0, 10.0, 11))
+    with pytest.raises(ValueError, match="read-only"):
+        g.nodes[3] = 0.0
 
 
 def test_field_shape_check():
@@ -116,15 +123,20 @@ def test_deriv_matrix_equals_per_row_reference(n, k):
 
 
 def test_implicit_system_solve_matches_lil_reference():
+    # _System keeps only the band factors of its operator, so the assembly is
+    # checked through L U against the LIL-built reference, entry for entry
     g = Grid1D(40.0, 801)
     dt, theta = 0.0125, 0.5
     n = g.n
     A = (sp_identity(n, format="lil") + (theta * dt) * deriv_matrix(g, 3).tolil()).tolil()
     for r in (0, n - 2, n - 1):
         A.rows[r], A.data[r] = [r], [1.0]
-    ref = splu(csc_matrix(A))
-    b = np.random.default_rng(7).standard_normal(n)
-    assert np.array_equal(_System(g, dt, theta).lu.solve(b), ref.solve(b))
+    kl, L, ku, U = _System(g, dt, theta).lu
+    # band storage: L[i - j, j] = L_ij below a unit diagonal, U[ku + i - j, j] = U_ij
+    Lm = sp_identity(n) + sp_diags([L[d, : n - d] for d in range(1, kl + 1)],
+                                   [-d for d in range(1, kl + 1)])
+    Um = sp_diags([U[ku - d, d:] for d in range(ku + 1)], list(range(ku + 1)))
+    assert abs(Lm @ Um - csc_matrix(A)).max() <= np.finfo(float).eps * abs(A).max()
 
 
 def test_deriv_matrix_invalid_order():

@@ -2,15 +2,21 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix, diags as sp_diags, identity as sp_identity
+from scipy.sparse.linalg import splu as superlu
 
+from kdvhl.cli import _LEVELED, available_recipes, resolve_config
 from kdvhl.datagen import boundary_pulse, gaussian_bump
-from kdvhl.discretization import Field, Grid1D, integrate
+from kdvhl.discretization import Field, Grid1D, deriv_matrix, integrate
+from kdvhl.experiments import refine
 from kdvhl.solver import (
     BoundaryData,
     SolverConfig,
     SolverError,
+    _System,
     check_compatibility,
     solve,
+    splu,
     zero_boundary,
 )
 
@@ -159,12 +165,53 @@ def test_boundary_drain_dominates_unforced_energy_loss():
 
 
 def test_nonfinite_state_raises():
-    # a NaN planted in the initial data reaches the stepper's first solve
+    # a NaN or an inf planted in the initial data reaches the stepper's first
+    # solve; either one makes the Picard update non-finite
     g = Grid1D(20.0, 201)
-    u0 = bump_field(g)
-    u0.values[g.n // 2] = np.nan
-    with pytest.raises(SolverError, match="non-finite"):
-        solve(u0, SolverConfig(dt=0.05, T=0.5), zero_boundary())
+    for bad in (np.nan, np.inf):
+        u0 = bump_field(g)
+        u0.values[g.n // 2] = bad
+        with pytest.raises(SolverError, match="non-finite"), np.errstate(invalid="ignore"):
+            solve(u0, SolverConfig(dt=0.05, T=0.5), zero_boundary())
+
+
+def _band_cases():
+    """(n, L, dt, theta) of every grid a bundled recipe steps on, plus both
+    ends of theta and a step far beyond dt ~ h."""
+    cases = {(801, 40.0, 0.0125, 0.0), (801, 40.0, 0.0125, 1.0), (801, 40.0, 10.0, 0.5)}
+    for name in available_recipes():
+        cfg = resolve_config(name)
+        # simulate and oracle-compare solve on the recipe's own grid only
+        for _ in range(cfg.levels if cfg.experiment in _LEVELED else 1):
+            cases.add((cfg.n, cfg.L, cfg.dt, cfg.theta))
+            cfg = refine(cfg)
+    return sorted(cases)
+
+
+@pytest.mark.parametrize("n,L,dt,theta", _band_cases())
+def test_band_solve_matches_pivoted_lu(n, L, dt, theta):
+    # an assembly independent of _System's: zero the pinned rows of
+    # theta*dt*D3 by a diagonal scaling, then add the identity
+    g = Grid1D(L, n)
+    keep = np.ones(n)
+    keep[[0, -2, -1]] = 0.0
+    A = (sp_diags(keep) @ ((theta * dt) * deriv_matrix(g, 3)) + sp_identity(n)).tocsc()
+    b = np.random.default_rng(n).standard_normal(n)
+    ref = superlu(A).solve(b)
+    got = _System(g, dt, theta).lu.solve(b.copy())
+    assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+    assert np.max(np.abs(A @ got - b)) <= 10.0 * np.max(np.abs(A @ ref - b))
+
+
+@pytest.mark.parametrize("corner", [0.0, 1e-8], ids=["interchange", "growth"])
+def test_band_factor_rejects_systems_that_need_pivoting(corner):
+    # tridiagonal and nonsingular either way; a zero corner forces a row
+    # interchange, a tiny one makes max|U| / max|A| about 1e8
+    M = sp_diags([np.ones(7), np.full(8, 2.0), np.ones(7)], [-1, 0, 1]).toarray()
+    M[0, 0] = corner
+    assert abs(np.linalg.det(M)) > 0.1
+    with pytest.raises(SolverError, match="needs pivoting"):
+        splu(csr_matrix(M))
 
 
 @pytest.mark.parametrize("which", ["f", "fprime"])
