@@ -495,7 +495,7 @@ class RunningDiagnostics:
         self._prev_t_kato = t
 
         np.maximum(self._peak, np.abs(u), out=self._peak)
-        self._stri4.append(float(np.max(np.abs(w))) ** 4)
+        self._stri4.append(float(np.max(np.abs(w)) ** 4))  # inf, not OverflowError
 
     def finish(self) -> dict:
         times = np.asarray(self.t)

@@ -7,7 +7,8 @@ come from the classic recurrence for finite-difference coefficients on
 arbitrary nodes, so boundary closures and trace probes share one code path.
 On a uniform grid a row's weights depend only on its stencil's width and the
 row's offset inside it, so each distinct stencil (at most five per operator)
-is derived once and copied into every row that uses it.
+is derived once and copied into every row that uses it.  A private cubic
+Hermite interpolant serves the cutoff chi and the oracle's inflow trace.
 """
 
 from __future__ import annotations
@@ -186,3 +187,28 @@ def integrate(values, grid: Grid1D, window=None) -> float:
         return 0.0
     seg = values[i0 : i1 + 1]
     return grid.h * (np.sum(seg) - 0.5 * (seg[0] + seg[-1]))
+
+
+class _Hermite:
+    """Piecewise-cubic Hermite interpolant of values y and slopes dy at knots x.
+
+    Each piece is a cubic in s = t - x_i, so a knot returns its value and slope
+    exactly.  One path serves a scalar t (a few microseconds) and an array.
+    """
+
+    def __init__(self, x, y, dy):
+        x, y, dy = (np.asarray(v, dtype=float) for v in (x, y, dy))
+        h = np.diff(x)
+        sec = np.diff(y) / h
+        self._inner, self._left = x[1:-1], x[:-1]
+        self._coef = np.array([y[:-1], dy[:-1], (3.0 * sec - 2.0 * dy[:-1] - dy[1:]) / h,
+                               (dy[:-1] + dy[1:] - 2.0 * sec) / h**2])
+
+    def __call__(self, t, nu: int = 0):
+        """The interpolant (nu = 0) or its first derivative (nu = 1) at t."""
+        i = np.searchsorted(self._inner, t, side="right")
+        y, m, a, b = self._coef[:, i]
+        s = t - self._left[i]
+        if nu:
+            return m + s * (2.0 * a + 3.0 * b * s)
+        return y + s * (m + s * (a + s * b))

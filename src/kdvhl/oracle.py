@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from .config import ConfigError
-from .discretization import Field, Grid1D
+from .discretization import Field, Grid1D, _Hermite
 from .solver import BoundaryData, SolverError
 
 __all__ = [
@@ -207,20 +206,17 @@ def extract_halfline_data(traj: WholelineTrajectory,
                           probe: WindowProbe) -> tuple[Field, BoundaryData]:
     """Restrict a probed whole-line run to [x*, x*+L]: initial data plus inflow trace.
 
-    f(t) is the solution at x*; fprime comes from the equation itself,
+    f(t) is the solution at x*, and its slope comes from the equation itself,
     f'(t) = -(u_xxx + 2 u u_x)(x*, t), evaluated spectrally, so no time
-    differencing enters.
+    differencing enters.  Between march times f is the cubic Hermite
+    interpolant of these values and slopes, and fprime is its derivative, so
+    the pair is consistent by construction.
     """
     fvals, d1, d3 = np.array(probe.traces).T
-    fpvals = -(d3 + 2.0 * fvals * d1)
+    inflow = _Hermite(traj.times, fvals, -(d3 + 2.0 * fvals * d1))
     u0_vals = spectral_restriction(probe.spectra[0], probe.grid,
                                    probe.x_star + probe.window.nodes)
-
-    # quintic interpolation keeps the f / f' pair mutually consistent to
-    # well below the boundary-validation tolerance
-    fs = make_interp_spline(traj.times, fvals, k=5)
-    fps = make_interp_spline(traj.times, fpvals, k=5)
-    bd = BoundaryData(f=lambda t: float(fs(t)), fprime=lambda t: float(fps(t)))
+    bd = BoundaryData(f=lambda t: float(inflow(t)), fprime=lambda t: float(inflow(t, 1)))
     return Field(probe.window, u0_vals, 0.0), bd
 
 

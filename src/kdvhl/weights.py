@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+
+from .discretization import _Hermite
 
 __all__ = ["eta", "rho", "CutoffSpec", "chi", "WeightSpec", "moving_weight"]
 
@@ -81,7 +81,7 @@ class CutoffSpec:
     epsilon: float
     b: float
     _norm: float = field(init=False, repr=False, compare=False)
-    _antideriv: CubicSpline = field(init=False, repr=False, compare=False)
+    _antideriv: _Hermite = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.epsilon > 0.0):
@@ -90,24 +90,22 @@ class CutoffSpec:
             raise ValueError(
                 f"cutoff requires b >= 5*epsilon, got b={self.b}, epsilon={self.epsilon}"
             )
-        z, _ = quad(
-            lambda s: float(_bump([s], self.epsilon, self.b, (0,))[0, 0]),
-            self.epsilon,
-            self.b,
-            epsabs=0.0,
-            epsrel=1e-12,
-            limit=200,
-        )
-        object.__setattr__(self, "_norm", z)
         # cumulative integral of the bump on a fixed panel grid, one composite
-        # Gauss-Legendre rule per panel; the spline reproduces chi between knots
+        # Gauss-Legendre rule per panel.  Its total is the normalization, so
+        # the table ends at exactly 1 and chi is continuous at b; the Hermite
+        # interpolant with the exact slopes chi' = bump/z reproduces chi
+        # between knots
         edges = np.linspace(self.epsilon, self.b, _PANELS + 1)
         half = 0.5 * (edges[1] - edges[0])
         mids = 0.5 * (edges[:-1] + edges[1:])
         pts = mids[:, None] + half * _GL_NODES[None, :]
         panel = half * (_bump(pts, self.epsilon, self.b, (0,))[0] @ _GL_WEIGHTS)
-        cum = np.concatenate([[0.0], np.cumsum(panel)]) / z
-        object.__setattr__(self, "_antideriv", CubicSpline(edges, cum))
+        cum = np.concatenate([[0.0], np.cumsum(panel)])
+        z = float(cum[-1])
+        slopes = np.zeros(_PANELS + 1)  # the bump vanishes at eps and b
+        slopes[1:-1] = _bump(edges[1:-1], self.epsilon, self.b, (0,))[0]
+        object.__setattr__(self, "_norm", z)
+        object.__setattr__(self, "_antideriv", _Hermite(edges, cum / z, slopes / z))
 
     @property
     def normalization(self):

@@ -1,6 +1,7 @@
 """Config parsing, recipe resolution, CLI exit codes and artifacts."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,27 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
     rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "y")])
     assert rc == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_cli_huge_finite_data_exits_3(tmp_path, capsys):
+    # finite data whose squares overflow: the observers see infinities at
+    # t = 0 and the first step reports one non-finite state, with no numpy
+    # overflow warning (an error under this filter) and no traceback
+    cfgfile = tmp_path / "huge.cfg"
+    cfgfile.write_text(
+        "experiment = simulate\n"
+        "grid.L = 40\ngrid.n = 401\n"
+        "time.dt = 0.05\ntime.T = 0.5\n"
+        "data.kind = bump\ndata.amplitude = 1e160\n"
+        "data.center = 30\ndata.width = 0.5\n"
+        "boundary.kind = zero\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "h")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure") and "non-finite" in err and err.count("\n") == 1
 
 
 def test_cli_levels_override(tmp_path):

@@ -1,4 +1,4 @@
-"""Finite-difference operators: stencil exactness, traces, quadrature."""
+"""Finite-difference operators: stencil exactness, traces, quadrature, interpolation."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from kdvhl.discretization import (
     Field,
     Grid1D,
     TraceSeries,
+    _Hermite,
     deriv_matrix,
     fd_weights,
     integrate,
@@ -177,3 +178,16 @@ def test_integrate_window_semantics():
     assert integrate(v, g, window=(50, 50)) == 0.0
     # out-of-range indices clip to the grid
     assert integrate(v, g, window=(-5, 200)) == pytest.approx(10.0)
+
+
+def test_hermite_reproduces_cubics_on_nonuniform_knots():
+    x = np.sort(np.random.default_rng(5).uniform(-2.0, 3.0, 17))
+    p = np.polynomial.Polynomial([2.0, 0.3, -1.2, 0.7])
+    dp = p.deriv()
+    h = _Hermite(x, p(x), dp(x))
+    t = np.concatenate([np.linspace(x[0], x[-1], 1001), x])
+    assert np.max(np.abs(h(t) - p(t))) <= 1e-13 * np.max(np.abs(p(t)))
+    assert np.max(np.abs(h(t, 1) - dp(t))) <= 1e-12 * np.max(np.abs(dp(t)))
+    # a knot returns its value and slope exactly; a scalar gives the array's entry
+    assert np.array_equal(h(x[:-1]), p(x[:-1])) and np.array_equal(h(x[:-1], 1), dp(x[:-1]))
+    assert np.ndim(h(0.3)) == 0 and h(0.3) == h(np.array([0.3]))[0]

@@ -218,6 +218,13 @@ def test_extracted_data_consistent(soliton_run):
     # corner compatibility and a self-consistent (f, f') pair
     assert abs(bd.f(0.0) - u0.values[0]) <= 1e-12
     bd.validate(2.0)
+    # at the march times f is the probed trace and f' the equation's slope
+    fvals, d1, d3 = np.array(probe.traces).T
+    f = np.array([bd.f(t) for t in traj.times])
+    fp = np.array([bd.fprime(t) for t in traj.times])
+    assert np.max(np.abs(f - fvals)) <= 1e-14 * np.max(np.abs(fvals))
+    slope = -(d3 + 2.0 * fvals * d1)
+    assert np.max(np.abs(fp - slope)) <= 1e-12 * np.max(np.abs(slope))
     # the restriction itself at t=0
     exact = soliton_solution(1.0, 8.0)(12.0 + grid.nodes, 0.0)
     assert np.max(np.abs(u0.values - exact)) <= 1e-8

@@ -14,6 +14,7 @@ from kdvhl.solver import (
     SolverConfig,
     SolverError,
     _System,
+    _system_cached,
     check_compatibility,
     solve,
     splu,
@@ -173,6 +174,49 @@ def test_nonfinite_state_raises():
         u0.values[g.n // 2] = bad
         with pytest.raises(SolverError, match="non-finite"), np.errstate(invalid="ignore"):
             solve(u0, SolverConfig(dt=0.05, T=0.5), zero_boundary())
+
+
+def _advance_reference(field, cfg, bd, sys_):
+    """The stepper with its former stop test, which reduced max|uk| after every
+    sweep; returns (new field, final update norm, sweeps)."""
+    u, tn = field.values, field.t + cfg.dt
+    expl = u - (cfg.dt * (1.0 - cfg.theta)) * (sys_.D3 @ u)
+    b_left = float(bd.f(tn))
+    uk, delta = u, 0.0
+    for sweeps in range(1, cfg.picard_max + 1):
+        um = 0.5 * (u + uk)
+        b = expl - cfg.dt * (sys_.D1 @ (um * um))
+        b[0], b[-2], b[-1] = b_left, 0.0, 0.0
+        unew = sys_.lu.solve(b)
+        delta = float(np.max(np.abs(unew - uk)))
+        uk = unew
+        if delta <= cfg.picard_tol * (1.0 + float(np.max(np.abs(uk)))):
+            break
+    uk[0], uk[-2], uk[-1] = b_left, 0.0, 0.0
+    return Field(field.grid, uk, tn), delta, sweeps
+
+
+@pytest.mark.parametrize("amplitude,dt,picard_max", [(50.0, 1e-4, 12), (0.8, 0.01, 4)],
+                         ids=["converges", "capped"])
+def test_picard_stop_bound_keeps_every_decision(amplitude, dt, picard_max):
+    # the stepper reduces max|uk| only once max|u| + the summed updates lets
+    # the stop test pass; every state and final update must stay bit for bit.
+    # At amplitude 50 max|u| sets the tolerance, so a bound without it would
+    # refuse stops the old test takes
+    g = Grid1D(20.0, 401)
+    cfg = SolverConfig(dt=dt, T=20 * dt, picard_max=picard_max)
+    u0, bd = bump_field(g, amplitude, center=8.0), zero_boundary()
+    traj = solve(u0, cfg, bd)
+    sys_ = _system_cached(g.n, g.L, cfg.dt, cfg.theta)
+    state, sweeps = u0, set()
+    for k in range(1, cfg.nsteps + 1):
+        state, upd, nsw = _advance_reference(state, cfg, bd, sys_)
+        state.t = k * cfg.dt
+        sweeps.add(nsw)
+        assert upd == traj.picard_updates[k]
+        assert np.array_equal(state.values, traj.snapshots[k].values)
+    # the first case stops before the cap on every step, the second at it
+    assert max(sweeps) < picard_max if amplitude > 1.0 else sweeps == {picard_max}
 
 
 def _band_cases():

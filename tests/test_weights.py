@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from kdvhl.weights import CutoffSpec, WeightSpec, chi, eta, moving_weight, rho
 
@@ -59,6 +60,25 @@ def test_chi_piecewise_structure(eps, b):
     vals = chi(spec, mid)
     assert np.all(np.diff(vals) >= -1e-14)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+@pytest.mark.parametrize("eps,b", [(0.4, 2.0), (0.2, 1.0), (0.5, 2.5)])
+def test_chi_matches_quadrature_reference(eps, b):
+    # chi(x) = int_eps^x bump / int_eps^b bump by adaptive quadrature, built
+    # here apart from the cutoff's panel table and interpolant
+    def bump(s):
+        return np.exp(-1.0 / ((s - eps) * (b - s)))
+
+    def integral(x):
+        return quad(bump, eps, x, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    z = integral(b)
+    x = np.concatenate([np.linspace(eps, b, 203)[1:-1], eps + (b - eps) * np.array([1e-3, 0.999])])
+    ref = np.array([integral(xi) for xi in x]) / z
+    cut = CutoffSpec(eps, b)
+    assert np.max(np.abs(chi(cut, x) - ref)) <= 1e-12
+    # continuous with the plateau: the last double below b is 1 to rounding
+    assert chi(cut, b) == 1.0 and 1.0 - chi(cut, np.nextafter(b, 0.0)) <= 4e-16
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
