@@ -228,7 +228,8 @@ def _validate(cfg: ExperimentConfig):
                       ("data.c", "data_c"), ("data.width", "data_width"),
                       ("data.base_width", "data_base_width"), ("boundary.w", "boundary_w"),
                       ("boundary.ramp", "boundary_ramp"), ("oracle.c", "oracle_c"),
-                      ("oracle.width", "oracle_width"), ("oracle.cfl", "oracle_cfl")):
+                      ("oracle.width", "oracle_width"), ("oracle.cfl", "oracle_cfl"),
+                      ("solver.picard_tol", "picard_tol")):
         if not (0 < getattr(cfg, attr) < math.inf):
             raise ConfigError(f"key {key!r} must be positive and finite")
     for key in ("weight.x0", "boundary.A", "boundary.t_c", "boundary.omega"):

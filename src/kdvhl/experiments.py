@@ -206,7 +206,9 @@ def run_simulate(cfg: ExperimentConfig):
             "any_degenerate": bool(any(c.degenerate for c in interp)),
         },
         "identity": {},
-        "flags": {"picard_max_update": float(np.max(traj.picard_updates))},
+        "flags": {"picard_max_update": float(np.max(traj.picard_updates)),
+                  "picard_capped_steps": int(np.sum(~traj.picard_converged)),
+                  "picard_mean_sweeps": float(np.mean(traj.picard_sweeps[1:]))},
     }
     for lv, br in fin["identity"].items():
         delta = dcfg.young_delta()

@@ -6,6 +6,9 @@ third-derivative operator).  The dispersive term is implicit: A = I + theta*dt*D
 is banded with symmetric part I inside (centred D3 is skew), so it is factored once
 without pivoting, which is stable for such A (Golub & Van Loan 1979), and each Picard
 sweep on the midpoint-averaged nonlinear flux solves it with two BLAS dtbsv calls.
+Each step iterates from 2u^n - u^{n-1} (u^n on step 1) until the last update, or the
+estimated distance to the fixed point (Hairer & Wanner IV.8), is within
+picard_tol*(1 + max|u^n|), for at most picard_max sweeps, and records its sweep count.
 """
 
 from __future__ import annotations
@@ -99,6 +102,8 @@ class SolverConfig:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if self.picard_max < 1:
             raise ValueError("picard_max must be >= 1")
+        if not (0.0 < self.picard_tol < np.inf):
+            raise ValueError(f"picard_tol must be positive and finite, got {self.picard_tol}")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
 
@@ -137,6 +142,8 @@ class Trajectory:
     config: SolverConfig
     boundary: BoundaryData
     picard_updates: np.ndarray
+    picard_sweeps: np.ndarray     # per step; entry 0 (the initial state) is 0
+    picard_converged: np.ndarray  # per step: the stop test passed within picard_max
 
     @property
     def final(self) -> Field:
@@ -195,8 +202,9 @@ def _system_cached(n: int, L: float, dt: float, theta: float) -> _System:
     return _System(Grid1D(L, n), dt, theta)
 
 
-def _advance(field: Field, cfg: SolverConfig, bd: BoundaryData, sys_: _System):
-    """One theta-step; returns (new field, final Picard update norm)."""
+def _advance(field: Field, cfg: SolverConfig, bd: BoundaryData, sys_: _System, prev=None):
+    """One theta-step from u^n, with prev = u^{n-1} or None; returns (new field,
+    final Picard update norm, sweeps, whether the stop test passed)."""
     u = field.values
     t = field.t
     tn = t + cfg.dt
@@ -208,14 +216,14 @@ def _advance(field: Field, cfg: SolverConfig, bd: BoundaryData, sys_: _System):
             + (1.0 - cfg.theta) * np.asarray(cfg.forcing(x, t), dtype=float)
         )
     b_left = float(bd.f(tn))
-    uk, delta, prev_delta = u, 0.0, np.inf
-    # max|uk| <= max|u| + this step's summed updates (the 1e-9 slack covers
-    # their rounding), so the stop test reduces uk only once the bound passes
-    bound = float(np.max(np.abs(u))) if cfg.nonlinear else 0.0
-    for it in range(cfg.picard_max):
+    tol = cfg.picard_tol * (1.0 + float(np.max(np.abs(u))))
+    # first iterate: the linear extrapolation u^n + (u^n - u^{n-1})
+    uk = 2.0 * u - prev if cfg.nonlinear and prev is not None else u
+    delta, prev_delta, converged = 0.0, np.inf, False
+    for sweeps in range(1, cfg.picard_max + 1):
         if cfg.nonlinear:
-            um = 0.5 * (u + uk)
-            b = expl - cfg.dt * (sys_.D1 @ (um * um))
+            um = u + uk
+            b = expl - (0.25 * cfg.dt) * (sys_.D1 @ (um * um))  # dt * D1(((u + uk)/2)^2)
         else:
             b = expl.copy()
         b[0] = b_left
@@ -226,11 +234,11 @@ def _advance(field: Field, cfg: SolverConfig, bd: BoundaryData, sys_: _System):
         if not np.isfinite(delta):  # a NaN or an inf anywhere in unew
             raise SolverError(f"non-finite state at t = {tn:.6g}")
         uk = unew
-        if not cfg.nonlinear:
-            break
-        bound += delta
-        if (delta <= cfg.picard_tol * (1.0 + bound * (1.0 + 1e-9))
-                and delta <= cfg.picard_tol * (1.0 + float(np.max(np.abs(uk))))):
+        # from the second sweep on, rate/(1 - rate)*delta estimates the distance left
+        rate = delta / prev_delta
+        if (not cfg.nonlinear or delta <= tol
+                or (sweeps > 1 and rate < 1.0 and rate * delta <= (1.0 - rate) * tol)):
+            converged = True
             break
         if delta > 4.0 * prev_delta:
             raise SolverError(
@@ -242,7 +250,7 @@ def _advance(field: Field, cfg: SolverConfig, bd: BoundaryData, sys_: _System):
     uk[0] = b_left
     uk[-2] = 0.0
     uk[-1] = 0.0
-    return Field(field.grid, uk, tn), delta
+    return Field(field.grid, uk, tn), delta, sweeps, converged
 
 
 def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Trajectory:
@@ -266,6 +274,8 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
     d2 = np.empty(nsteps + 1)
     d3 = np.empty(nsteps + 1)
     updates = np.zeros(nsteps + 1)
+    sweeps = np.zeros(nsteps + 1, dtype=int)
+    converged = np.ones(nsteps + 1, dtype=bool)
     state = Field(u0.grid, u0.values.copy(), 0.0)
     snapshots = [Field(u0.grid, state.values.copy(), 0.0)]
     snapshot_steps = [0]
@@ -276,12 +286,14 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
         d0[0], d1[0], d2[0], d3[0] = trace_derivs(state)
         for obs in observers:
             obs(state)
+        prev = None
         for k in range(1, nsteps + 1):
-            state, upd = _advance(state, cfg, bd, sys_)
+            un = state.values
+            state, updates[k], sweeps[k], converged[k] = _advance(state, cfg, bd, sys_, prev)
+            prev = un
             # pin the step clock to k*dt so long runs do not accumulate drift
             state.t = k * cfg.dt
             times[k] = state.t
-            updates[k] = upd
             d0[k], d1[k], d2[k], d3[k] = trace_derivs(state)
             if k % cfg.snapshot_stride == 0 or k == nsteps:
                 snapshots.append(Field(state.grid, state.values.copy(), state.t))
@@ -297,4 +309,6 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
         config=cfg,
         boundary=bd,
         picard_updates=updates,
+        picard_sweeps=sweeps,
+        picard_converged=converged,
     )

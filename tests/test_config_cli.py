@@ -159,6 +159,10 @@ _INVALID_CONTEXT = {"boundary.w": {"boundary.kind": "gaussian-pulse"},
                                        ("data.c", "-1"), ("oracle.c", "-1"),
                                        ("time.snapshot_stride", "0"),
                                        ("solver.picard_max", "0"),
+                                       ("solver.picard_tol", "nan"),
+                                       ("solver.picard_tol", "inf"),
+                                       ("solver.picard_tol", "0"),
+                                       ("solver.picard_tol", "-1"),
                                        ("weight.x0", "nan"), ("weight.x0", "inf"),
                                        ("weight.x0", "-inf"), ("weight.v", "inf"),
                                        ("data.width", "0"), ("boundary.w", "0"),

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import splu as superlu
 from kdvhl.cli import _LEVELED, available_recipes, resolve_config
 from kdvhl.datagen import boundary_pulse, gaussian_bump
 from kdvhl.discretization import Field, Grid1D, deriv_matrix, integrate
-from kdvhl.experiments import refine
+from kdvhl.experiments import refine, scenario
 from kdvhl.solver import (
     BoundaryData,
     SolverConfig,
@@ -36,6 +36,9 @@ def test_config_validation():
         SolverConfig(dt=0.1, T=1.0, theta=1.5)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, T=1.0, picard_max=0)
+    for tol in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="picard_tol"):
+            SolverConfig(dt=0.1, T=1.0, picard_tol=tol)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.1, T=1.0, snapshot_stride=0)
 
@@ -176,47 +179,99 @@ def test_nonfinite_state_raises():
             solve(u0, SolverConfig(dt=0.05, T=0.5), zero_boundary())
 
 
-def _advance_reference(field, cfg, bd, sys_):
-    """The stepper with its former stop test, which reduced max|uk| after every
-    sweep; returns (new field, final update norm, sweeps)."""
+def _advance_reference(field, cfg, bd, sys_, prev=None):
+    """The stepper's Picard loop written out with the midpoint flux's own 0.5 and
+    dt scalings; the first iterate is 2u^n - u^{n-1} when prev = u^{n-1} is given,
+    else u^n. Returns (new field, final update norm, sweeps, stop test passed)."""
     u, tn = field.values, field.t + cfg.dt
     expl = u - (cfg.dt * (1.0 - cfg.theta)) * (sys_.D3 @ u)
     b_left = float(bd.f(tn))
-    uk, delta = u, 0.0
+    tol = cfg.picard_tol * (1.0 + float(np.max(np.abs(u))))
+    uk = u if prev is None else 2.0 * u - prev
+    deltas, ok = [np.inf], False
     for sweeps in range(1, cfg.picard_max + 1):
         um = 0.5 * (u + uk)
         b = expl - cfg.dt * (sys_.D1 @ (um * um))
         b[0], b[-2], b[-1] = b_left, 0.0, 0.0
         unew = sys_.lu.solve(b)
-        delta = float(np.max(np.abs(unew - uk)))
+        deltas.append(float(np.max(np.abs(unew - uk))))
         uk = unew
-        if delta <= cfg.picard_tol * (1.0 + float(np.max(np.abs(uk)))):
+        rate = deltas[-1] / deltas[-2]
+        if deltas[-1] <= tol or (sweeps >= 2 and rate < 1.0
+                                 and rate * deltas[-1] <= (1.0 - rate) * tol):
+            ok = True
             break
     uk[0], uk[-2], uk[-1] = b_left, 0.0, 0.0
-    return Field(field.grid, uk, tn), delta, sweeps
+    return Field(field.grid, uk, tn), deltas[-1], sweeps, ok
+
+
+def _march_reference(u0, cfg, bd, extrapolate=True):
+    """March the reference step, from u^n on every step unless extrapolate; returns
+    (final field, [(final update, sweeps, stop flag, state values)] per step)."""
+    sys_ = _system_cached(u0.grid.n, u0.grid.L, cfg.dt, cfg.theta)
+    state, prev, steps = u0, None, []
+    for k in range(1, cfg.nsteps + 1):
+        un = state.values
+        state, upd, nsw, ok = _advance_reference(state, cfg, bd, sys_,
+                                                 prev if extrapolate else None)
+        state.t, prev = k * cfg.dt, un
+        steps.append((upd, nsw, ok, state.values.copy()))
+    return state, steps
 
 
 @pytest.mark.parametrize("amplitude,dt,picard_max", [(50.0, 1e-4, 12), (0.8, 0.01, 4)],
                          ids=["converges", "capped"])
 def test_picard_stop_bound_keeps_every_decision(amplitude, dt, picard_max):
-    # the stepper reduces max|uk| only once max|u| + the summed updates lets
-    # the stop test pass; every state and final update must stay bit for bit.
-    # At amplitude 50 max|u| sets the tolerance, so a bound without it would
-    # refuse stops the old test takes
+    # the stepper folds the flux's 0.5 and dt into one dt/4 and stops on the
+    # estimated distance to the fixed point; every state, final update, sweep
+    # count and stop flag must match the reference bit for bit. At amplitude 50
+    # max|u| sets the tolerance
     g = Grid1D(20.0, 401)
     cfg = SolverConfig(dt=dt, T=20 * dt, picard_max=picard_max)
     u0, bd = bump_field(g, amplitude, center=8.0), zero_boundary()
     traj = solve(u0, cfg, bd)
-    sys_ = _system_cached(g.n, g.L, cfg.dt, cfg.theta)
-    state, sweeps = u0, set()
-    for k in range(1, cfg.nsteps + 1):
-        state, upd, nsw = _advance_reference(state, cfg, bd, sys_)
-        state.t = k * cfg.dt
-        sweeps.add(nsw)
+    _, steps = _march_reference(u0, cfg, bd)
+    for k, (upd, nsw, ok, values) in enumerate(steps, start=1):
         assert upd == traj.picard_updates[k]
-        assert np.array_equal(state.values, traj.snapshots[k].values)
+        assert nsw == traj.picard_sweeps[k]
+        assert ok == traj.picard_converged[k]
+        assert np.array_equal(values, traj.snapshots[k].values)
     # the first case stops before the cap on every step, the second at it
+    sweeps = set(traj.picard_sweeps[1:].tolist())
     assert max(sweeps) < picard_max if amplitude > 1.0 else sweeps == {picard_max}
+    converged = traj.picard_converged[1:]
+    assert converged.all() if amplitude > 1.0 else not converged.any()
+
+
+def test_capped_steps_are_recorded():
+    g = Grid1D(20.0, 401)
+    traj = solve(bump_field(g), SolverConfig(dt=0.01, T=0.2, picard_max=2), zero_boundary())
+    assert traj.picard_sweeps[0] == 0 and np.all(traj.picard_sweeps[1:] == 2)
+    assert not traj.picard_converged[1:].any()
+    assert float(np.max(traj.picard_updates)) > traj.config.picard_tol
+
+
+def test_rate_test_never_stops_on_a_single_update():
+    # every first update here exceeds the tolerance, so the rate/(1 - rate)
+    # estimate needs a second update before it may stop the iteration
+    g = Grid1D(20.0, 401)
+    traj = solve(bump_field(g, center=8.0), SolverConfig(dt=0.01, T=0.3, picard_max=12),
+                 zero_boundary())
+    assert traj.picard_converged.all()
+    assert np.all(traj.picard_sweeps[1:] >= 2)
+
+
+def test_extrapolated_start_is_closer_to_the_fixed_point():
+    # soliton recipe grid, 100 steps, at the default cap of 4 sweeps: the
+    # stepper against the reference started from u^n on every step
+    cfg = resolve_config("soliton")
+    _, u0, bd, _, _ = scenario(cfg)
+    scfg = SolverConfig(dt=cfg.dt, T=100 * cfg.dt)
+    capped = solve(u0, scfg, bd).final.values
+    old_start, _ = _march_reference(u0, scfg, bd, extrapolate=False)
+    converged = solve(u0, SolverConfig(dt=cfg.dt, T=scfg.T, picard_tol=1e-14, picard_max=60),
+                      bd).final.values
+    assert np.max(np.abs(old_start.values - converged)) >= 10.0 * np.max(np.abs(capped - converged))
 
 
 def _band_cases():
