@@ -122,6 +122,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
+    except MemoryError as exc:  # numpy refuses an allocation larger than the host offers
+        sys.stderr.write(f"config error: the run does not fit in memory: {exc}\n")
+        return 2
     except SolverError as exc:
         sys.stderr.write(f"solver failure: {exc}\n")
         return 3

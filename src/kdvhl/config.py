@@ -16,6 +16,7 @@ turns that into exit code 2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -242,6 +243,11 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"key {key!r} must be at least {low}")
     if not (0.0 <= cfg.theta <= 1.0):
         raise ConfigError(f"key 'time.theta' must lie in [0, 1], got {cfg.theta}")
+    # each per-step series holds steps + 1 float64 values, and numpy sizes an array
+    # only while its bytes fit np.intp; T/dt may also overflow to inf
+    if not cfg.T / cfg.dt < sys.maxsize // 8:
+        raise ConfigError(f"key 'time.T' = {cfg.T} is {cfg.T / cfg.dt:.3g} steps of time.dt = "
+                          f"{cfg.dt}, more than an array of {sys.maxsize // 8:.3g} steps holds")
     steps = round(cfg.T / cfg.dt)
     if steps < 1 or abs(steps * cfg.dt - cfg.T) > 1e-9 * max(1.0, cfg.T):
         raise ConfigError(

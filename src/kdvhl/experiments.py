@@ -207,6 +207,7 @@ def run_simulate(cfg: ExperimentConfig):
         },
         "identity": {},
         "flags": {"picard_max_update": float(np.max(traj.picard_updates)),
+                  "picard_max_distance": float(np.max(traj.picard_distances)),
                   "picard_capped_steps": int(np.sum(~traj.picard_converged)),
                   "picard_mean_sweeps": float(np.mean(traj.picard_sweeps[1:]))},
     }

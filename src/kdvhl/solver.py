@@ -6,9 +6,15 @@ third-derivative operator).  The dispersive term is implicit: A = I + theta*dt*D
 is banded with symmetric part I inside (centred D3 is skew), so it is factored once
 without pivoting, which is stable for such A (Golub & Van Loan 1979), and each Picard
 sweep on the midpoint-averaged nonlinear flux solves it with two BLAS dtbsv calls.
-Each step iterates from 2u^n - u^{n-1} (u^n on step 1) until the last update, or the
-estimated distance to the fixed point (Hairer & Wanner IV.8), is within
-picard_tol*(1 + max|u^n|), for at most picard_max sweeps, and records its sweep count.
+Each step iterates from the cubic in time through u^n and the three states before it,
+4u^n - 6u^{n-1} + 4u^{n-2} - u^{n-3}; steps 1-3 use the lower-order extrapolant through
+every state there is (u^n on step 1 and in linear runs).  The solutions are smooth in
+time away from t = 0, so each order brings the start about one power of dt closer to
+the fixed point.  The order stops at the cubic: a quartic start caps more steps on
+rough data (a kink profile), which is not smooth enough in time for it.  A step
+iterates until the last update, or the estimated distance to the fixed point (Hairer &
+Wanner IV.8), is within picard_tol*(1 + max|u^n|), for at most picard_max sweeps, and
+records its sweep count and that estimate.
 """
 
 from __future__ import annotations
@@ -142,6 +148,7 @@ class Trajectory:
     config: SolverConfig
     boundary: BoundaryData
     picard_updates: np.ndarray
+    picard_distances: np.ndarray  # per step: estimated distance left to the fixed point
     picard_sweeps: np.ndarray     # per step; entry 0 (the initial state) is 0
     picard_converged: np.ndarray  # per step: the stop test passed within picard_max
 
@@ -202,9 +209,25 @@ def _system_cached(n: int, L: float, dt: float, theta: float) -> _System:
     return _System(Grid1D(L, n), dt, theta)
 
 
-def _advance(field: Field, cfg: SolverConfig, bd: BoundaryData, sys_: _System, prev=None):
-    """One theta-step from u^n, with prev = u^{n-1} or None; returns (new field,
-    final Picard update norm, sweeps, whether the stop test passed)."""
+# weights on u^n, u^{n-1}, ... of the polynomial through u^n and m earlier states at t^{n+1}
+_EXTRAPOLANTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
+_HISTORY = len(_EXTRAPOLANTS) - 1  # earlier states a step's start uses: the cubic
+
+
+def _extrapolate(u: np.ndarray, history) -> np.ndarray:
+    """The polynomial in time through u^n and history = (u^{n-1}, u^{n-2}, ...), most
+    recent first and at most _HISTORY long, evaluated one step ahead (a new array)."""
+    w = _EXTRAPOLANTS[len(history)]
+    uk = w[0] * u
+    for c, p in zip(w[1:], history):
+        uk += c * p
+    return uk
+
+
+def _advance(field: Field, cfg: SolverConfig, bd: BoundaryData, sys_: _System, history=()):
+    """One theta-step from u^n, with history = the accepted states before it, most
+    recent first; returns (new field, final Picard update norm, estimated distance
+    left to the fixed point, sweeps, whether the stop test passed)."""
     u = field.values
     t = field.t
     tn = t + cfg.dt
@@ -217,8 +240,7 @@ def _advance(field: Field, cfg: SolverConfig, bd: BoundaryData, sys_: _System, p
         )
     b_left = float(bd.f(tn))
     tol = cfg.picard_tol * (1.0 + float(np.max(np.abs(u))))
-    # first iterate: the linear extrapolation u^n + (u^n - u^{n-1})
-    uk = 2.0 * u - prev if cfg.nonlinear and prev is not None else u
+    uk = _extrapolate(u, history) if cfg.nonlinear else u
     delta, prev_delta, converged = 0.0, np.inf, False
     for sweeps in range(1, cfg.picard_max + 1):
         if cfg.nonlinear:
@@ -246,11 +268,16 @@ def _advance(field: Field, cfg: SolverConfig, bd: BoundaryData, sys_: _System, p
                 f"(update grew {delta:.3e} from {prev_delta:.3e}); dt too large"
             )
         prev_delta = delta
+    # a single update is its own estimate; a rate >= 1 gives none
+    if sweeps == 1:
+        distance = delta
+    else:
+        distance = rate / (1.0 - rate) * delta if rate < 1.0 else np.inf
     # constrained rows hold exactly, not merely to factorization round-off
     uk[0] = b_left
     uk[-2] = 0.0
     uk[-1] = 0.0
-    return Field(field.grid, uk, tn), delta, sweeps, converged
+    return Field(field.grid, uk, tn), delta, distance, sweeps, converged
 
 
 def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Trajectory:
@@ -274,6 +301,7 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
     d2 = np.empty(nsteps + 1)
     d3 = np.empty(nsteps + 1)
     updates = np.zeros(nsteps + 1)
+    distances = np.zeros(nsteps + 1)
     sweeps = np.zeros(nsteps + 1, dtype=int)
     converged = np.ones(nsteps + 1, dtype=bool)
     state = Field(u0.grid, u0.values.copy(), 0.0)
@@ -286,11 +314,12 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
         d0[0], d1[0], d2[0], d3[0] = trace_derivs(state)
         for obs in observers:
             obs(state)
-        prev = None
+        history = ()  # references, not copies: each step's state is a new array
         for k in range(1, nsteps + 1):
             un = state.values
-            state, updates[k], sweeps[k], converged[k] = _advance(state, cfg, bd, sys_, prev)
-            prev = un
+            state, updates[k], distances[k], sweeps[k], converged[k] = _advance(
+                state, cfg, bd, sys_, history)
+            history = (un,) + history[:_HISTORY - 1]
             # pin the step clock to k*dt so long runs do not accumulate drift
             state.t = k * cfg.dt
             times[k] = state.t
@@ -309,6 +338,7 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
         config=cfg,
         boundary=bd,
         picard_updates=updates,
+        picard_distances=distances,
         picard_sweeps=sweeps,
         picard_converged=converged,
     )

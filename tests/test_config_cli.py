@@ -122,6 +122,8 @@ def test_cli_simulate_artifacts(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["schema"] == "kdvhl-report-v1"
     assert "stopping_times" in report
+    assert set(report["flags"]) == {"picard_max_update", "picard_max_distance",
+                                    "picard_capped_steps", "picard_mean_sweeps"}
     assert (out / "summary.txt").read_text().startswith("experiment: simulate")
     table = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)
     assert table.shape == (11, 9)
@@ -167,7 +169,8 @@ _INVALID_CONTEXT = {"boundary.w": {"boundary.kind": "gaussian-pulse"},
                                        ("weight.x0", "-inf"), ("weight.v", "inf"),
                                        ("data.width", "0"), ("boundary.w", "0"),
                                        ("data.x1", "0.5"), ("boundary.ramp", "0"),
-                                       ("boundary.t_c", "inf")])
+                                       ("boundary.t_c", "inf"),
+                                       ("time.T", "1e20"), ("time.dt", "1e-320")])
 def test_cli_invalid_config_exit_code(tmp_path, capsys, key, value):
     # keys that only act under another setting bring that setting along
     context = {**_INVALID_CONTEXT.get(key, {}), key: value}
@@ -249,6 +252,18 @@ def test_cli_huge_finite_data_exits_3(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith("solver failure") and "non-finite" in err and err.count("\n") == 1
+
+
+def test_cli_run_too_large_for_memory_exits_2(tmp_path, capsys):
+    # 5e17 steps pass the step-count check, but each per-step series needs
+    # 4 EB, more than a 64-bit host can map, so numpy refuses it at once
+    lines = [ln for ln in MINI_SIMULATE.splitlines() if not ln.startswith("time.T")]
+    cfgfile = tmp_path / "long.cfg"
+    cfgfile.write_text("\n".join(lines + ["time.T = 1e16"]) + "\n")
+    rc = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "m")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "memory" in err and err.count("\n") == 1
 
 
 def test_cli_levels_override(tmp_path):

@@ -9,11 +9,13 @@ from kdvhl.cli import _LEVELED, available_recipes, resolve_config
 from kdvhl.datagen import boundary_pulse, gaussian_bump
 from kdvhl.discretization import Field, Grid1D, deriv_matrix, integrate
 from kdvhl.experiments import refine, scenario
+from kdvhl import solver
 from kdvhl.solver import (
     BoundaryData,
     SolverConfig,
     SolverError,
     _System,
+    _extrapolate,
     _system_cached,
     check_compatibility,
     solve,
@@ -179,15 +181,21 @@ def test_nonfinite_state_raises():
             solve(u0, SolverConfig(dt=0.05, T=0.5), zero_boundary())
 
 
-def _advance_reference(field, cfg, bd, sys_, prev=None):
+def _advance_reference(field, cfg, bd, sys_, prev=()):
     """The stepper's Picard loop written out with the midpoint flux's own 0.5 and
-    dt scalings; the first iterate is 2u^n - u^{n-1} when prev = u^{n-1} is given,
-    else u^n. Returns (new field, final update norm, sweeps, stop test passed)."""
+    dt scalings. The first iterate is the polynomial in time through u^n and
+    prev = (u^{n-1}, u^{n-2}, u^{n-3}), as many as are given, at t^{n+1}. Returns
+    (new field, final update norm, estimated distance left, sweeps, stop test passed)."""
     u, tn = field.values, field.t + cfg.dt
     expl = u - (cfg.dt * (1.0 - cfg.theta)) * (sys_.D3 @ u)
     b_left = float(bd.f(tn))
     tol = cfg.picard_tol * (1.0 + float(np.max(np.abs(u))))
-    uk = u if prev is None else 2.0 * u - prev
+    if len(prev) == 3:
+        uk = 4.0 * u - 6.0 * prev[0] + 4.0 * prev[1] - prev[2]
+    elif len(prev) == 2:
+        uk = 3.0 * u - 3.0 * prev[0] + prev[1]
+    else:
+        uk = 2.0 * u - prev[0] if prev else u
     deltas, ok = [np.inf], False
     for sweeps in range(1, cfg.picard_max + 1):
         um = 0.5 * (u + uk)
@@ -201,38 +209,43 @@ def _advance_reference(field, cfg, bd, sys_, prev=None):
                                  and rate * deltas[-1] <= (1.0 - rate) * tol):
             ok = True
             break
+    if sweeps == 1:
+        dist = deltas[-1]
+    else:
+        dist = rate / (1.0 - rate) * deltas[-1] if rate < 1.0 else np.inf
     uk[0], uk[-2], uk[-1] = b_left, 0.0, 0.0
-    return Field(field.grid, uk, tn), deltas[-1], sweeps, ok
+    return Field(field.grid, uk, tn), deltas[-1], dist, sweeps, ok
 
 
 def _march_reference(u0, cfg, bd, extrapolate=True):
     """March the reference step, from u^n on every step unless extrapolate; returns
-    (final field, [(final update, sweeps, stop flag, state values)] per step)."""
+    (final field, [(final update, distance, sweeps, stop flag, state values)] per step)."""
     sys_ = _system_cached(u0.grid.n, u0.grid.L, cfg.dt, cfg.theta)
-    state, prev, steps = u0, None, []
+    state, prev, steps = u0, [], []
     for k in range(1, cfg.nsteps + 1):
         un = state.values
-        state, upd, nsw, ok = _advance_reference(state, cfg, bd, sys_,
-                                                 prev if extrapolate else None)
-        state.t, prev = k * cfg.dt, un
-        steps.append((upd, nsw, ok, state.values.copy()))
+        state, upd, dist, nsw, ok = _advance_reference(state, cfg, bd, sys_,
+                                                       tuple(prev) if extrapolate else ())
+        state.t, prev = k * cfg.dt, [un] + prev[:2]
+        steps.append((upd, dist, nsw, ok, state.values.copy()))
     return state, steps
 
 
-@pytest.mark.parametrize("amplitude,dt,picard_max", [(50.0, 1e-4, 12), (0.8, 0.01, 4)],
+@pytest.mark.parametrize("amplitude,dt,picard_max", [(50.0, 1e-4, 12), (0.8, 0.02, 4)],
                          ids=["converges", "capped"])
 def test_picard_stop_bound_keeps_every_decision(amplitude, dt, picard_max):
-    # the stepper folds the flux's 0.5 and dt into one dt/4 and stops on the
-    # estimated distance to the fixed point; every state, final update, sweep
-    # count and stop flag must match the reference bit for bit. At amplitude 50
-    # max|u| sets the tolerance
+    # the stepper folds the flux's 0.5 and dt into one dt/4, starts from the cubic
+    # through the last four states and stops on the estimated distance to the fixed
+    # point; every state, final update, distance, sweep count and stop flag must
+    # match the reference bit for bit. At amplitude 50 max|u| sets the tolerance
     g = Grid1D(20.0, 401)
     cfg = SolverConfig(dt=dt, T=20 * dt, picard_max=picard_max)
     u0, bd = bump_field(g, amplitude, center=8.0), zero_boundary()
     traj = solve(u0, cfg, bd)
     _, steps = _march_reference(u0, cfg, bd)
-    for k, (upd, nsw, ok, values) in enumerate(steps, start=1):
+    for k, (upd, dist, nsw, ok, values) in enumerate(steps, start=1):
         assert upd == traj.picard_updates[k]
+        assert dist == traj.picard_distances[k]
         assert nsw == traj.picard_sweeps[k]
         assert ok == traj.picard_converged[k]
         assert np.array_equal(values, traj.snapshots[k].values)
@@ -261,17 +274,57 @@ def test_rate_test_never_stops_on_a_single_update():
     assert np.all(traj.picard_sweeps[1:] >= 2)
 
 
+def test_start_is_the_cubic_through_the_last_four_states(monkeypatch):
+    # a state sequence cubic in time is extrapolated to rounding from four states,
+    # and only from four; solve hands step k its k - 1 earlier states up to three
+    coef = np.random.default_rng(0).standard_normal((4, 50))
+
+    def states(degree):  # u at t = 0, 0.01, ..., 0.04, most recent first
+        return [sum(c * t**j for j, c in enumerate(coef[:degree + 1]))
+                for t in 0.01 * np.arange(4, -1, -1)]
+
+    for m in range(4):
+        u = states(m)
+        got = _extrapolate(u[1], tuple(u[2:2 + m]))
+        assert np.max(np.abs(got - u[0])) <= 1e-14 * np.max(np.abs(u[0]))
+    u = states(3)
+    assert np.max(np.abs(_extrapolate(u[1], tuple(u[2:4])) - u[0])) > 1e-8
+    orders = []
+
+    def spy(field, cfg, bd, sys_, history=()):
+        orders.append(len(history))
+        return advance(field, cfg, bd, sys_, history)
+
+    advance = solver._advance
+    monkeypatch.setattr(solver, "_advance", spy)
+    g = Grid1D(20.0, 201)
+    solve(bump_field(g), SolverConfig(dt=0.01, T=0.06), zero_boundary())
+    assert orders == [0, 1, 2, 3, 3, 3]
+
+
+def _soliton_start(steps):
+    cfg = resolve_config("soliton")
+    _, u0, bd, _, _ = scenario(cfg)
+    return u0, bd, SolverConfig(dt=cfg.dt, T=steps * cfg.dt)
+
+
 def test_extrapolated_start_is_closer_to_the_fixed_point():
     # soliton recipe grid, 100 steps, at the default cap of 4 sweeps: the
     # stepper against the reference started from u^n on every step
-    cfg = resolve_config("soliton")
-    _, u0, bd, _, _ = scenario(cfg)
-    scfg = SolverConfig(dt=cfg.dt, T=100 * cfg.dt)
+    u0, bd, scfg = _soliton_start(100)
     capped = solve(u0, scfg, bd).final.values
     old_start, _ = _march_reference(u0, scfg, bd, extrapolate=False)
-    converged = solve(u0, SolverConfig(dt=cfg.dt, T=scfg.T, picard_tol=1e-14, picard_max=60),
+    converged = solve(u0, SolverConfig(dt=scfg.dt, T=scfg.T, picard_tol=1e-14, picard_max=60),
                       bd).final.values
     assert np.max(np.abs(old_start.values - converged)) >= 10.0 * np.max(np.abs(capped - converged))
+
+
+def test_cubic_start_converges_on_the_soliton_grid():
+    # soliton recipe grid, 100 steps, at the default cap of 4 sweeps: every
+    # step ends at the cap when started from u^n or from 2u^n - u^{n-1}
+    u0, bd, scfg = _soliton_start(100)
+    traj = solve(u0, scfg, bd)
+    assert int(np.sum(~traj.picard_converged)) <= 10
 
 
 def _band_cases():
