@@ -50,9 +50,8 @@ from .solver import (
     Trajectory,
     check_compatibility,
     solve,
-    zero_boundary,
 )
-from .weights import CutoffSpec, WeightSpec, chi, eta, moving_weight, rho
+from .weights import CutoffSpec, WeightSpec, chi, eta, moving_weight
 
 __version__ = "0.1.0"
 
@@ -68,10 +67,9 @@ __all__ = [
     "extract_halfline_data", "fd_weights", "gaussian_bump",
     "integrate", "interpolation_check",
     "kink_data", "load_config",
-    "moving_weight", "parse_config", "rho",
+    "moving_weight", "parse_config",
     "solve", "soliton_boundary", "soliton_data",
     "soliton_solution", "spectral_restriction", "stopping_time",
     "trace_derivs", "trace_identity_residual",
     "trace_integral", "wholeline_solve", "wholeline_times",
-    "zero_boundary",
 ]

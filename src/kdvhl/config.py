@@ -107,64 +107,35 @@ class ExperimentConfig:
                 self.data_env_hi if self.data_env_hi is not None else 0.75 * self.x0)
 
 
-_KEYMAP = {
-    "experiment": ("experiment", str),
-    "grid.L": ("L", float),
-    "grid.n": ("n", int),
-    "time.dt": ("dt", float),
-    "time.T": ("T", float),
-    "time.theta": ("theta", float),
-    "time.snapshot_stride": ("snapshot_stride", int),
-    "solver.picard_max": ("picard_max", int),
-    "solver.picard_tol": ("picard_tol", float),
-    "solver.nonlinear": ("nonlinear", bool),
-    "weight.epsilon": ("epsilon", float),
-    "weight.b": ("b", float),
-    "weight.v": ("v", float),
-    "weight.x0": ("x0", float),
-    "data.kind": ("data_kind", str),
-    "data.m": ("data_m", int),
-    "data.x1": ("data_x1", float),
-    "data.amplitude": ("data_amplitude", float),
-    "data.env_lo": ("data_env_lo", float),
-    "data.env_hi": ("data_env_hi", float),
-    "data.base_amplitude": ("data_base_amplitude", float),
-    "data.base_center": ("data_base_center", float),
-    "data.base_width": ("data_base_width", float),
-    "data.c": ("data_c", float),
-    "data.center": ("data_center", float),
-    "data.width": ("data_width", float),
-    "boundary.kind": ("boundary_kind", str),
-    "boundary.A": ("boundary_A", float),
-    "boundary.t_c": ("boundary_t_c", float),
-    "boundary.w": ("boundary_w", float),
-    "boundary.omega": ("boundary_omega", float),
-    "boundary.ramp": ("boundary_ramp", float),
-    "diagnostics.l": ("l", int),
-    "diagnostics.identity_levels": ("identity_levels", "intlist"),
-    "diagnostics.R": ("R", float),
-    "diagnostics.delta": ("delta", float),
-    "diagnostics.trace_branch": ("trace_branch", int),
-    "study.levels": ("levels", int),
-    "study.stability_tol": ("stability_tol", float),
-    "study.order_tol": ("order_tol", float),
-    "study.residual_decay": ("residual_decay", float),
-    "study.interp_tol": ("interp_tol", float),
-    "study.rough_growth": ("rough_growth", float),
-    "oracle.P": ("oracle_P", float),
-    "oracle.m": ("oracle_m", int),
-    "oracle.x_left": ("oracle_x_left", float),
-    "oracle.x_star": ("oracle_x_star", float),
-    "oracle.cfl": ("oracle_cfl", float),
-    "oracle.kind": ("oracle_kind", str),
-    "oracle.c": ("oracle_c", float),
-    "oracle.center": ("oracle_center", float),
-    "oracle.width": ("oracle_width", float),
-    "oracle.amplitude": ("oracle_amplitude", float),
-    "oracle.samples": ("oracle_samples", int),
-    "oracle.tol": ("oracle_tol", float),
+# sections of the fields without a data_/boundary_/oracle_ prefix; `experiment`
+# has none
+_SECTIONS = {
+    "grid": ("L", "n"),
+    "time": ("dt", "T", "theta", "snapshot_stride"),
+    "solver": ("picard_max", "picard_tol", "nonlinear"),
+    "weight": ("epsilon", "b", "v", "x0"),
+    "diagnostics": ("l", "identity_levels", "R", "delta", "trace_branch"),
+    "study": ("levels", "stability_tol", "order_tol", "residual_decay", "interp_tol",
+              "rough_growth"),
 }
+# converter per field annotation, read as the string that
+# `from __future__ import annotations` leaves in each field
+_KINDS = {"str": str, "int": int, "float": float, "Optional[float]": float, "bool": bool,
+          "tuple": "intlist"}
 
+
+def _dotted_key(attr: str) -> str:
+    section, _, rest = attr.partition("_")
+    if section in ("data", "boundary", "oracle"):
+        return f"{section}.{rest}"
+    for section, attrs in _SECTIONS.items():
+        if attr in attrs:
+            return f"{section}.{attr}"
+    return attr
+
+
+# dotted key -> (field name, converter) and field name -> dotted key
+_KEYMAP = {_dotted_key(f.name): (f.name, _KINDS[f.type]) for f in fields(ExperimentConfig)}
 _REVMAP = {attr: key for key, (attr, _) in _KEYMAP.items()}
 
 
@@ -214,33 +185,22 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig):
-    if cfg.experiment not in _EXPERIMENTS:
-        raise ConfigError(
-            f"key 'experiment': {cfg.experiment!r} not one of {_EXPERIMENTS}"
-        )
-    if cfg.data_kind not in _DATA_KINDS:
-        raise ConfigError(f"key 'data.kind': {cfg.data_kind!r} not one of {_DATA_KINDS}")
-    if cfg.boundary_kind not in _BOUNDARY_KINDS:
-        raise ConfigError(
-            f"key 'boundary.kind': {cfg.boundary_kind!r} not one of {_BOUNDARY_KINDS}"
-        )
-    for key, attr in (("grid.L", "L"), ("time.dt", "dt"), ("time.T", "T"),
-                      ("weight.epsilon", "epsilon"), ("weight.b", "b"),
-                      ("data.c", "data_c"), ("data.width", "data_width"),
-                      ("data.base_width", "data_base_width"), ("boundary.w", "boundary_w"),
-                      ("boundary.ramp", "boundary_ramp"), ("oracle.c", "oracle_c"),
-                      ("oracle.width", "oracle_width"), ("oracle.cfl", "oracle_cfl"),
-                      ("solver.picard_tol", "picard_tol")):
+    for attr, allowed in (("experiment", _EXPERIMENTS), ("data_kind", _DATA_KINDS),
+                          ("boundary_kind", _BOUNDARY_KINDS)):
+        if getattr(cfg, attr) not in allowed:
+            raise ConfigError(f"key {_REVMAP[attr]!r}: {getattr(cfg, attr)!r} not one of {allowed}")
+    for attr in ("L", "dt", "T", "epsilon", "b", "data_c", "data_width", "data_base_width",
+                 "boundary_w", "boundary_ramp", "oracle_c", "oracle_width", "oracle_cfl",
+                 "picard_tol"):
         if not (0 < getattr(cfg, attr) < math.inf):
-            raise ConfigError(f"key {key!r} must be positive and finite")
-    for key in ("weight.x0", "boundary.A", "boundary.t_c", "boundary.omega"):
-        if not math.isfinite(getattr(cfg, _KEYMAP[key][0])):
-            raise ConfigError(f"key {key!r} must be finite")
-    for key, attr, low in (("grid.n", "n", 8), ("time.snapshot_stride", "snapshot_stride", 1),
-                           ("solver.picard_max", "picard_max", 1), ("data.m", "data_m", 1),
-                           ("study.levels", "levels", 1), ("oracle.samples", "oracle_samples", 1)):
+            raise ConfigError(f"key {_REVMAP[attr]!r} must be positive and finite")
+    for attr in ("x0", "boundary_A", "boundary_t_c", "boundary_omega"):
+        if not math.isfinite(getattr(cfg, attr)):
+            raise ConfigError(f"key {_REVMAP[attr]!r} must be finite")
+    for attr, low in (("n", 8), ("snapshot_stride", 1), ("picard_max", 1), ("data_m", 1),
+                      ("levels", 1), ("oracle_samples", 1)):
         if getattr(cfg, attr) < low:
-            raise ConfigError(f"key {key!r} must be at least {low}")
+            raise ConfigError(f"key {_REVMAP[attr]!r} must be at least {low}")
     if not (0.0 <= cfg.theta <= 1.0):
         raise ConfigError(f"key 'time.theta' must lie in [0, 1], got {cfg.theta}")
     # each per-step series holds steps + 1 float64 values, and numpy sizes an array
@@ -259,9 +219,9 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(
             f"weight family needs b >= 5*epsilon; got b={cfg.b}, epsilon={cfg.epsilon}"
         )
-    for key, attr in (("diagnostics.l", "l"), ("diagnostics.trace_branch", "trace_branch")):
+    for attr in ("l", "trace_branch"):
         if getattr(cfg, attr) not in (1, 2, 3):
-            raise ConfigError(f"key {key!r} must be 1, 2 or 3")
+            raise ConfigError(f"key {_REVMAP[attr]!r} must be 1, 2 or 3")
     if not set(cfg.identity_levels) <= {1, 2}:
         raise ConfigError("key 'diagnostics.identity_levels' may hold only levels 1 and 2")
     x1, lo, hi = cfg.kink_geometry()

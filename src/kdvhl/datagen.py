@@ -172,10 +172,10 @@ def soliton_data(c: float, x_c: float, grid: Grid1D) -> Field:
 def soliton_boundary(c: float, x_c: float) -> BoundaryData:
     """Boundary data matching the exact soliton at x = 0."""
     rc = np.sqrt(c)
+    u = soliton_solution(c, x_c)
 
     def f(t):
-        z = 0.5 * rc * (-c * t - x_c)
-        return 1.5 * c / np.cosh(z) ** 2
+        return u(0.0, t)
 
     def fprime(t):
         z = 0.5 * rc * (-c * t - x_c)

@@ -10,6 +10,8 @@ the computation itself.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, dump_config
@@ -58,12 +60,7 @@ def weight_spec(cfg: ExperimentConfig) -> WeightSpec:
 
 def refine(cfg: ExperimentConfig) -> ExperimentConfig:
     """One joint halving: h -> h/2 (n -> 2n-1) and dt -> dt/2."""
-    import copy
-
-    out = copy.copy(cfg)
-    out.n = 2 * cfg.n - 1
-    out.dt = 0.5 * cfg.dt
-    return out
+    return replace(cfg, n=2 * cfg.n - 1, dt=0.5 * cfg.dt)
 
 
 def scenario(cfg: ExperimentConfig):
@@ -145,9 +142,56 @@ def _series_table(fin: dict) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _variation(a: float, b: float) -> float:
+def _study(cfg: ExperimentConfig, levels, measure):
+    """Run measure(c) -> (row, series table or None) on each refinement level.
+
+    Starts from cfg and refines between levels; returns the rows, each headed by
+    its level, n and dt, and the tables named series_level{lv}.
+    """
+    rows, series = [], []
+    c = cfg
+    for lv in range(levels if levels is not None else cfg.levels):
+        row, table = measure(c)
+        rows.append({"level": lv, "n": c.n, "dt": c.dt, **row})
+        if table is not None:
+            series.append((f"series_level{lv}", table))
+        c = refine(c)
+    return rows, series
+
+
+def _decay(rows, key) -> list:
+    """Ratio of each level's value of key to the next level's (floored at 1e-300)."""
+    return [rows[i][key] / max(rows[i + 1][key], 1e-300) for i in range(len(rows) - 1)]
+
+
+def _last_variation(rows, key) -> float:
+    """Relative change of key between the last two levels; 0 with one level."""
+    if len(rows) < 2:
+        return 0.0
+    a, b = rows[-2][key], rows[-1][key]
     m = max(abs(a), abs(b))
     return 0.0 if m == 0.0 else abs(a - b) / m
+
+
+def _plain_solve(c: ExperimentConfig):
+    """Solve c's scenario with no observer, keeping only the first and last states;
+    returns the trajectory and the exact solution (or None)."""
+    _, u0, bd, forcing, exact = scenario(c)
+    nsteps = int(round(c.T / c.dt))
+    return solve(u0, solver_config(c, forcing, snapshot_stride=nsteps), bd), exact
+
+
+def _exact_error(traj, exact):
+    """Max and relative L2 error of the final state against the exact solution."""
+    u_end = traj.final
+    ref = exact(traj.grid.nodes, u_end.t)
+    diff = u_end.values - ref
+    ref_l2 = np.sqrt(integrate(ref**2, traj.grid))
+    if ref_l2 == 0.0:
+        raise ConfigError(f"the exact solution has zero L2 norm at t = {u_end.t:g} on "
+                          f"n = {traj.grid.n}, so its relative error is undefined "
+                          f"(data.amplitude or data.c too small)")
+    return float(np.max(np.abs(diff))), float(np.sqrt(integrate(diff**2, traj.grid)) / ref_l2)
 
 
 def _run_with_diagnostics(cfg: ExperimentConfig, snapshot_stride=None):
@@ -235,42 +279,22 @@ def run_simulate(cfg: ExperimentConfig):
             "discrepancy": aud.discrepancy, "relative": aud.relative,
         }
     if exact is not None:
-        u_end = traj.final
-        ref = exact(traj.grid.nodes, u_end.t)
-        diff = u_end.values - ref
-        report["exact_error"] = {
-            "max": float(np.max(np.abs(diff))),
-            "l2_rel": float(np.sqrt(integrate(diff**2, traj.grid))
-                            / max(np.sqrt(integrate(ref**2, traj.grid)), 1e-300)),
-        }
+        err_max, err_l2 = _exact_error(traj, exact)
+        report["exact_error"] = {"max": err_max, "l2_rel": err_l2}
     return report, [("series", _series_table(fin))]
 
 
 def run_converge(cfg: ExperimentConfig, levels=None):
     if cfg.data_kind not in ("mms", "soliton"):
         raise ConfigError("convergence study needs data.kind = mms or soliton")
-    levels = levels if levels is not None else cfg.levels
-    rows = []
-    series = []
-    c = cfg
-    for lv in range(levels):
-        grid, u0, bd, forcing, exact = scenario(c)
-        nsteps = int(round(c.T / c.dt))
-        scfg = solver_config(c, forcing, snapshot_stride=nsteps)
-        traj = solve(u0, scfg, bd)
-        u_end = traj.final
-        ref = exact(grid.nodes, u_end.t)
-        diff = u_end.values - ref
-        err_max = float(np.max(np.abs(diff)))
-        err_l2 = float(np.sqrt(integrate(diff**2, grid))
-                       / max(np.sqrt(integrate(ref**2, grid)), 1e-300))
-        rows.append({"level": lv, "n": c.n, "dt": c.dt,
-                     "err_max": err_max, "err_l2_rel": err_l2})
-        c = refine(c)
-    orders_max = [float(np.log2(rows[i]["err_max"] / rows[i + 1]["err_max"]))
-                  for i in range(len(rows) - 1)]
-    orders_l2 = [float(np.log2(rows[i]["err_l2_rel"] / rows[i + 1]["err_l2_rel"]))
-                 for i in range(len(rows) - 1)]
+
+    def measure(c):
+        err_max, err_l2 = _exact_error(*_plain_solve(c))
+        return {"err_max": err_max, "err_l2_rel": err_l2}, None
+
+    rows, series = _study(cfg, levels, measure)
+    orders_max = [float(np.log2(r)) for r in _decay(rows, "err_max")]
+    orders_l2 = [float(np.log2(r)) for r in _decay(rows, "err_l2_rel")]
     report = {
         "schema": SCHEMA,
         "experiment": "converge",
@@ -287,14 +311,9 @@ def run_converge(cfg: ExperimentConfig, levels=None):
 
 
 def run_propagation(cfg: ExperimentConfig, levels=None):
-    levels = levels if levels is not None else cfg.levels
-    rows = []
-    series = []
-    c = cfg
-    for lv in range(levels):
+    def measure(c):
         nsteps = int(round(c.T / c.dt))
-        stride = max(1, nsteps // 40)
-        traj, fin, ws, dcfg, _ = _run_with_diagnostics(c, snapshot_stride=stride)
+        traj, fin, ws, _, _ = _run_with_diagnostics(c, snapshot_stride=max(1, nsteps // 40))
         times = fin["times"]
         t1 = stopping_time(c.T, ws, 1)
         t2 = stopping_time(c.T, ws, 2)
@@ -302,8 +321,7 @@ def run_propagation(cfg: ExperimentConfig, levels=None):
         rough = integrate((deriv_matrix(traj.grid, 2) @ u0.values) ** 2, traj.grid)
         interp = [interpolation_check(s, ws) for s in traj.snapshots]
         finite = [ic.ratio for ic in interp if np.isfinite(ic.ratio)]
-        rows.append({
-            "level": lv, "n": c.n, "dt": c.dt,
+        row = {
             "sup_J1": _sup_before(times, fin["J1"], t1),
             "sup_J2": _sup_before(times, fin["J2"], t2),
             "K1_chiprime": float(fin["K1_chiprime"][-1]),
@@ -311,59 +329,43 @@ def run_propagation(cfg: ExperimentConfig, levels=None):
             "rough_global": float(rough),
             "interp_max_ratio": max(finite) if finite else 0.0,
             "T_star_1": t1, "T_star_2": t2,
-        })
-        series.append((f"series_level{lv}", _series_table(fin)))
-        c = refine(c)
+        }
+        return row, _series_table(fin)
+
+    rows, series = _study(cfg, levels, measure)
     growth = [rows[i + 1]["rough_global"] / rows[i]["rough_global"]
               for i in range(len(rows) - 1)]
-    var_J2 = _variation(rows[-2]["sup_J2"], rows[-1]["sup_J2"]) if len(rows) > 1 else 0.0
-    var_kcp = _variation(rows[-2]["K1_chiprime"], rows[-1]["K1_chiprime"]) if len(rows) > 1 else 0.0
-    var_kwin = _variation(rows[-2]["K1_window"], rows[-1]["K1_window"]) if len(rows) > 1 else 0.0
-    var_interp = (_variation(rows[-2]["interp_max_ratio"], rows[-1]["interp_max_ratio"])
-                  if len(rows) > 1 else 0.0)
+    var = {key: _last_variation(rows, key)
+           for key in ("sup_J2", "K1_chiprime", "K1_window", "interp_max_ratio")}
     report = {
         "schema": SCHEMA,
         "experiment": "propagation",
         "config": dump_config(cfg),
         "levels": rows,
         "rough_growth": growth,
-        "variation": {"sup_J2": var_J2, "K1_chiprime": var_kcp,
-                      "K1_window": var_kwin, "interp_max_ratio": var_interp},
+        "variation": var,
         "passes": {
-            "sup_J2_stable": bool(var_J2 <= cfg.stability_tol),
-            "K1_chiprime_stable": bool(var_kcp <= cfg.stability_tol),
-            "K1_window_stable": bool(var_kwin <= cfg.stability_tol),
+            "sup_J2_stable": bool(var["sup_J2"] <= cfg.stability_tol),
+            "K1_chiprime_stable": bool(var["K1_chiprime"] <= cfg.stability_tol),
+            "K1_window_stable": bool(var["K1_window"] <= cfg.stability_tol),
             "rough_diverges": bool(growth and min(growth) >= cfg.rough_growth),
-            "interp_stable": bool(var_interp <= cfg.interp_tol),
+            "interp_stable": bool(var["interp_max_ratio"] <= cfg.interp_tol),
         },
     }
     return report, series
 
 
 def run_traces(cfg: ExperimentConfig, levels=None):
-    levels = levels if levels is not None else cfg.levels
-    rows = []
-    c = cfg
-    for lv in range(levels):
-        grid, u0, bd, forcing, _ = scenario(c)
-        nsteps = int(round(c.T / c.dt))
-        scfg = solver_config(c, forcing, snapshot_stride=nsteps)
-        traj = solve(u0, scfg, bd)
-        ws = weight_spec(c)
-        ti = trace_integral(traj, 2, ws, j=c.trace_branch)
+    def measure(c):
+        traj, _ = _plain_solve(c)
+        ti = trace_integral(traj, 2, weight_spec(c), j=c.trace_branch)
         _, _, rms = trace_identity_residual(traj)
-        rows.append({
-            "level": lv, "n": c.n, "dt": c.dt,
-            "window_integral_d2": ti.value,
-            "window": [ti.t_start, ti.t_end],
-            "empty_window": ti.empty,
-            "identity_rms": rms,
-        })
-        c = refine(c)
-    rms_ratios = [rows[i]["identity_rms"] / max(rows[i + 1]["identity_rms"], 1e-300)
-                  for i in range(len(rows) - 1)]
-    var = (_variation(rows[-2]["window_integral_d2"], rows[-1]["window_integral_d2"])
-           if len(rows) > 1 and not rows[-1]["empty_window"] else 0.0)
+        return {"window_integral_d2": ti.value, "window": [ti.t_start, ti.t_end],
+                "empty_window": ti.empty, "identity_rms": rms}, None
+
+    rows, _ = _study(cfg, levels, measure)
+    rms_ratios = _decay(rows, "identity_rms")
+    var = 0.0 if rows[-1]["empty_window"] else _last_variation(rows, "window_integral_d2")
     report = {
         "schema": SCHEMA,
         "experiment": "traces",
@@ -382,24 +384,17 @@ def run_traces(cfg: ExperimentConfig, levels=None):
 def run_identity(cfg: ExperimentConfig, levels=None):
     if not cfg.identity_levels:
         raise ConfigError("identity study needs diagnostics.identity_levels (e.g. 1,2)")
-    levels = levels if levels is not None else cfg.levels
-    rows = []
-    series = []
-    c = cfg
-    for lv in range(levels):
-        traj, fin, ws, dcfg, _ = _run_with_diagnostics(c)
-        entry = {"level": lv, "n": c.n, "dt": c.dt}
+
+    def measure(c):
+        fin = _run_with_diagnostics(c)[1]
+        row = {}
         for ilv, br in fin["identity"].items():
-            entry[f"normalized_l{ilv}"] = br.normalized
-            entry[f"scale_l{ilv}"] = br.scale
-        rows.append(entry)
-        series.append((f"series_level{lv}", _series_table(fin)))
-        c = refine(c)
-    decay = {}
-    for ilv in cfg.identity_levels:
-        key = f"normalized_l{ilv}"
-        decay[str(ilv)] = [rows[i][key] / max(rows[i + 1][key], 1e-300)
-                           for i in range(len(rows) - 1)]
+            row[f"normalized_l{ilv}"] = br.normalized
+            row[f"scale_l{ilv}"] = br.scale
+        return row, _series_table(fin)
+
+    rows, series = _study(cfg, levels, measure)
+    decay = {str(ilv): _decay(rows, f"normalized_l{ilv}") for ilv in cfg.identity_levels}
     report = {
         "schema": SCHEMA,
         "experiment": "identity",

@@ -29,6 +29,7 @@ from scipy.linalg.blas import dtbsv
 from scipy.sparse import csr_matrix, identity as sp_identity
 from scipy.sparse.linalg import splu as superlu
 
+from .config import ConfigError
 from .discretization import Field, Grid1D, TraceSeries, deriv_matrix, trace_derivs
 
 __all__ = [
@@ -69,23 +70,19 @@ class BoundaryData:
         scale = 1.0
         for t in ts:
             a = min(max(t, dh), T - dh)  # keep the probe inside [0, T]
-            vals = (self.f(a + dh), self.f(a - dh), self.fprime(a))
+            with np.errstate(all="ignore"):  # a non-finite value is refused just below
+                vals = (self.f(a + dh), self.f(a - dh), self.fprime(a))
             if not np.all(np.isfinite(vals)):
-                raise ValueError(f"boundary data f or fprime is not finite near t = {a:.6g}")
+                raise ConfigError(f"boundary data f or fprime is not finite near t = {a:.6g}")
             fd = (vals[0] - vals[1]) / (2.0 * dh)
             fp = vals[2]
             worst = max(worst, abs(fp - fd))
             scale = max(scale, abs(fp), abs(fd))
         if worst > rtol * scale:
-            raise ValueError(
+            raise ConfigError(
                 f"boundary data inconsistent: |fprime - d/dt f| = {worst:.3e} "
                 f"exceeds {rtol:.1e} * {scale:.3e} at probe times"
             )
-
-
-def zero_boundary() -> BoundaryData:
-    """Homogeneous Dirichlet data."""
-    return BoundaryData(f=lambda t: 0.0, fprime=lambda t: 0.0)
 
 
 @dataclass

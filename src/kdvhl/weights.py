@@ -1,9 +1,8 @@
 """Smooth cutoff weights used by the moving-window energy functionals.
 
 Everything here is built from a single C-infinity brick, exp(-1/theta): a
-symmetric unit step `eta`, a fixed background ramp `rho`, and the two-parameter
-family `chi(eps, b)` that vanishes on (0, eps], equals 1 on [b, infinity) and
-increases in between.  The translate chi(x + v*t - x0) is the weight that
+symmetric unit step `eta` and the two-parameter family `chi(eps, b)` that
+vanishes on (0, eps], equals 1 on [b, infinity) and increases in between.  The translate chi(x + v*t - x0) is the weight that
 sweeps leftward across the half-line as time advances; `moving_weight`
 evaluates it and its first three derivatives.
 """
@@ -16,7 +15,7 @@ import numpy as np
 
 from .discretization import _Hermite
 
-__all__ = ["eta", "rho", "CutoffSpec", "chi", "WeightSpec", "moving_weight"]
+__all__ = ["eta", "CutoffSpec", "chi", "WeightSpec", "moving_weight"]
 
 # exp(w) underflows to 0.0 well before w = -745; beyond this cut the bump and
 # every derivative of it are zero to double precision.
@@ -44,11 +43,6 @@ def eta(theta):
     bb = np.exp(-1.0 / (1.0 - t))
     out[mid] = a / (a + bb)
     return out[0] if scalar else out
-
-
-def rho(x):
-    """Fixed background ramp: 1 on (-inf, -2], 2 on [1, inf), smooth between."""
-    return 1.0 + eta((np.asarray(x, dtype=float) + 2.0) / 3.0)
 
 
 def _bump(s, eps, b, orders):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kdvhl import Field, Grid1D, SolverConfig, gaussian_bump, solve, zero_boundary
+from kdvhl import Field, Grid1D, SolverConfig, boundary_pulse, gaussian_bump, solve
 
 
 @pytest.fixture(scope="session")
@@ -11,7 +11,7 @@ def small_run():
     grid = Grid1D(16.0, 161)
     u0 = Field(grid, gaussian_bump(0.8, 6.0, 1.0)(grid.nodes), 0.0)
     cfg = SolverConfig(dt=0.01, T=0.4, snapshot_stride=1)
-    traj = solve(u0, cfg, zero_boundary())
+    traj = solve(u0, cfg, boundary_pulse("zero"))
     return traj
 
 

@@ -2,12 +2,14 @@
 
 import json
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from kdvhl.cli import available_recipes, main, resolve_config
-from kdvhl.config import ConfigError, dump_config, load_config, parse_config
+from kdvhl.config import (_KEYMAP, ConfigError, ExperimentConfig, dump_config, load_config,
+                          parse_config)
 
 MINI_SIMULATE = """
 experiment = simulate
@@ -34,6 +36,29 @@ def test_defaults_round_trip():
     assert d["experiment"] == "simulate"
     assert d["grid.n"] == 801
     assert d["diagnostics.identity_levels"] == []
+
+
+def _as_text(cfg):
+    lines = []
+    for key, val in dump_config(cfg).items():
+        if val is None:  # an unset optional key keeps its default
+            continue
+        if isinstance(val, list):
+            val = ",".join(str(v) for v in val)
+        lines.append(f"{key} = {val}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ["defaults"] + available_recipes())
+def test_dump_parse_round_trip(name):
+    cfg = ExperimentConfig() if name == "defaults" else resolve_config(name)
+    assert parse_config(_as_text(cfg)) == cfg
+
+
+def test_accepted_keys_are_the_dumped_keys():
+    dumped = dump_config(ExperimentConfig())
+    assert len(dumped) == 55
+    assert set(_KEYMAP) == set(dumped)
 
 
 def test_parse_values_and_comments():
@@ -264,6 +289,29 @@ def test_cli_run_too_large_for_memory_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "memory" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("recipe,overrides,phrase", [
+    ("mms", {"data.amplitude": "0"}, "zero L2 norm"),
+    ("soliton", {"data.c": "1e-300"}, "zero L2 norm"),
+    ("trace_gain", {"boundary.w": "1e-300"}, "not finite"),
+])
+def test_cli_degenerate_data_exits_2(tmp_path, capsys, recipe, overrides, phrase):
+    # a zero exact solution leaves the relative error undefined, and a pulse
+    # narrower than any float has no finite derivative: one config error line
+    # each, with no traceback and no numpy warning (an error under this filter)
+    overrides = {"grid.n": "201", "time.T": "0.3", **overrides}
+    text = (resources.files("kdvhl.recipes") / f"{recipe}.cfg").read_text()
+    lines = [ln for ln in text.splitlines() if ln.split(" =")[0] not in overrides]
+    cfgfile = tmp_path / f"{recipe}.cfg"
+    cfgfile.write_text("\n".join(lines + [f"{k} = {v}" for k, v in overrides.items()]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([resolve_config(recipe).experiment, "--config", str(cfgfile),
+                   "--out", str(tmp_path / "d"), "--quiet", "--levels", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and phrase in err and err.count("\n") == 1
 
 
 def test_cli_levels_override(tmp_path):

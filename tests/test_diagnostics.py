@@ -9,7 +9,8 @@ import sympy as sp
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from kdvhl.datagen import ResolutionWarning, gaussian_bump, soliton_boundary, soliton_data
+from kdvhl.datagen import (ResolutionWarning, boundary_pulse, gaussian_bump, soliton_boundary,
+                           soliton_data)
 from kdvhl.diagnostics import (
     DiagnosticsConfig,
     RunningDiagnostics,
@@ -21,7 +22,7 @@ from kdvhl.diagnostics import (
     trace_integral,
 )
 from kdvhl.discretization import Field, Grid1D, deriv_matrix, integrate, trace_derivs
-from kdvhl.solver import BoundaryData, SolverConfig, solve, zero_boundary
+from kdvhl.solver import BoundaryData, SolverConfig, solve
 from kdvhl.weights import CutoffSpec, WeightSpec, chi, moving_weight
 
 WS = WeightSpec(cutoff=CutoffSpec(0.4, 2.0), v=1.0, x0=4.0)
@@ -32,9 +33,9 @@ def _bump_run(n, dt):
     grid = Grid1D(16.0, n)
     u0 = Field(grid, gaussian_bump(0.8, 6.0, 1.0)(grid.nodes), 0.0)
     dcfg = DiagnosticsConfig(wspec=WS, identity_levels=(1, 2))
-    rd = RunningDiagnostics(grid, zero_boundary(), dcfg)
+    rd = RunningDiagnostics(grid, boundary_pulse("zero"), dcfg)
     cfg = SolverConfig(dt=dt, T=0.4, snapshot_stride=1)
-    traj = solve(u0, cfg, zero_boundary(), observers=[rd])
+    traj = solve(u0, cfg, boundary_pulse("zero"), observers=[rd])
     return traj, rd.finish(), dcfg
 
 
@@ -105,7 +106,7 @@ def test_trace_integral_equation_route_zero_for_quiet_boundary(diag_run):
 def test_trace_identity_residual_zero_run():
     grid = Grid1D(16.0, 161)
     traj = solve(Field(grid, np.zeros(grid.n), 0.0), SolverConfig(dt=0.01, T=0.1),
-                 zero_boundary())
+                 boundary_pulse("zero"))
     _, r, rms = trace_identity_residual(traj)
     assert rms == 0.0 and np.all(r == 0.0)
 

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +35,13 @@ def test_cli_import_loads_only_scipy_sparse_and_linalg():
     assert "kdvhl.cli" in added
     heavy = {f"scipy.{m}" for m in ("integrate", "interpolate", "optimize", "special", "spatial")}
     assert not heavy & added, sorted(heavy & added)
+
+
+def test_readme_library_session_runs():
+    # the README's Python block is run as written, so a deleted or renamed
+    # public name fails here instead of in a reader's session
+    readme = Path(__file__).parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})

@@ -20,7 +20,6 @@ from kdvhl.solver import (
     check_compatibility,
     solve,
     splu,
-    zero_boundary,
 )
 
 
@@ -54,7 +53,7 @@ def test_nsteps_requires_integer_multiple():
 def test_zero_data_stays_zero():
     g = Grid1D(20.0, 201)
     traj = solve(Field(g, np.zeros(g.n), 0.0), SolverConfig(dt=0.05, T=0.5),
-                 zero_boundary())
+                 boundary_pulse("zero"))
     assert all(np.all(s.values == 0.0) for s in traj.snapshots)
     assert np.all(traj.traces.d3 == 0.0)
 
@@ -69,7 +68,7 @@ def test_dirichlet_row_exact():
 
 def test_right_wall_rows_pinned():
     g = Grid1D(20.0, 401)
-    traj = solve(bump_field(g), SolverConfig(dt=0.01, T=0.5), zero_boundary())
+    traj = solve(bump_field(g), SolverConfig(dt=0.01, T=0.5), boundary_pulse("zero"))
     # every computed step pins the far wall exactly; the stored initial
     # field keeps whatever tail the data carries
     for s in traj.snapshots[1:]:
@@ -81,8 +80,8 @@ def test_incompatible_corner_raises():
     g = Grid1D(20.0, 201)
     u0 = Field(g, np.full(g.n, 0.1), 0.0)
     with pytest.raises(ValueError, match="incompatible"):
-        solve(u0, SolverConfig(dt=0.1, T=0.5), zero_boundary())
-    res = check_compatibility(u0, zero_boundary())
+        solve(u0, SolverConfig(dt=0.1, T=0.5), boundary_pulse("zero"))
+    res = check_compatibility(u0, boundary_pulse("zero"))
     assert not res.ok and res.mismatch == pytest.approx(0.1)
 
 
@@ -95,7 +94,7 @@ def test_inconsistent_boundary_pair_rejected():
 
 def test_trace_sampling_every_step():
     g = Grid1D(20.0, 201)
-    traj = solve(bump_field(g), SolverConfig(dt=0.05, T=0.15), zero_boundary())
+    traj = solve(bump_field(g), SolverConfig(dt=0.05, T=0.15), boundary_pulse("zero"))
     assert len(traj.times) == 4
     assert traj.times == pytest.approx([0.0, 0.05, 0.1, 0.15], abs=1e-15)
 
@@ -103,7 +102,7 @@ def test_trace_sampling_every_step():
 def test_snapshot_stride_keeps_endpoints():
     g = Grid1D(20.0, 201)
     cfg = SolverConfig(dt=0.05, T=0.5, snapshot_stride=7)
-    traj = solve(bump_field(g), cfg, zero_boundary())
+    traj = solve(bump_field(g), cfg, boundary_pulse("zero"))
     assert traj.snapshot_steps == [0, 7, 10]
     assert traj.snapshots[-1].t == pytest.approx(0.5)
 
@@ -112,12 +111,12 @@ def test_picard_divergence_raises():
     g = Grid1D(20.0, 201)
     u0 = Field(g, gaussian_bump(40.0, 10.0, 1.5)(g.nodes), 0.0)
     with pytest.raises(SolverError, match="diverging"):
-        solve(u0, SolverConfig(dt=0.2, T=0.4, picard_max=6), zero_boundary())
+        solve(u0, SolverConfig(dt=0.2, T=0.4, picard_max=6), boundary_pulse("zero"))
 
 
 def test_picard_converges_fast_at_operating_point():
     g = Grid1D(20.0, 401)
-    traj = solve(bump_field(g), SolverConfig(dt=0.01, T=0.5), zero_boundary())
+    traj = solve(bump_field(g), SolverConfig(dt=0.01, T=0.5), boundary_pulse("zero"))
     assert float(np.max(traj.picard_updates)) <= 1e-6
 
 
@@ -127,7 +126,7 @@ def test_linear_step_is_energy_neutral_while_boundary_quiet():
     g = Grid1D(40.0, 801)
     u0 = Field(g, gaussian_bump(1.0, 30.0, 2.0)(g.nodes), 0.0)
     cfg = SolverConfig(dt=0.05, T=0.5, nonlinear=False)
-    traj = solve(u0, cfg, zero_boundary())
+    traj = solve(u0, cfg, boundary_pulse("zero"))
     assert np.max(np.abs(traj.traces.d1)) <= 1e-10  # boundary actually quiet
     E = np.array([integrate(s.values**2, g) for s in traj.snapshots])
     assert np.max(E[1:] / E[:-1]) <= 1.0 + 1e-10
@@ -141,7 +140,7 @@ def test_linear_growth_excess_vanishes_under_refinement():
     for n, dt in ((401, 0.1), (801, 0.05)):
         g = Grid1D(40.0, n)
         u0 = Field(g, gaussian_bump(1.0, 10.0, 2.0)(g.nodes), 0.0)
-        traj = solve(u0, SolverConfig(dt=dt, T=3.0, nonlinear=False), zero_boundary())
+        traj = solve(u0, SolverConfig(dt=dt, T=3.0, nonlinear=False), boundary_pulse("zero"))
         E = np.array([integrate(s.values**2, g) for s in traj.snapshots])
         excess.append(max(np.max(E[1:] / E[:-1]) - 1.0, 1e-16))
     assert excess[1] <= excess[0] / 4.0
@@ -151,7 +150,7 @@ def test_backward_euler_decays():
     g = Grid1D(40.0, 401)
     u0 = Field(g, gaussian_bump(1.0, 20.0, 2.0)(g.nodes), 0.0)
     traj = solve(u0, SolverConfig(dt=0.05, T=0.5, theta=1.0, nonlinear=False),
-                 zero_boundary())
+                 boundary_pulse("zero"))
     E = np.array([integrate(s.values**2, g) for s in traj.snapshots])
     assert np.all(E[1:] <= E[:-1] * (1.0 + 1e-14))
 
@@ -164,7 +163,7 @@ def test_boundary_drain_dominates_unforced_energy_loss():
     g = Grid1D(40.0, 801)
     u0 = Field(g, gaussian_bump(1.0, 3.0, 0.6)(g.nodes), 0.0)
     traj = solve(u0, SolverConfig(dt=0.0125, T=2.0, snapshot_stride=160),
-                 zero_boundary())
+                 boundary_pulse("zero"))
     aud = dissipation_audit(traj)
     assert aud.dissipated < 0.0
     assert aud.relative <= 3e-2
@@ -178,7 +177,7 @@ def test_nonfinite_state_raises():
         u0 = bump_field(g)
         u0.values[g.n // 2] = bad
         with pytest.raises(SolverError, match="non-finite"), np.errstate(invalid="ignore"):
-            solve(u0, SolverConfig(dt=0.05, T=0.5), zero_boundary())
+            solve(u0, SolverConfig(dt=0.05, T=0.5), boundary_pulse("zero"))
 
 
 def _advance_reference(field, cfg, bd, sys_, prev=()):
@@ -240,7 +239,7 @@ def test_picard_stop_bound_keeps_every_decision(amplitude, dt, picard_max):
     # match the reference bit for bit. At amplitude 50 max|u| sets the tolerance
     g = Grid1D(20.0, 401)
     cfg = SolverConfig(dt=dt, T=20 * dt, picard_max=picard_max)
-    u0, bd = bump_field(g, amplitude, center=8.0), zero_boundary()
+    u0, bd = bump_field(g, amplitude, center=8.0), boundary_pulse("zero")
     traj = solve(u0, cfg, bd)
     _, steps = _march_reference(u0, cfg, bd)
     for k, (upd, dist, nsw, ok, values) in enumerate(steps, start=1):
@@ -258,7 +257,7 @@ def test_picard_stop_bound_keeps_every_decision(amplitude, dt, picard_max):
 
 def test_capped_steps_are_recorded():
     g = Grid1D(20.0, 401)
-    traj = solve(bump_field(g), SolverConfig(dt=0.01, T=0.2, picard_max=2), zero_boundary())
+    traj = solve(bump_field(g), SolverConfig(dt=0.01, T=0.2, picard_max=2), boundary_pulse("zero"))
     assert traj.picard_sweeps[0] == 0 and np.all(traj.picard_sweeps[1:] == 2)
     assert not traj.picard_converged[1:].any()
     assert float(np.max(traj.picard_updates)) > traj.config.picard_tol
@@ -269,7 +268,7 @@ def test_rate_test_never_stops_on_a_single_update():
     # estimate needs a second update before it may stop the iteration
     g = Grid1D(20.0, 401)
     traj = solve(bump_field(g, center=8.0), SolverConfig(dt=0.01, T=0.3, picard_max=12),
-                 zero_boundary())
+                 boundary_pulse("zero"))
     assert traj.picard_converged.all()
     assert np.all(traj.picard_sweeps[1:] >= 2)
 
@@ -298,7 +297,7 @@ def test_start_is_the_cubic_through_the_last_four_states(monkeypatch):
     advance = solver._advance
     monkeypatch.setattr(solver, "_advance", spy)
     g = Grid1D(20.0, 201)
-    solve(bump_field(g), SolverConfig(dt=0.01, T=0.06), zero_boundary())
+    solve(bump_field(g), SolverConfig(dt=0.01, T=0.06), boundary_pulse("zero"))
     assert orders == [0, 1, 2, 3, 3, 3]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kdvhl.weights import CutoffSpec, WeightSpec, chi, eta, moving_weight, rho
+from kdvhl.weights import CutoffSpec, WeightSpec, chi, eta, moving_weight
 
 EPS, B = 0.4, 2.0
 
@@ -36,17 +36,6 @@ def test_eta_monotone_and_scalar():
     th = np.linspace(-0.1, 1.1, 400)
     assert np.all(np.diff(eta(th)) >= 0.0)
     assert np.isscalar(eta(0.3)) or np.ndim(eta(0.3)) == 0
-
-
-def test_rho_plateaus_and_monotone():
-    assert rho(-2.0) == 1.0
-    assert rho(-6.0) == 1.0
-    assert rho(1.0) == 2.0
-    assert rho(5.0) == 2.0
-    x = np.linspace(-4.0, 3.0, 600)
-    r = rho(x)
-    assert np.all((r >= 1.0) & (r <= 2.0))
-    assert np.all(np.diff(r) >= 0.0)
 
 
 @pytest.mark.parametrize("eps,b", [(0.4, 2.0), (0.2, 1.0), (0.5, 2.5)])
