@@ -190,11 +190,11 @@ def _validate(cfg: ExperimentConfig):
         if getattr(cfg, attr) not in allowed:
             raise ConfigError(f"key {_REVMAP[attr]!r}: {getattr(cfg, attr)!r} not one of {allowed}")
     for attr in ("L", "dt", "T", "epsilon", "b", "data_c", "data_width", "data_base_width",
-                 "boundary_w", "boundary_ramp", "oracle_c", "oracle_width", "oracle_cfl",
-                 "picard_tol"):
+                 "boundary_w", "boundary_ramp", "oracle_P", "oracle_c", "oracle_width",
+                 "oracle_cfl", "picard_tol"):
         if not (0 < getattr(cfg, attr) < math.inf):
             raise ConfigError(f"key {_REVMAP[attr]!r} must be positive and finite")
-    for attr in ("x0", "boundary_A", "boundary_t_c", "boundary_omega"):
+    for attr in ("x0", "boundary_A", "boundary_t_c", "boundary_omega", "oracle_x_left"):
         if not math.isfinite(getattr(cfg, attr)):
             raise ConfigError(f"key {_REVMAP[attr]!r} must be finite")
     for attr, low in (("n", 8), ("snapshot_stride", 1), ("picard_max", 1), ("data_m", 1),
@@ -231,6 +231,36 @@ def _validate(cfg: ExperimentConfig):
     if cfg.R is not None and not (cfg.epsilon < cfg.R < math.inf):
         raise ConfigError(f"key 'diagnostics.R' = {cfg.R} must be finite and exceed "
                           f"weight.epsilon = {cfg.epsilon}")
+    # the data must sit inside the grid: the right end pins u(L) = 0
+    for attr, value, kinds in (("data_env_lo", lo, ("kink",)), ("data_env_hi", hi, ("kink",)),
+                               ("data_width", cfg.data_width, ("bump", "mms"))):
+        if cfg.data_kind in kinds and not (0.0 <= value <= cfg.L):
+            raise ConfigError(f"key {_REVMAP[attr]!r} = {value} must lie in [0, grid.L] = "
+                              f"[0, {cfg.L}]")
+    if cfg.experiment == "oracle-compare":
+        _validate_oracle(cfg)
+
+
+def _validate_oracle(cfg: ExperimentConfig):
+    # the whole-line solver counts data below its support tolerance at the
+    # period ends as compactly supported, so a peak below it is no data at all
+    from .oracle import _SUPPORT_TOL
+
+    period = (cfg.oracle_x_left, cfg.oracle_x_left + cfg.oracle_P)
+    if not period[0] < cfg.oracle_center < period[1]:
+        raise ConfigError(f"key 'oracle.center' = {cfg.oracle_center} must lie inside the "
+                          f"period ({period[0]}, {period[1]})")
+    attr, peak = (("oracle_c", 1.5 * cfg.oracle_c) if cfg.oracle_kind == "soliton"
+                  else ("oracle_amplitude", abs(cfg.oracle_amplitude)))
+    if not peak > _SUPPORT_TOL:
+        raise ConfigError(f"key {_REVMAP[attr]!r} = {getattr(cfg, attr)} gives whole-line "
+                          f"data peaking at {peak:.3g}, not above the support tolerance "
+                          f"{_SUPPORT_TOL:.0e}")
+    # the march steps at cfl * dx / (2 max|u0|), and max|u0| <= peak on the grid
+    steps = cfg.T * 2.0 * peak / (cfg.oracle_cfl * cfg.oracle_P / cfg.oracle_m)
+    if not steps < sys.maxsize // 8:
+        raise ConfigError(f"key 'oracle.cfl' = {cfg.oracle_cfl} gives {steps:.3g} whole-line "
+                          f"steps, more than an array of {sys.maxsize // 8:.3g} steps holds")
 
 
 def dump_config(cfg: ExperimentConfig) -> dict:

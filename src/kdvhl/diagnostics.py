@@ -17,21 +17,32 @@ residual, which must vanish to discretization order.  The third boundary
 derivative is taken from the equation itself, u_xxx(0) = F(0) - f' - 2 f u_x(0),
 with the one-sided stencil kept as a cross-check only.
 
-The observer's cost follows the weight's transition band eps < a < b of the
+The observer evaluates states in blocks: RunningDiagnostics buffers each
+observed state, and a block of at most max(1, 2**15 // n) states (a budget of
+2**15 doubles per block array) is evaluated at once, so the fixed cost of a
+sparse product, a chi call or a sum is paid per block, not per state.  Every
+value equals the one-state-at-a-time form bit for bit: each state's row of
+D_k U^T is D_k u, a row sum of a C-ordered block sums in the order of the 1-D
+sum, chi is evaluated pointwise, and the running time integrals and the Kato
+accumulators are still added one state at a time.  finish() evaluates what is
+left in the buffer and is the only way to read the results.
+
+The chi work follows the weight's transition band eps < a < b of the
 argument a = x + v t - x0, found by binary search since a grows with x: off
 the band chi is exactly 0 or 1 and its derivatives vanish.  One stacked
-evaluation on [a(0)] + a(band) gives every order the terms need; node 0 rides
-along because chi(v t - x0) is both the trace factor chi0 and the trapezoid
-end weight at x = 0.  A chi' or chi''' term is a sum over the band.  A chi term
-is formed from the band on and summed over the grid with zeros on the left,
-in the full-grid order, so J_l keeps every bit (dJ/dt divides ulps by dt).
+evaluation on every state's [a(0)] + a(band) gives every order the terms need;
+node 0 rides along because chi(v t - x0) is both the trace factor chi0 and the
+trapezoid end weight at x = 0.  A chi' or chi''' term is a dot product over the
+band.  A chi term weights the full grid, 0 left of the band and 1 right of it,
+and is summed in the full-grid order, so J_l keeps every bit (dJ/dt divides
+ulps by dt); a finite product times the zero weight is the exact zero the
+left of the band needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import mul
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -213,87 +224,91 @@ def _trace_d4(field: Field) -> float:
     return float(_trace_d4_weights(field.grid.h) @ field.values[:6])
 
 
-@dataclass
-class _State:
-    """What the per-state diagnostics read at one time level, evaluated once.
+# doubles of state values one observer block holds: a block is max(1, 2**15 // n)
+# states, and each array derived from it is the same size (a memory budget)
+_BLOCK_DOUBLES = 2**15
 
-    derivs holds u and D_k u for k = 1, 2 and, when asked for, 3 (else None);
-    sq holds u_x^2 and u_xx^2.  The band is the node range lo <= i < hi where
-    eps < x_i + v t - x0 < b.  chi holds one row per order 0, 1 and, for
-    identity bookkeeping, 2 and 3; column 0 is the weight at x = 0 (the trace
-    factors chi0), the other columns the band.  The forcing F on the nodes
-    exists only for identity bookkeeping.
+
+def _trapezoid_rows(vals, h: float) -> np.ndarray:
+    """integrate() of every row of a C-ordered block, in the same summation order."""
+    return h * (np.sum(vals, axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
+
+
+def _deriv_rows(Dk, XT) -> np.ndarray:
+    """D_k applied to every row of X, given XT = X.T C-ordered: one sparse times
+    dense product, returned with one row per state, C-ordered."""
+    return np.ascontiguousarray((Dk @ XT).T)
+
+
+class _Block:
+    """What the diagnostics read on a block of B states, evaluated once.
+
+    derivs holds the rows u and D_k u for k = 1, 2 and, when asked for, 3 (else
+    None); sq holds u_x^2 and u_xx^2.  rows holds each state's (lo, hi, start):
+    its band is the node range lo <= j < hi where eps < x_j + v t - x0 < b.  chi
+    holds one row per order 0, 1 and, for identity bookkeeping, 2 and 3: column
+    i < B is state i's weight at x = 0 (its trace factor chi0), and state i's
+    band follows from column start on.  weight is chi on the full rows: 0 left
+    of the band, 1 right of it.
     """
 
-    field: Field
-    derivs: tuple
-    sq: tuple
-    lo: int
-    hi: int
-    chi: np.ndarray
-    F: Optional[np.ndarray]
-    f: float
-    d1t: float
-    d2t: float
-    d3t: float  # equation route
+    def __init__(self, grid: Grid1D, U, t, D: dict, wspec: WeightSpec, orders):
+        self.h, self.n, self.B = grid.h, grid.n, len(t)
+        UT = np.ascontiguousarray(U.T)
+        self.derivs = (U,) + tuple(_deriv_rows(D[k], UT) if k in D else None for k in (1, 2, 3))
+        w, q = self.derivs[1:3]
+        self.sq = (w * w, q * q)
+        cut = wspec.cutoff
+        a = grid.nodes + wspec.v * t[:, None] - wspec.x0
+        lo = [int(r.searchsorted(cut.epsilon, "right")) for r in a]
+        hi = [int(r.searchsorted(cut.b, "left")) for r in a]
+        start = self.B + np.cumsum([0] + [h - l for l, h in zip(lo, hi)])
+        self.rows = list(zip(lo, hi, start.tolist()))
+        self.chi = chi(cut, np.concatenate([a[:, 0]] + [r[l:h] for r, l, h in zip(a, lo, hi)]),
+                       orders)
+        self.weight = np.zeros_like(a)
+        for row, (l, h, s) in zip(self.weight, self.rows):
+            row[l:h] = self.chi[0, s:s + h - l]
+            row[h:] = 1.0
 
-    def integral(self, k: int, *factors) -> float:
-        """Trapezoid of the product of the nodal factors times chi^(k)(x + v t - x0),
-        formed on the band only (k >= 1) or from the band on (k = 0, where chi = 1
-        right of the band); the module docstring gives the summation order."""
-        grid = self.field.grid
-        lo, hi, n = self.lo, self.hi, grid.n
-        c = self.chi[k]
-        if k == 0:
-            vals = np.zeros(n)
-            vals[lo:] = reduce(mul, [f[lo:] for f in factors])
-            vals[lo:hi] *= c[1:]
-            return integrate(vals, grid)
-        g = reduce(mul, [f[lo:hi] for f in factors])
-        last = g[-1] * c[-1] if hi == n and lo < n else 0.0  # band reaches x = L
-        return grid.h * (g @ c[1:] - 0.5 * (reduce(mul, [f[0] for f in factors]) * c[0] + last))
+    def full(self, prod) -> np.ndarray:
+        """Per state, the trapezoid of prod times chi(x + v t - x0) over the grid
+        (the module docstring gives the summation order)."""
+        return _trapezoid_rows(np.multiply(prod, self.weight, order="C"), self.h)
 
-
-def _evaluate_state(field: Field, D: dict, wspec: WeightSpec, bd: BoundaryData,
-                    forcing, identity: bool) -> _State:
-    """Evaluate a _State; u_xxx is computed when D holds the k = 3 operator."""
-    x = field.grid.nodes
-    t = field.t
-    u = field.values
-    derivs = (u, D[1] @ u, D[2] @ u, D[3] @ u if 3 in D else None)
-    cut = wspec.cutoff
-    a = x + wspec.v * t - wspec.x0
-    lo = int(np.searchsorted(a, cut.epsilon, "right"))
-    hi = int(np.searchsorted(a, cut.b, "left"))
-    c = chi(cut, np.concatenate((a[:1], a[lo:hi])), (0, 1, 2, 3) if identity else (0, 1))
-    F = None
-    if identity and forcing is not None:
-        F = np.asarray(forcing(x, t), dtype=float)
-    _, d1t, d2t, _ = trace_derivs(field)
-    f, d3t = _wall_traces(bd, forcing, t, d1t)
-    return _State(field=field, derivs=derivs, sq=(derivs[1] * derivs[1], derivs[2] * derivs[2]),
-                  lo=lo, hi=hi, chi=c, F=F, f=f, d1t=d1t, d2t=d2t, d3t=d3t)
+    def band(self, k: int, prod) -> np.ndarray:
+        """Per state, the trapezoid of prod times chi^(k)(x + v t - x0), k >= 1,
+        summed over the band only."""
+        c, n, out = self.chi[k], self.n, np.empty(self.B)
+        for i, (lo, hi, s) in enumerate(self.rows):
+            g, cb = prod[i, lo:hi], c[s:s + hi - lo]
+            last = g[-1] * cb[-1] if hi == n and lo < n else 0.0  # band reaches x = L
+            out[i] = self.h * (g @ cb - 0.5 * (prod[i, 0] * c[i] + last))
+        return out
 
 
-def _identity_terms(st: _State, level: int, wspec: WeightSpec, D: dict, kcp: float) -> dict:
-    """All signed identity terms except the dJ/dt piece; kcp = int u_xx^2 chi'."""
-    u, w, q, qx = st.derivs
-    ww, qq = st.sq
-    b0, b1, b2 = st.chi[:3, 0]
+def _identity_terms(blk: _Block, level: int, wspec: WeightSpec, D: dict, kcp, traces,
+                    F) -> dict:
+    """All signed identity terms except the dJ/dt piece, one value per state of
+    the block; kcp = int u_xx^2 chi', traces the rows of f, u_x(0), u_xx(0), the
+    equation-route u_xxx(0) and the u_xxxx(0) probe, F the forcing rows or None."""
+    u, w, q, qx = blk.derivs
+    ww, qq = blk.sq
+    b0, b1, b2 = blk.chi[:3, :blk.B]
     v = wspec.v
-    f, d1t, d2t, d3t = st.f, st.d1t, st.d2t, st.d3t
+    f, d1t, d2t, d3t, d4t = traces
 
     out = {}
     if level == 1:
-        out["weight_transport"] = -0.5 * v * st.integral(1, ww)
+        out["weight_transport"] = -0.5 * v * blk.band(1, ww)
         out["smoothing"] = 1.5 * kcp
-        out["weight_third"] = -0.5 * st.integral(3, ww)
-        out["nl_cubic"] = st.integral(0, ww, w)
-        out["nl_transport"] = -st.integral(1, u, ww)
-        if st.F is not None:
-            out["forcing"] = -st.integral(0, D[1] @ st.F, w)
+        out["weight_third"] = -0.5 * blk.band(3, ww)
+        out["nl_cubic"] = blk.full(ww * w)
+        out["nl_transport"] = -blk.band(1, u * ww)
+        if F is not None:
+            out["forcing"] = -blk.full(_deriv_rows(D[1], np.ascontiguousarray(F.T)) * w)
         else:
-            out["forcing"] = 0.0
+            out["forcing"] = np.zeros(blk.B)
         out["trace_d3d1"] = -d3t * d1t * b0
         out["trace_d2sq"] = 0.5 * d2t * d2t * b0
         out["trace_d2d1"] = d2t * d1t * b1
@@ -301,15 +316,15 @@ def _identity_terms(st: _State, level: int, wspec: WeightSpec, D: dict, kcp: flo
         out["trace_cubic"] = -f * d1t * d1t * b0
     else:
         out["weight_transport"] = -0.5 * v * kcp
-        out["smoothing"] = 1.5 * st.integral(1, qx, qx)
-        out["weight_third"] = -0.5 * st.integral(3, qq)
-        out["nl_steepening"] = 5.0 * st.integral(0, w, qq)
-        out["nl_transport"] = -st.integral(1, u, qq)
-        if st.F is not None:
-            out["forcing"] = -st.integral(0, D[2] @ st.F, q)
+        out["smoothing"] = 1.5 * blk.band(1, qx * qx)
+        out["weight_third"] = -0.5 * blk.band(3, qq)
+        out["nl_steepening"] = 5.0 * blk.full(w * qq)
+        out["nl_transport"] = -blk.band(1, u * qq)
+        if F is not None:
+            out["forcing"] = -blk.full(_deriv_rows(D[2], np.ascontiguousarray(F.T)) * q)
         else:
-            out["forcing"] = 0.0
-        d4t = _trace_d4(st.field) if b0 != 0.0 else 0.0
+            out["forcing"] = np.zeros(blk.B)
+        d4t = np.where(b0 != 0.0, d4t, 0.0)  # the probe is noisy; read only once chi0 > 0
         out["trace_d4d2"] = -d4t * d2t * b0
         out["trace_d3sq"] = 0.5 * d3t * d3t * b0
         out["trace_d3d2"] = d3t * d2t * b1
@@ -428,94 +443,127 @@ class RunningDiagnostics:
     Records per step: J_1, J_2, both smoothing accumulations, the running
     boundary-trace integrals, the mass curve, identity terms for the
     configured levels, and per-node accumulators for the sup-type functionals.
-    Attach to solve(..., observers=[rd]); call finish() afterwards.
+    Attach to solve(..., observers=[rd]); call finish() afterwards, the only
+    way to read what was recorded.  Each call buffers the state; a block of
+    buffered states is evaluated when it is full and, given nstates (the number
+    of states the run will observe), on the last state.
     """
 
     def __init__(self, grid: Grid1D, bd: BoundaryData, cfg: DiagnosticsConfig,
-                 forcing=None):
+                 forcing=None, nstates: Optional[int] = None):
         self.grid = grid
         self.bd = bd
         self.cfg = cfg
         self.forcing = forcing
-        self.t = []
-        self.J1 = []
-        self.J2 = []
-        self.mass = []
-        self.k_cp = [0.0]
-        self.k_win = [0.0]
-        self.tr2 = [0.0]
-        self.tr3 = [0.0]
-        self.identity = {lv: {} for lv in cfg.identity_levels}
-        self._prev = None
-        self._kato = {j: np.zeros(grid.n) for j in _KATO_ORDERS}
-        self._kato_prev = {}
-        self._peak = np.zeros(grid.n)
-        self._stri4 = []
+        self._nstates = nstates
+        self._seen = 0
+        rows = max(1, _BLOCK_DOUBLES // grid.n)
+        if nstates is not None:
+            rows = max(1, min(rows, nstates))
+        self._rows = 0
+        self._U = np.empty((rows, grid.n))
+        self._t = np.empty(rows)
+        self._traces = np.empty((rows, 5))
+        identity = bool(cfg.identity_levels)
+        self._F = np.empty((rows, grid.n)) if identity and forcing is not None else None
+        self._orders = (0, 1, 2, 3) if identity else (0, 1)
         third = 2 in cfg.identity_levels
         self._D = {k: deriv_matrix(grid, k) for k in ((1, 2, 3) if third else (1, 2))}
+        self._series = {name: [] for name in (
+            "times", "J1", "J2", "mass", "K1_chiprime", "K1_window", "trace2_acc",
+            "trace3_acc", "stri4")}
+        self._identity = {lv: {} for lv in cfg.identity_levels}
+        self._prev = None  # the last evaluated state: t, kcp/kwin/tr2/tr3, their sums, sq
+        self._kato = {j: np.zeros(grid.n) for j in _KATO_ORDERS}
+        self._peak = np.zeros(grid.n)
 
     def __call__(self, field: Field):
-        cfg = self.cfg
+        r, t = self._rows, field.t
+        self._U[r] = field.values
+        self._t[r] = t
+        _, d1t, d2t, _ = trace_derivs(field)
+        f, d3t = _wall_traces(self.bd, self.forcing, t, d1t)
+        d4t = _trace_d4(field) if 2 in self.cfg.identity_levels else 0.0
+        self._traces[r] = f, d1t, d2t, d3t, d4t
+        if self._F is not None:
+            self._F[r] = self.forcing(self.grid.nodes, t)
+        self._rows = r + 1
+        self._seen += 1
+        if self._rows == len(self._t) or self._seen == self._nstates:
+            self._evaluate()
+
+    def _evaluate(self):
+        """Evaluate the buffered states as one block and append their series."""
+        B, self._rows = self._rows, 0
+        cfg, g = self.cfg, self.grid
         ws = cfg.wspec
-        g = self.grid
-        t = field.t
-        st = _evaluate_state(field, self._D, ws, self.bd, self.forcing,
-                             bool(cfg.identity_levels))
-        u, w, _, _ = st.derivs
-        self.t.append(t)
-        self.J1.append(st.integral(0, st.sq[0]))
-        self.J2.append(st.integral(0, st.sq[1]))
-        self.mass.append(integrate(u * u, g))
+        t = self._t[:B].copy()
+        traces = self._traces[:B].T
+        blk = _Block(g, self._U[:B], t, self._D, ws, self._orders)
+        u, w, _, _ = blk.derivs
+        ww, qq = blk.sq
+        d2t, d3t = traces[2], traces[3]
+        kcp = blk.band(1, qq)
+        R = cfg.hard_window_R
+        kwin = np.array([integrate(row, g, window=_hard_window_indices(g, ws, R, ti))
+                         for row, ti in zip(qq, t.tolist())])
+        series = self._series
+        series["times"].append(t)
+        series["J1"].append(blk.full(ww))
+        series["J2"].append(blk.full(qq))
+        series["mass"].append(_trapezoid_rows(u * u, g.h))
 
-        kcp = st.integral(1, st.sq[1])
-        i0, i1 = _hard_window_indices(g, ws, cfg.hard_window_R, t)
-        kwin = integrate(st.sq[1], g, window=(i0, i1))
-        tr2_inst = st.d2t * st.d2t
-        tr3_inst = st.d3t * st.d3t
+        # trapezoid running integrals in time, one state after another from the
+        # last evaluated one; the run's first state starts each at 0
+        ts = t.tolist()
+        xs = list(zip(kcp.tolist(), kwin.tolist(), (d2t * d2t).tolist(), (d3t * d3t).tolist()))
+        first = self._prev is None
+        if first:
+            self._prev = (ts[0], xs[0], (0.0,) * 4, (ww[0], qq[0]))
+        tp, xp, acc, sq0 = self._prev
+        half, sums = [0.0] * first, [acc] * first
+        for ti, x in zip(ts[first:], xs[first:]):
+            hk = 0.5 * (ti - tp)
+            acc = tuple(a + hk * (xi + xpi) for a, xi, xpi in zip(acc, x, xp))
+            half.append(hk)
+            sums.append(acc)
+            tp, xp = ti, x
+        for name, vals in zip(("K1_chiprime", "K1_window", "trace2_acc", "trace3_acc"),
+                              np.array(sums).T):
+            series[name].append(vals)
+        half = np.array(half)
+        for j, s, s0 in zip(_KATO_ORDERS, (ww, qq), sq0):
+            inc = np.empty_like(s)
+            np.add(s[1:], s[:-1], out=inc[1:])
+            np.add(s[0], s0, out=inc[0])
+            inc *= half[:, None]
+            for row in inc[first:]:
+                self._kato[j] += row
+        self._prev = (tp, xp, acc, (ww[-1].copy(), qq[-1].copy()))
 
-        if self._prev is not None:
-            dt = t - self._prev["t"]
-            self.k_cp.append(self.k_cp[-1] + 0.5 * dt * (kcp + self._prev["kcp"]))
-            self.k_win.append(self.k_win[-1] + 0.5 * dt * (kwin + self._prev["kwin"]))
-            self.tr2.append(self.tr2[-1] + 0.5 * dt * (tr2_inst + self._prev["tr2"]))
-            self.tr3.append(self.tr3[-1] + 0.5 * dt * (tr3_inst + self._prev["tr3"]))
-        self._prev = {"t": t, "kcp": kcp, "kwin": kwin, "tr2": tr2_inst, "tr3": tr3_inst}
-
+        F = self._F[:B] if self._F is not None else None
         for lv in cfg.identity_levels:
-            store = self.identity[lv]
-            for k2, v2 in _identity_terms(st, lv, ws, self._D, kcp).items():
-                store.setdefault(k2, []).append(v2)
+            store = self._identity[lv]
+            for name, vals in _identity_terms(blk, lv, ws, self._D, kcp, traces, F).items():
+                store.setdefault(name, []).append(vals)
 
-        for j in _KATO_ORDERS:
-            g2 = st.sq[j - 1]
-            if j in self._kato_prev:
-                dt = t - self._prev_t_kato
-                self._kato[j] += 0.5 * dt * (g2 + self._kato_prev[j])
-            self._kato_prev[j] = g2
-        self._prev_t_kato = t
-
-        np.maximum(self._peak, np.abs(u), out=self._peak)
-        self._stri4.append(float(np.max(np.abs(w)) ** 4))  # inf, not OverflowError
+        np.maximum(self._peak, np.max(np.abs(u), axis=0), out=self._peak)
+        # a numpy scalar power gives inf, not OverflowError
+        series["stri4"].append(np.array([float(m ** 4) for m in np.max(np.abs(w), axis=1)]))
 
     def finish(self) -> dict:
-        times = np.asarray(self.t)
-        out = {
-            "times": times,
-            "J1": np.asarray(self.J1),
-            "J2": np.asarray(self.J2),
-            "mass": np.asarray(self.mass),
-            "K1_chiprime": np.asarray(self.k_cp),
-            "K1_window": np.asarray(self.k_win),
-            "trace2_acc": np.asarray(self.tr2),
-            "trace3_acc": np.asarray(self.tr3),
-            "strichartz": float(np.trapezoid(np.asarray(self._stri4), times) ** 0.25),
-            "maximal": float(np.sqrt(integrate(self._peak**2, self.grid))),
-            "kato": {j: (float(np.max(self._kato[j])),
-                         float(self.grid.nodes[int(np.argmax(self._kato[j]))]))
-                     for j in _KATO_ORDERS},
-        }
+        if self._rows:
+            self._evaluate()
+        out = {name: np.concatenate(parts) if parts else np.zeros(0)
+               for name, parts in self._series.items()}
+        times = out["times"]
+        out["strichartz"] = float(np.trapezoid(out.pop("stri4"), times) ** 0.25)
+        out["maximal"] = float(np.sqrt(integrate(self._peak**2, self.grid)))
+        out["kato"] = {j: (float(np.max(self._kato[j])),
+                           float(self.grid.nodes[int(np.argmax(self._kato[j]))]))
+                       for j in _KATO_ORDERS}
         out["identity"] = {}
         for lv in self.cfg.identity_levels:
-            series = {k: np.asarray(v) for k, v in self.identity[lv].items()}
+            series = {k: np.concatenate(v) for k, v in self._identity[lv].items()}
             out["identity"][lv] = IdentityBreakdown.assemble(lv, times, out[f"J{lv}"], series)
         return out

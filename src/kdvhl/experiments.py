@@ -93,21 +93,23 @@ def scenario(cfg: ExperimentConfig):
     else:
         raise ConfigError(f"unhandled data kind {cfg.data_kind!r}")
 
-    if cfg.boundary_kind == "auto":
-        if cfg.data_kind == "soliton":
-            bd = soliton_boundary(cfg.data_c, cfg.data_center)
-        elif cfg.data_kind == "mms":
-            bd = ms.boundary()
-        else:
-            bd = boundary_pulse("zero")
-    elif cfg.boundary_kind == "zero":
+    # keys: what sets f, for BoundaryData.validate's refusals to name
+    if cfg.boundary_kind == "auto" and cfg.data_kind == "soliton":
+        bd = soliton_boundary(cfg.data_c, cfg.data_center)
+        bd.keys = ("data.c", "data.center")
+    elif cfg.boundary_kind == "auto" and cfg.data_kind == "mms":
+        bd = ms.boundary()
+        bd.keys = ("data.amplitude", "data.center", "data.width")
+    elif cfg.boundary_kind in ("auto", "zero"):
         bd = boundary_pulse("zero")
     elif cfg.boundary_kind == "gaussian-pulse":
         bd = boundary_pulse("gaussian-pulse", A=cfg.boundary_A, t_c=cfg.boundary_t_c,
                             w=cfg.boundary_w)
+        bd.keys = ("boundary.A", "boundary.t_c", "boundary.w")
     else:
         bd = boundary_pulse("ramped-cosine", A=cfg.boundary_A, omega=cfg.boundary_omega,
                             ramp=cfg.boundary_ramp)
+        bd.keys = ("boundary.A", "boundary.omega", "boundary.ramp")
     compat = check_compatibility(u0, bd)
     if not compat.ok:
         raise ConfigError(
@@ -201,8 +203,8 @@ def _run_with_diagnostics(cfg: ExperimentConfig, snapshot_stride=None):
         wspec=ws, identity_levels=tuple(cfg.identity_levels),
         R=cfg.R, delta=cfg.delta,
     )
-    rd = RunningDiagnostics(grid, bd, dcfg, forcing=forcing)
     scfg = solver_config(cfg, forcing, snapshot_stride)
+    rd = RunningDiagnostics(grid, bd, dcfg, forcing=forcing, nstates=scfg.nsteps + 1)
     traj = solve(u0, scfg, bd, observers=[rd])
     return traj, rd.finish(), ws, dcfg, exact
 
@@ -423,6 +425,10 @@ def run_oracle_compare(cfg: ExperimentConfig):
     # the half-line steps compared, and for each the 4 whole-line steps whose
     # cubic Lagrange interpolant gives the reference spectrum at that time
     wtimes = wholeline_times(u0w, per, cfg.T, cfl=cfg.oracle_cfl)
+    if len(wtimes) < 4:
+        raise ConfigError(f"key 'oracle.cfl' = {cfg.oracle_cfl} gives {len(wtimes) - 1} "
+                          f"whole-line steps over time.T = {cfg.T}; the cubic interpolation "
+                          f"in time needs at least 3")
     ksamples = [int(round(ts / cfg.dt)) for ts in np.linspace(0.0, cfg.T, cfg.oracle_samples)]
     windows = []
     for kh in ksamples:

@@ -53,15 +53,18 @@ class BoundaryData:
 
     fprime is consumed by the trace diagnostics (it closes the third-derivative
     trace through the equation itself), so a finite-difference cross-check
-    against f guards against inconsistent pairs.
+    against f guards against inconsistent pairs.  keys names the config keys
+    that set f, for validate's refusals.
     """
 
     f: Callable[[float], float]
     fprime: Callable[[float], float]
+    keys: tuple = ()
 
     def validate(self, T: float, rtol: float = 1e-6, n_probe: int = 9):
         """Check that f and fprime are finite and fprime matches a centered
         difference of f at probe times."""
+        blame = f" (set by {', '.join(self.keys)})" if self.keys else ""
         ts = np.linspace(0.0, T, n_probe)
         dh = 6e-6 * max(1.0, T)
         if T <= 4.0 * dh:
@@ -73,14 +76,15 @@ class BoundaryData:
             with np.errstate(all="ignore"):  # a non-finite value is refused just below
                 vals = (self.f(a + dh), self.f(a - dh), self.fprime(a))
             if not np.all(np.isfinite(vals)):
-                raise ConfigError(f"boundary data f or fprime is not finite near t = {a:.6g}")
+                raise ConfigError(f"boundary data f or fprime{blame} is not finite near "
+                                  f"t = {a:.6g}")
             fd = (vals[0] - vals[1]) / (2.0 * dh)
             fp = vals[2]
             worst = max(worst, abs(fp - fd))
             scale = max(scale, abs(fp), abs(fd))
         if worst > rtol * scale:
             raise ConfigError(
-                f"boundary data inconsistent: |fprime - d/dt f| = {worst:.3e} "
+                f"boundary data{blame} inconsistent: |fprime - d/dt f| = {worst:.3e} "
                 f"exceeds {rtol:.1e} * {scale:.3e} at probe times"
             )
 

@@ -291,6 +291,16 @@ def test_cli_run_too_large_for_memory_exits_2(tmp_path, capsys):
     assert err.startswith("config error") and "memory" in err and err.count("\n") == 1
 
 
+def _shrunk_recipe(tmp_path, recipe, overrides):
+    """A bundled recipe on grid.n = 201 and time.T = 0.3, with overrides applied."""
+    overrides = {"grid.n": "201", "time.T": "0.3", **overrides}
+    text = (resources.files("kdvhl.recipes") / f"{recipe}.cfg").read_text()
+    lines = [ln for ln in text.splitlines() if ln.split(" =")[0] not in overrides]
+    cfgfile = tmp_path / f"{recipe}.cfg"
+    cfgfile.write_text("\n".join(lines + [f"{k} = {v}" for k, v in overrides.items()]) + "\n")
+    return cfgfile
+
+
 @pytest.mark.parametrize("recipe,overrides,phrase", [
     ("mms", {"data.amplitude": "0"}, "zero L2 norm"),
     ("soliton", {"data.c": "1e-300"}, "zero L2 norm"),
@@ -299,12 +309,9 @@ def test_cli_run_too_large_for_memory_exits_2(tmp_path, capsys):
 def test_cli_degenerate_data_exits_2(tmp_path, capsys, recipe, overrides, phrase):
     # a zero exact solution leaves the relative error undefined, and a pulse
     # narrower than any float has no finite derivative: one config error line
-    # each, with no traceback and no numpy warning (an error under this filter)
-    overrides = {"grid.n": "201", "time.T": "0.3", **overrides}
-    text = (resources.files("kdvhl.recipes") / f"{recipe}.cfg").read_text()
-    lines = [ln for ln in text.splitlines() if ln.split(" =")[0] not in overrides]
-    cfgfile = tmp_path / f"{recipe}.cfg"
-    cfgfile.write_text("\n".join(lines + [f"{k} = {v}" for k, v in overrides.items()]) + "\n")
+    # each, naming the key, with no traceback and no numpy warning (an error
+    # under this filter)
+    cfgfile = _shrunk_recipe(tmp_path, recipe, overrides)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main([resolve_config(recipe).experiment, "--config", str(cfgfile),
@@ -312,6 +319,36 @@ def test_cli_degenerate_data_exits_2(tmp_path, capsys, recipe, overrides, phrase
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and phrase in err and err.count("\n") == 1
+    assert all(key in err for key in overrides), err
+
+
+# values refused before any solve, with one line naming the key at fault (the
+# last override); without the refusal each ends in a traceback from deep inside
+# the run (an index, a NaN cast or a float overflow).  The oracle recipe's
+# time.dt = 0.008 needs time.T = 0.4
+@pytest.mark.parametrize("recipe,overrides", [
+    ("oracle", {"time.T": "0.4", "oracle.c": "1e-300"}),
+    ("oracle", {"time.T": "0.4", "oracle.kind": "bump", "oracle.amplitude": "1e-300"}),
+    ("oracle", {"time.T": "0.4", "oracle.center": "inf"}),
+    ("oracle", {"time.T": "0.4", "oracle.center": "1e300"}),
+    ("oracle", {"time.T": "0.4", "oracle.P": "inf"}),
+    ("oracle", {"time.T": "0.4", "oracle.x_left": "nan"}),
+    ("oracle", {"time.T": "0.4", "oracle.cfl": "1e-300"}),
+    ("oracle", {"time.T": "0.4", "oracle.cfl": "10"}),
+    ("l1_full_time", {"data.env_hi": "1e300"}),
+    ("l1_full_time", {"data.env_lo": "-1e300"}),
+    ("mms", {"data.width": "1e300"}),
+])
+def test_cli_out_of_range_key_exits_2(tmp_path, capsys, recipe, overrides):
+    cfgfile = _shrunk_recipe(tmp_path, recipe, overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([resolve_config(recipe).experiment, "--config", str(cfgfile),
+                   "--out", str(tmp_path / "r"), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    key = list(overrides)[-1]
+    assert err.startswith(f"config error: key {key!r}") and err.count("\n") == 1, err
 
 
 def test_cli_levels_override(tmp_path):

@@ -2,6 +2,8 @@
 against closed forms of the exact soliton and under grid refinement."""
 
 import math
+from functools import reduce
+from operator import mul
 
 import numpy as np
 import pytest
@@ -13,8 +15,11 @@ from kdvhl.datagen import (ResolutionWarning, boundary_pulse, gaussian_bump, sol
                            soliton_data)
 from kdvhl.diagnostics import (
     DiagnosticsConfig,
+    IdentityBreakdown,
     RunningDiagnostics,
+    _hard_window_indices,
     _trace_d4,
+    _wall_traces,
     dissipation_audit,
     interpolation_check,
     stopping_time,
@@ -365,3 +370,134 @@ def test_online_sup_functionals_match_offline(soliton_runs):
     for k in ("strichartz", "maximal", "kato2"):
         assert decay[k] >= 3.5, (k, decay)
     assert decay["kato1"] >= 3.0, decay
+
+
+def _per_state_reference(states, grid, bd, cfg, forcing):
+    """finish() of the observer as it was before states were evaluated in blocks:
+    each state alone, its band integrals and chi0 from one chi call, every
+    functional and identity term appended one state at a time."""
+    ws, levels = cfg.wspec, cfg.identity_levels
+    cut, h, n, x = ws.cutoff, grid.h, grid.n, grid.nodes
+    D = {k: deriv_matrix(grid, k) for k in (1, 2, 3)}
+    series = {k: [] for k in ("t", "J1", "J2", "mass", "stri4")}
+    acc = {k: [0.0] for k in ("K1_chiprime", "K1_window", "trace2_acc", "trace3_acc")}
+    ident = {lv: {} for lv in levels}
+    kato = {j: np.zeros(n) for j in (1, 2)}
+    peak = np.zeros(n)
+    prev = None
+    for fld in states:
+        t, u = fld.t, fld.values
+        w, q, qx = D[1] @ u, D[2] @ u, D[3] @ u
+        ww, qq = w * w, q * q
+        a = x + ws.v * t - ws.x0
+        lo = int(np.searchsorted(a, cut.epsilon, "right"))
+        hi = int(np.searchsorted(a, cut.b, "left"))
+        c = chi(cut, np.concatenate((a[:1], a[lo:hi])), (0, 1, 2, 3))
+
+        def integral(k, *factors):
+            if k == 0:
+                vals = np.zeros(n)
+                vals[lo:] = reduce(mul, [f[lo:] for f in factors])
+                vals[lo:hi] *= c[k][1:]
+                return integrate(vals, grid)
+            g = reduce(mul, [f[lo:hi] for f in factors])
+            last = g[-1] * c[k][-1] if hi == n and lo < n else 0.0
+            return h * (g @ c[k][1:] - 0.5 * (reduce(mul, [f[0] for f in factors]) * c[k][0]
+                                              + last))
+
+        _, d1t, d2t, _ = trace_derivs(fld)
+        f, d3t = _wall_traces(bd, forcing, t, d1t)
+        series["t"].append(t)
+        series["J1"].append(integral(0, ww))
+        series["J2"].append(integral(0, qq))
+        series["mass"].append(integrate(u * u, grid))
+        i0, i1 = _hard_window_indices(grid, ws, cfg.hard_window_R, t)
+        inst = {"K1_chiprime": integral(1, qq), "K1_window": integrate(qq, grid, window=(i0, i1)),
+                "trace2_acc": d2t * d2t, "trace3_acc": d3t * d3t}
+        if prev is not None:
+            dt = t - prev[0]
+            for k, v in inst.items():
+                acc[k].append(acc[k][-1] + 0.5 * dt * (v + prev[1][k]))
+            for j, g2 in ((1, ww), (2, qq)):
+                kato[j] += 0.5 * dt * (g2 + prev[2][j - 1])
+        prev = (t, inst, (ww, qq))
+        F = np.asarray(forcing(x, t), dtype=float)
+        b0, b1, b2 = c[:3, 0]
+        kcp = inst["K1_chiprime"]
+        d4t = _trace_d4(fld) if b0 != 0.0 else 0.0
+        terms = {
+            1: {"weight_transport": -0.5 * ws.v * integral(1, ww), "smoothing": 1.5 * kcp,
+                "weight_third": -0.5 * integral(3, ww), "nl_cubic": integral(0, ww, w),
+                "nl_transport": -integral(1, u, ww), "forcing": -integral(0, D[1] @ F, w),
+                "trace_d3d1": -d3t * d1t * b0, "trace_d2sq": 0.5 * d2t * d2t * b0,
+                "trace_d2d1": d2t * d1t * b1, "trace_d1sq": -0.5 * d1t * d1t * b2,
+                "trace_cubic": -f * d1t * d1t * b0},
+            2: {"weight_transport": -0.5 * ws.v * kcp, "smoothing": 1.5 * integral(1, qx, qx),
+                "weight_third": -0.5 * integral(3, qq), "nl_steepening": 5.0 * integral(0, w, qq),
+                "nl_transport": -integral(1, u, qq), "forcing": -integral(0, D[2] @ F, q),
+                "trace_d4d2": -d4t * d2t * b0, "trace_d3sq": 0.5 * d3t * d3t * b0,
+                "trace_d3d2": d3t * d2t * b1, "trace_d2sq": -0.5 * d2t * d2t * b2,
+                "trace_cubic": -f * d2t * d2t * b0},
+        }
+        for lv in levels:
+            for k, v in terms[lv].items():
+                ident[lv].setdefault(k, []).append(v)
+        np.maximum(peak, np.abs(u), out=peak)
+        series["stri4"].append(float(np.max(np.abs(w)) ** 4))
+    times = np.asarray(series["t"])
+    out = {"times": times}
+    out.update({k: np.asarray(series[k]) for k in ("J1", "J2", "mass")})
+    out.update({k: np.asarray(v) for k, v in acc.items()})
+    out["strichartz"] = float(np.trapezoid(np.asarray(series["stri4"]), times) ** 0.25)
+    out["maximal"] = float(np.sqrt(integrate(peak**2, grid)))
+    out["kato"] = {j: (float(np.max(kato[j])), float(x[int(np.argmax(kato[j]))]))
+                   for j in (1, 2)}
+    out["identity"] = {lv: IdentityBreakdown.assemble(
+        lv, times, out[f"J{lv}"], {k: np.asarray(v) for k, v in ident[lv].items()})
+        for lv in levels}
+    return out
+
+
+def _assert_same_bits(got, want, where):
+    """Equal floats and arrays, element for element, keys in the same order."""
+    if isinstance(want, dict):
+        assert list(got) == list(want), where
+        for k in want:
+            _assert_same_bits(got[k], want[k], (where, k))
+    elif isinstance(want, IdentityBreakdown):
+        for k in ("level", "times", "J", "terms", "residual", "normalized", "scale"):
+            _assert_same_bits(getattr(got, k), getattr(want, k), (where, k))
+    elif isinstance(want, tuple):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_bits(g, w, (where, i))
+    else:
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), where
+
+
+# a block holds 2**15 // n states: 40 at n = 801.  The weight origins put the
+# band across x = 0 late in the run (chi0 turns on, so the u_xxxx probe is read)
+# and across x = L early in it
+@pytest.mark.parametrize("x0", [1.0, 15.0])
+@pytest.mark.parametrize("count", [1, 39, 40, 41, 83])
+def test_blocked_observer_matches_per_state_reference(x0, count):
+    grid = Grid1D(16.0, 801)
+    assert max(1, 2**15 // grid.n) == 40
+    x = grid.nodes
+    ws = WeightSpec(cutoff=CutoffSpec(0.4, 2.0), v=1.0, x0=x0)
+    # dJ/dt needs two states, so a single state is observed without identities
+    cfg = DiagnosticsConfig(wspec=ws, identity_levels=(1, 2) if count > 1 else ())
+    bd = BoundaryData(f=lambda t: 0.1 + 0.2 * t, fprime=lambda t: 0.2)
+
+    def forcing(xs, t):
+        return 0.1 * np.sin(np.asarray(xs) - t)
+
+    states = [Field(grid, 0.5 * np.cos(0.7 * x + t) + 0.3 * np.sin(1.3 * x - 2.0 * t) + 0.2, t)
+              for t in 0.02 * np.arange(count)]
+    want = _per_state_reference(states, grid, bd, cfg, forcing)
+    for nstates in (None, count):
+        rd = RunningDiagnostics(grid, bd, cfg, forcing=forcing, nstates=nstates)
+        for fld in states:
+            rd(fld)
+        _assert_same_bits(rd.finish(), want, nstates)
