@@ -233,7 +233,8 @@ def _validate(cfg: ExperimentConfig):
                           f"weight.epsilon = {cfg.epsilon}")
     # the data must sit inside the grid: the right end pins u(L) = 0
     for attr, value, kinds in (("data_env_lo", lo, ("kink",)), ("data_env_hi", hi, ("kink",)),
-                               ("data_width", cfg.data_width, ("bump", "mms"))):
+                               ("data_width", cfg.data_width, ("bump", "mms")),
+                               ("data_center", cfg.data_center, ("bump", "mms", "soliton"))):
         if cfg.data_kind in kinds and not (0.0 <= value <= cfg.L):
             raise ConfigError(f"key {_REVMAP[attr]!r} = {value} must lie in [0, grid.L] = "
                               f"[0, {cfg.L}]")

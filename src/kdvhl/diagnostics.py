@@ -352,6 +352,9 @@ class IdentityBreakdown:
     @staticmethod
     def assemble(level: int, times, J, terms: dict) -> "IdentityBreakdown":
         times = np.asarray(times, dtype=float)
+        if times.size < 2:
+            raise ValueError(f"identity bookkeeping needs at least two observed states for "
+                             f"dJ/dt, got {times.size}")
         J = np.asarray(J, dtype=float)
         order = _TERM_ORDER_L1 if level == 1 else _TERM_ORDER_L2
         full = dict(terms)

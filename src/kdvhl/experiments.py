@@ -388,7 +388,8 @@ def run_identity(cfg: ExperimentConfig, levels=None):
         raise ConfigError("identity study needs diagnostics.identity_levels (e.g. 1,2)")
 
     def measure(c):
-        fin = _run_with_diagnostics(c)[1]
+        # only finish() is read: keep the first and last states, as _plain_solve does
+        fin = _run_with_diagnostics(c, snapshot_stride=int(round(c.T / c.dt)))[1]
         row = {}
         for ilv, br in fin["identity"].items():
             row[f"normalized_l{ilv}"] = br.normalized

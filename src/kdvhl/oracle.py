@@ -9,10 +9,16 @@ every step's spectrum and no state is kept, so it needs O(m + nsteps) memory
 (one spectrum and the time grid) however long it runs.  Restricting such a
 run to a window [x*, x*+L] manufactures inflow data for the half-line solver
 whose answer can then be cross-checked against the restriction itself.
+
+Bounded buffers: a WindowProbe keeps three doubles per step and the spectra it
+was asked to keep; a restriction builds its (m/2+1)-row matrix over blocks of
+_BLOCK = 64 points, one block at a time (525 kB of complex values at m = 1024,
+however many points are restricted).
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -35,7 +41,7 @@ __all__ = [
 ]
 
 _SUPPORT_TOL = 1e-10
-_BLOCK = 256  # points per block of the restriction matrix
+_BLOCK = 64  # points per block of the restriction matrix
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,8 @@ def _restriction_matrix(grid: PeriodicGrid, x, order: int = 0):
     k = grid.wavenumbers
     w = np.full(k.size, 2.0 / grid.m)
     w[0] = w[-1] = 1.0 / grid.m
-    R = np.exp(1j * np.outer(k, np.asarray(x, dtype=float) - grid.x_left))
+    R = np.outer(k, np.asarray(x, dtype=float) - grid.x_left) * 1j
+    np.exp(R, out=R)
     R *= (w * (1j * k) ** order)[:, None]
     return R
 
@@ -91,8 +98,8 @@ def spectral_restriction(uhat, grid: PeriodicGrid, x, order: int = 0):
     """Evaluate a half spectrum (or a stack of them, one per row), or its
     order-th derivative, at the points x by its trigonometric series.
 
-    The matrix is built over blocks of points, so a wide window never holds
-    an (m/2+1) x len(x) complex array.  einsum keeps the products on one
+    The matrix is built over blocks of _BLOCK points, so a wide window never
+    holds an (m/2+1) x len(x) complex array.  einsum keeps the products on one
     thread: a multithreaded BLAS loses more waking its idle workers for each
     block than it gains on products this small.
     """
@@ -100,8 +107,8 @@ def spectral_restriction(uhat, grid: PeriodicGrid, x, order: int = 0):
     x = np.asarray(x, dtype=float)
     out = np.empty(uhat.shape[:-1] + x.shape)
     for s in range(0, x.size, _BLOCK):
-        R = _restriction_matrix(grid, x[s:s + _BLOCK], order)
-        out[..., s:s + _BLOCK] = np.einsum("...k,kj->...j", uhat, R).real
+        out[..., s:s + _BLOCK] = np.einsum("...k,kj->...j", uhat, _restriction_matrix(
+            grid, x[s:s + _BLOCK], order)).real
     return out
 
 
@@ -180,8 +187,9 @@ def wholeline_solve(u0_values, grid: PeriodicGrid, T: float,
 class WindowProbe:
     """wholeline_solve observer for the window [x*, x*+L] of the half-line grid.
 
-    Records u, u_x and u_xxx at x* on every step (one small product each) and
-    keeps the spectra of step 0 and of the steps in keep, nothing more.
+    Records u, u_x and u_xxx at x* on every step (one small product each, kept as
+    three doubles) and keeps the spectra of step 0 and of the steps in keep,
+    nothing more.
     """
 
     def __init__(self, grid: PeriodicGrid, x_star: float, window: Grid1D, keep=()):
@@ -193,13 +201,18 @@ class WindowProbe:
         self.grid, self.x_star, self.window = grid, x_star, window
         self.keep = frozenset(keep) | {0}
         self.spectra = {}
-        self.traces = []
+        self._traces = array("d")
         self._taps = np.hstack([_restriction_matrix(grid, [x_star], p) for p in (0, 1, 3)])
 
     def __call__(self, step: int, t: float, uhat):
-        self.traces.append((uhat @ self._taps).real)
+        self._traces.extend((uhat @ self._taps).real)
         if step in self.keep:
             self.spectra[step] = uhat.copy()
+
+    @property
+    def traces(self) -> np.ndarray:
+        """u, u_x and u_xxx at x*, one row per observed step (a copy)."""
+        return np.array(self._traces).reshape(-1, 3)
 
 
 def extract_halfline_data(traj: WholelineTrajectory,
@@ -212,7 +225,7 @@ def extract_halfline_data(traj: WholelineTrajectory,
     interpolant of these values and slopes, and fprime is its derivative, so
     the pair is consistent by construction.
     """
-    fvals, d1, d3 = np.array(probe.traces).T
+    fvals, d1, d3 = probe.traces.T
     inflow = _Hermite(traj.times, fvals, -(d3 + 2.0 * fvals * d1))
     u0_vals = spectral_restriction(probe.spectra[0], probe.grid,
                                    probe.x_star + probe.window.nodes)

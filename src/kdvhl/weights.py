@@ -2,9 +2,15 @@
 
 Everything here is built from a single C-infinity brick, exp(-1/theta): a
 symmetric unit step `eta` and the two-parameter family `chi(eps, b)` that
-vanishes on (0, eps], equals 1 on [b, infinity) and increases in between.  The translate chi(x + v*t - x0) is the weight that
-sweeps leftward across the half-line as time advances; `moving_weight`
-evaluates it and its first three derivatives.
+vanishes on (0, eps], equals 1 on [b, infinity) and increases in between.  The
+translate chi(x + v*t - x0) is the weight that sweeps leftward across the
+half-line as time advances; `moving_weight` evaluates it and its first three
+derivatives.
+
+Bounded buffers: a CutoffSpec keeps its 4097-knot Hermite table of chi, and
+building it evaluates the 12-node Gauss rule on 256 of the 4096 panels at a time,
+with no derivative pieces, so the transients are about 25 kB per array, not the
+393 kB that all panels at once would take.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ _LOG_FLOOR = -500.0
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _PANELS = 4096
+_PANEL_CHUNK = 256  # panels per evaluation of the quadrature rule (bounds its transients)
 
 
 def eta(theta):
@@ -47,18 +54,20 @@ def eta(theta):
 
 def _bump(s, eps, b, orders):
     """Derivatives of the unnormalized bump exp(w), w = -1/((s-eps)(b-s)), at
-    points s inside (eps, b): one row per order in 0..2 from one exponent."""
+    points s inside (eps, b): one row per order in 0..2 from one exponent.  The
+    derivative pieces are formed only when an order above 0 is asked for."""
     s = np.asarray(s, dtype=float)
     p = s - eps
     q = b - s
     pq = p * q
-    pq2 = pq**2
     w = -1.0 / pq
-    d = q - p                      # (pq)' since p' = 1, q' = -1
-    w1 = d / pq2
-    w2 = -2.0 / pq2 - 2.0 * d**2 / pq**3
     live = w > _LOG_FLOOR
     g = np.where(live, np.exp(w), 0.0)
+    if max(orders) > 0:
+        pq2 = pq**2
+        d = q - p                  # (pq)' since p' = 1, q' = -1
+        w1 = d / pq2
+        w2 = -2.0 / pq2 - 2.0 * d**2 / pq**3
     return np.array([g if k == 0 else np.where(live, (w1 if k == 1 else w2 + w1**2) * g, 0.0)
                      for k in orders])
 
@@ -92,8 +101,10 @@ class CutoffSpec:
         edges = np.linspace(self.epsilon, self.b, _PANELS + 1)
         half = 0.5 * (edges[1] - edges[0])
         mids = 0.5 * (edges[:-1] + edges[1:])
-        pts = mids[:, None] + half * _GL_NODES[None, :]
-        panel = half * (_bump(pts, self.epsilon, self.b, (0,))[0] @ _GL_WEIGHTS)
+        nodes = half * _GL_NODES
+        panel = half * np.concatenate([
+            _bump(m[:, None] + nodes, self.epsilon, self.b, (0,))[0] @ _GL_WEIGHTS
+            for m in np.split(mids, _PANELS // _PANEL_CHUNK)])
         cum = np.concatenate([[0.0], np.cumsum(panel)])
         z = float(cum[-1])
         slopes = np.zeros(_PANELS + 1)  # the bump vanishes at eps and b

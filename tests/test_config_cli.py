@@ -324,8 +324,9 @@ def test_cli_degenerate_data_exits_2(tmp_path, capsys, recipe, overrides, phrase
 
 # values refused before any solve, with one line naming the key at fault (the
 # last override); without the refusal each ends in a traceback from deep inside
-# the run (an index, a NaN cast or a float overflow).  The oracle recipe's
-# time.dt = 0.008 needs time.T = 0.4
+# the run (an index, a NaN cast or a float overflow) or in a line blaming
+# another key (a data.center off the grid blames the corner or data.amplitude).
+# The oracle recipe's time.dt = 0.008 needs time.T = 0.4
 @pytest.mark.parametrize("recipe,overrides", [
     ("oracle", {"time.T": "0.4", "oracle.c": "1e-300"}),
     ("oracle", {"time.T": "0.4", "oracle.kind": "bump", "oracle.amplitude": "1e-300"}),
@@ -338,6 +339,12 @@ def test_cli_degenerate_data_exits_2(tmp_path, capsys, recipe, overrides, phrase
     ("l1_full_time", {"data.env_hi": "1e300"}),
     ("l1_full_time", {"data.env_lo": "-1e300"}),
     ("mms", {"data.width": "1e300"}),
+    ("mms", {"data.center": "nan"}),
+    ("mms", {"data.center": "1e300"}),
+    ("soliton", {"data.center": "inf"}),
+    ("soliton", {"data.center": "-inf"}),
+    ("soliton", {"data.center": "1e300"}),
+    ("identity_l2", {"data.center": "-1"}),
 ])
 def test_cli_out_of_range_key_exits_2(tmp_path, capsys, recipe, overrides):
     cfgfile = _shrunk_recipe(tmp_path, recipe, overrides)

@@ -501,3 +501,34 @@ def test_blocked_observer_matches_per_state_reference(x0, count):
         for fld in states:
             rd(fld)
         _assert_same_bits(rd.finish(), want, nstates)
+
+
+def test_identity_bookkeeping_needs_two_states():
+    # dJ/dt is a difference of two states: one observed state is refused with one
+    # line, not an IndexError from np.gradient
+    grid = Grid1D(16.0, 161)
+    rd = RunningDiagnostics(grid, boundary_pulse("zero"), DiagnosticsConfig(WS, (1, 2)))
+    rd(Field(grid, gaussian_bump(0.8, 6.0, 1.0)(grid.nodes), 0.0))
+    with pytest.raises(ValueError, match="at least two observed states") as err:
+        rd.finish()
+    assert "\n" not in str(err.value)
+
+
+def test_identity_study_keeps_no_snapshots(monkeypatch):
+    # the identity study reads only the observer's finish(): each level's solve
+    # keeps its first and last states, not one per step
+    from kdvhl import experiments
+    from kdvhl.cli import resolve_config
+
+    kept, solve_ = [], experiments.solve
+
+    def spy(*args, **kwargs):
+        traj = solve_(*args, **kwargs)
+        kept.append(len(traj.snapshots))
+        return traj
+
+    monkeypatch.setattr(experiments, "solve", spy)
+    cfg = resolve_config("identity_l2")
+    cfg.n, cfg.T = 201, 0.25
+    experiments.run_identity(cfg, levels=2)
+    assert kept == [2, 2]

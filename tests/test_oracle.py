@@ -271,3 +271,19 @@ def test_oracle_compare_memory_does_not_grow_with_T():
             tracemalloc.stop()
         assert report["passes"]["equivalence"]
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_spectral_restriction_peak_memory():
+    # blocks of 64 points: one block's (m/2 + 1) x 64 complex matrix, not the
+    # (m/2 + 1) x len(x) one nor a 256-point block's
+    grid = PeriodicGrid(120.0, 1024, -30.0)
+    uhat = np.fft.rfft(gaussian_bump(1.0, 12.0, 2.0)(grid.nodes))
+    x = 20.0 + np.linspace(0.0, 40.0, 2001)
+    spectral_restriction(uhat, grid, x)
+    tracemalloc.start()
+    try:
+        spectral_restriction(uhat, grid, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, peak

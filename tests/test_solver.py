@@ -379,3 +379,33 @@ def test_nonfinite_boundary_data_rejected(which):
         bd.validate(0.5)
     with pytest.raises(ValueError, match="not finite"):
         solve(Field(Grid1D(20.0, 201), np.zeros(201), 0.0), SolverConfig(dt=0.05, T=0.5), bd)
+
+
+def test_forcing_is_reused_across_steps_bit_for_bit():
+    # one step's F(x, t^{n+1}) serves the next step as F(x, t^n) when the pinned
+    # clock n*dt equals t^{n-1} + dt exactly; the states equal a march that
+    # evaluates the forcing twice on every step
+    from kdvhl.oracle import decaying_hump
+
+    ms = decaying_hump(1.0, 8.0, 2.0)
+    calls = []
+
+    def forcing(x, t):
+        calls.append(t)
+        return ms.forcing(x, t)
+
+    g = Grid1D(30.0, 201)
+    dt, nsteps = 0.0125, 40
+    cfg = SolverConfig(dt=dt, T=nsteps * dt, forcing=forcing)
+    traj = solve(ms.initial(g), cfg, ms.boundary())
+    misses = sum((k - 1) * dt != (k - 2) * dt + dt for k in range(2, nsteps + 1))
+    assert 0 < misses < nsteps // 2  # both branches of the reuse run
+    assert len(calls) == nsteps + 1 + misses
+
+    sys_ = _system_cached(g.n, g.L, dt, 0.5)
+    state, history = ms.initial(g), ()
+    for k in range(1, nsteps + 1):
+        un = state.values
+        state = solver._advance(state, cfg, ms.boundary(), sys_, history)[0]
+        state.t, history = k * dt, (un,) + history[:2]
+        assert np.array_equal(state.values, traj.snapshots[k].values)

@@ -1,5 +1,7 @@
 """Cutoff family: exact piecewise structure, sharp supports, normalization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -189,3 +191,16 @@ def test_moving_weight_derivative_orders(wspec):
         assert np.array_equal(chi(wspec.cutoff, x0, orders),
                               [chi(wspec.cutoff, x0, k) for k in orders])
     assert np.array_equal(moving_weight(wspec, x, 0.5, (0, 1))[1], w1)
+
+
+def test_cutoff_construction_peak_memory():
+    # the quadrature runs over 256 panels at a time and forms no derivative
+    # pieces; all 4096 panels at once take 393 kB per array, 4.4 MB in all
+    CutoffSpec(EPS, B)
+    tracemalloc.start()
+    try:
+        CutoffSpec(EPS, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
