@@ -24,13 +24,14 @@ from .diagnostics import (
     InterpolationCheck,
     RunningDiagnostics,
     TraceIntegral,
+    TraceSeries,
     dissipation_audit,
     interpolation_check,
     stopping_time,
     trace_identity_residual,
     trace_integral,
 )
-from .discretization import Field, Grid1D, TraceSeries, deriv_matrix, fd_weights, integrate, trace_derivs
+from .discretization import Field, Grid1D, deriv_matrix, fd_weights, integrate, trace_derivs
 from .oracle import (
     ManufacturedSolution,
     PeriodicGrid,

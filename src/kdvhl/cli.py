@@ -128,7 +128,11 @@ def main(argv=None) -> int:
     except SolverError as exc:
         sys.stderr.write(f"solver failure: {exc}\n")
         return 3
-    _write_outputs(report, series, Path(args.out), args.quiet)
+    try:
+        _write_outputs(report, series, Path(args.out), args.quiet)
+    except OSError as exc:
+        sys.stderr.write(f"config error: --out {args.out} cannot hold the outputs: {exc}\n")
+        return 2
     return 0
 
 

@@ -219,6 +219,14 @@ def _validate(cfg: ExperimentConfig):
         raise ConfigError(
             f"weight family needs b >= 5*epsilon; got b={cfg.b}, epsilon={cfg.epsilon}"
         )
+    # chi's bump exp(w), w = -1/((s - eps)(b - s)) <= -4/(b - eps)^2, is 0 for w <= _LOG_FLOOR
+    from .weights import _LOG_FLOOR
+
+    width = 2.0 / math.sqrt(-_LOG_FLOOR)
+    if not cfg.b - cfg.epsilon > width:
+        raise ConfigError(f"key 'weight.b' = {cfg.b} leaves a band b - epsilon = "
+                          f"{cfg.b - cfg.epsilon:.3g}, not above the {width:.3g} the cutoff "
+                          f"needs to normalize")
     for attr in ("l", "trace_branch"):
         if getattr(cfg, attr) not in (1, 2, 3):
             raise ConfigError(f"key {_REVMAP[attr]!r} must be 1, 2 or 3")

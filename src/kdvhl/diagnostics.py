@@ -17,15 +17,20 @@ residual, which must vanish to discretization order.  The third boundary
 derivative is taken from the equation itself, u_xxx(0) = F(0) - f' - 2 f u_x(0),
 with the one-sided stencil kept as a cross-check only.
 
+A run's wall values are computed once per state, by the TraceSeries observer;
+RunningDiagnostics owns one and returns it from finish(), and every trace reader
+takes it.
+
 The observer evaluates states in blocks: RunningDiagnostics buffers each
 observed state, and a block of at most max(1, 2**15 // n) states (a budget of
 2**15 doubles per block array) is evaluated at once, so the fixed cost of a
 sparse product, a chi call or a sum is paid per block, not per state.  Every
 value equals the one-state-at-a-time form bit for bit: each state's row of
 D_k U^T is D_k u, a row sum of a C-ordered block sums in the order of the 1-D
-sum, chi is evaluated pointwise, and the running time integrals and the Kato
-accumulators are still added one state at a time.  finish() evaluates what is
-left in the buffer and is the only way to read the results.
+sum, chi is evaluated pointwise, the Kato accumulators are still added one
+state at a time, and the running time integrals are cumulative sums, which add
+in time order as a state-by-state recurrence would.  finish() evaluates what
+is left in the buffer and is the only way to read the results.
 
 The chi work follows the weight's transition band eps < a < b of the
 argument a = x + v t - x0, found by binary search since a grows with x: off
@@ -41,19 +46,21 @@ left of the band needs.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .discretization import Field, Grid1D, deriv_matrix, fd_weights, integrate, trace_derivs
+from .discretization import Field, Grid1D, deriv_matrix, integrate, trace_derivs
 from .solver import BoundaryData, Trajectory
 from .weights import CutoffSpec, WeightSpec, chi, moving_weight
 
 __all__ = [
     "DiagnosticsConfig",
     "stopping_time",
+    "TraceSeries",
     "TraceIntegral",
     "trace_integral",
     "trace_identity_residual",
@@ -159,14 +166,41 @@ def _wall_traces(bd: BoundaryData, forcing, t: float, d1: float):
     return f, F0 - float(bd.fprime(t)) - 2.0 * f * d1
 
 
-def _equation_d3(traj: Trajectory):
-    """Equation-route third trace at every step of a trajectory."""
-    tr = traj.traces
-    return np.array([_wall_traces(traj.boundary, traj.config.forcing, t, d1)[1]
-                     for t, d1 in zip(tr.times, tr.d1)])
+def _column(i: int, doc: str) -> property:
+    return property(lambda self: np.ascontiguousarray(self.table()[:, i]), doc=doc)
 
 
-def trace_integral(traj: Trajectory, k: int, wspec: WeightSpec, j: int = 1,
+class TraceSeries:
+    """Observer recording each observed state's wall values at x = 0.
+
+    Per state it evaluates once the one-sided u_x, u_xx, u_xxx and u_xxxx
+    (trace_derivs) and _wall_traces' f(t) and equation-route u_xxx(0), at the
+    state's time with the forcing as given; table() holds them one row per state.
+    """
+
+    times = _column(0, "time of each observed state")
+    f = _column(1, "boundary value f(t)")
+    d1 = _column(2, "one-sided u_x(0)")
+    d2 = _column(3, "one-sided u_xx(0)")
+    d3 = _column(4, "one-sided u_xxx(0), the cross-check of d3_equation")
+    d3_equation = _column(6, "u_xxx(0) = F(0,t) - f'(t) - 2 f u_x(0)")
+
+    def __init__(self, bd: BoundaryData, forcing=None):
+        self.bd, self.forcing = bd, forcing
+        self._rows = array("d")
+
+    def __call__(self, field: Field):
+        _, d1, d2, d3, d4 = trace_derivs(field)
+        f, d3e = _wall_traces(self.bd, self.forcing, field.t, d1)
+        self._rows.extend((field.t, f, d1, d2, d3, d4, d3e))
+
+    def table(self, start: int = 0) -> np.ndarray:
+        """The series from observed state start on, one row per state: t, f, d1, d2,
+        d3, d4 (the u_xxxx probe), d3_equation."""
+        return np.array(self._rows[7 * start:]).reshape(-1, 7)
+
+
+def trace_integral(traces: TraceSeries, k: int, wspec: WeightSpec, j: int = 1,
                    window: Optional[tuple] = None) -> TraceIntegral:
     """Boundary-trace dissipation over the late-time gain window.
 
@@ -176,7 +210,7 @@ def trace_integral(traj: Trajectory, k: int, wspec: WeightSpec, j: int = 1,
     """
     if k not in (1, 2, 3):
         raise ValueError(f"trace order must be 1, 2 or 3, got {k}")
-    times = traj.traces.times
+    times = traces.times
     T = times[-1]
     if window is None:
         t0 = np.inf if wspec.v == 0.0 else (wspec.cutoff.b + wspec.x0) / wspec.v
@@ -185,10 +219,7 @@ def trace_integral(traj: Trajectory, k: int, wspec: WeightSpec, j: int = 1,
         t0, t1 = window
     if t0 >= t1:
         return TraceIntegral(value=0.0, k=k, t_start=t0, t_end=t1, empty=True)
-    if k == 3:
-        g = _equation_d3(traj)
-    else:
-        g = traj.traces.order(k)
+    g = (traces.d1, traces.d2, traces.d3_equation)[k - 1]
     m = (times >= t0 - 1e-12) & (times <= t1 + 1e-12)
     if np.count_nonzero(m) < 2:
         return TraceIntegral(value=0.0, k=k, t_start=t0, t_end=t1, empty=True)
@@ -196,32 +227,20 @@ def trace_integral(traj: Trajectory, k: int, wspec: WeightSpec, j: int = 1,
     return TraceIntegral(value=val, k=k, t_start=t0, t_end=t1, empty=False)
 
 
-def trace_identity_residual(traj: Trajectory):
+def trace_identity_residual(traces: TraceSeries):
     """r(t) = u_xxx(0,t)|_stencil + f' + 2 f u_x(0,t) - F(0,t) and its RMS.
 
     Measures how well the one-sided third-derivative probe satisfies the
     boundary identity the equation forces; shrinks at discretization order.
     """
-    times = traj.traces.times
-    r = traj.traces.d3 - _equation_d3(traj)
+    r = traces.d3 - traces.d3_equation
     rms = float(np.sqrt(np.mean(r * r)))
-    return times, r, rms
+    return traces.times, r, rms
 
 
 @lru_cache(maxsize=64)
 def _aux_cutoff(eps: float, b: float) -> CutoffSpec:
     return CutoffSpec(eps, b)
-
-
-@lru_cache(maxsize=16)
-def _trace_d4_weights(h: float):
-    return fd_weights(np.arange(6, dtype=float) * h, 0.0, 4)
-
-
-def _trace_d4(field: Field) -> float:
-    """One-sided fourth-derivative probe (order 2); noisy, used only where the
-    weight has already switched on at the boundary."""
-    return float(_trace_d4_weights(field.grid.h) @ field.values[:6])
 
 
 # doubles of state values one observer block holds: a block is max(1, 2**15 // n)
@@ -232,6 +251,13 @@ _BLOCK_DOUBLES = 2**15
 def _trapezoid_rows(vals, h: float) -> np.ndarray:
     """integrate() of every row of a C-ordered block, in the same summation order."""
     return h * (np.sum(vals, axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
+
+
+def _running_trapezoid(x, t) -> np.ndarray:
+    """The trapezoid integral of x from t[0] to every t[i], added in time order."""
+    out = np.zeros(len(t))
+    np.cumsum(0.5 * np.diff(t) * (x[1:] + x[:-1]), out=out[1:])
+    return out
 
 
 def _deriv_rows(Dk, XT) -> np.ndarray:
@@ -290,13 +316,13 @@ class _Block:
 def _identity_terms(blk: _Block, level: int, wspec: WeightSpec, D: dict, kcp, traces,
                     F) -> dict:
     """All signed identity terms except the dJ/dt piece, one value per state of
-    the block; kcp = int u_xx^2 chi', traces the rows of f, u_x(0), u_xx(0), the
-    equation-route u_xxx(0) and the u_xxxx(0) probe, F the forcing rows or None."""
+    the block; kcp = int u_xx^2 chi', traces the block's columns of the wall
+    record's table(), F the forcing rows or None."""
     u, w, q, qx = blk.derivs
     ww, qq = blk.sq
     b0, b1, b2 = blk.chi[:3, :blk.B]
     v = wspec.v
-    f, d1t, d2t, d3t, d4t = traces
+    _, f, d1t, d2t, _, d4t, d3t = traces
 
     out = {}
     if level == 1:
@@ -424,13 +450,12 @@ class DissipationAudit:
     relative: float
 
 
-def dissipation_audit(traj: Trajectory) -> DissipationAudit:
-    """Compare the measured L2-energy drop with the boundary drain integral."""
+def dissipation_audit(traj: Trajectory, traces: TraceSeries) -> DissipationAudit:
+    """Compare the measured L2-energy drop with the wall record's boundary drain."""
     g = traj.grid
     e0 = 0.5 * integrate(traj.snapshots[0].values ** 2, g)
     eT = 0.5 * integrate(traj.snapshots[-1].values ** 2, g)
-    times = traj.traces.times
-    drain = -0.5 * float(np.trapezoid(traj.traces.d1 ** 2, times))
+    drain = -0.5 * float(np.trapezoid(traces.d1 ** 2, traces.times))
     measured = eT - e0
     disc = abs(measured - drain)
     rel = disc / max(abs(measured), 1e-300)
@@ -447,17 +472,18 @@ class RunningDiagnostics:
     boundary-trace integrals, the mass curve, identity terms for the
     configured levels, and per-node accumulators for the sup-type functionals.
     Attach to solve(..., observers=[rd]); call finish() afterwards, the only
-    way to read what was recorded.  Each call buffers the state; a block of
-    buffered states is evaluated when it is full and, given nstates (the number
-    of states the run will observe), on the last state.
+    way to read what was recorded.  Each call buffers the state and records its
+    wall values (finish()'s "traces"); a block of buffered states is evaluated
+    when it is full and, given nstates (the number of states the run will
+    observe), on the last state.
     """
 
     def __init__(self, grid: Grid1D, bd: BoundaryData, cfg: DiagnosticsConfig,
                  forcing=None, nstates: Optional[int] = None):
         self.grid = grid
-        self.bd = bd
         self.cfg = cfg
         self.forcing = forcing
+        self.traces = TraceSeries(bd, forcing)
         self._nstates = nstates
         self._seen = 0
         rows = max(1, _BLOCK_DOUBLES // grid.n)
@@ -465,34 +491,27 @@ class RunningDiagnostics:
             rows = max(1, min(rows, nstates))
         self._rows = 0
         self._U = np.empty((rows, grid.n))
-        self._t = np.empty(rows)
-        self._traces = np.empty((rows, 5))
         identity = bool(cfg.identity_levels)
         self._F = np.empty((rows, grid.n)) if identity and forcing is not None else None
         self._orders = (0, 1, 2, 3) if identity else (0, 1)
         third = 2 in cfg.identity_levels
         self._D = {k: deriv_matrix(grid, k) for k in ((1, 2, 3) if third else (1, 2))}
         self._series = {name: [] for name in (
-            "times", "J1", "J2", "mass", "K1_chiprime", "K1_window", "trace2_acc",
-            "trace3_acc", "stri4")}
+            "times", "J1", "J2", "mass", "kcp", "kwin", "stri4")}
         self._identity = {lv: {} for lv in cfg.identity_levels}
-        self._prev = None  # the last evaluated state: t, kcp/kwin/tr2/tr3, their sums, sq
+        self._prev = None  # the last evaluated state: t, u_x^2 and u_xx^2
         self._kato = {j: np.zeros(grid.n) for j in _KATO_ORDERS}
         self._peak = np.zeros(grid.n)
 
     def __call__(self, field: Field):
-        r, t = self._rows, field.t
+        r = self._rows
         self._U[r] = field.values
-        self._t[r] = t
-        _, d1t, d2t, _ = trace_derivs(field)
-        f, d3t = _wall_traces(self.bd, self.forcing, t, d1t)
-        d4t = _trace_d4(field) if 2 in self.cfg.identity_levels else 0.0
-        self._traces[r] = f, d1t, d2t, d3t, d4t
+        self.traces(field)
         if self._F is not None:
-            self._F[r] = self.forcing(self.grid.nodes, t)
+            self._F[r] = self.forcing(self.grid.nodes, field.t)
         self._rows = r + 1
         self._seen += 1
-        if self._rows == len(self._t) or self._seen == self._nstates:
+        if self._rows == len(self._U) or self._seen == self._nstates:
             self._evaluate()
 
     def _evaluate(self):
@@ -500,12 +519,11 @@ class RunningDiagnostics:
         B, self._rows = self._rows, 0
         cfg, g = self.cfg, self.grid
         ws = cfg.wspec
-        t = self._t[:B].copy()
-        traces = self._traces[:B].T
+        traces = self.traces.table(self._seen - B).T
+        t = traces[0]
         blk = _Block(g, self._U[:B], t, self._D, ws, self._orders)
         u, w, _, _ = blk.derivs
         ww, qq = blk.sq
-        d2t, d3t = traces[2], traces[3]
         kcp = blk.band(1, qq)
         R = cfg.hard_window_R
         kwin = np.array([integrate(row, g, window=_hard_window_indices(g, ws, R, ti))
@@ -515,26 +533,13 @@ class RunningDiagnostics:
         series["J1"].append(blk.full(ww))
         series["J2"].append(blk.full(qq))
         series["mass"].append(_trapezoid_rows(u * u, g.h))
+        series["kcp"].append(kcp)
+        series["kwin"].append(kwin)
 
-        # trapezoid running integrals in time, one state after another from the
-        # last evaluated one; the run's first state starts each at 0
-        ts = t.tolist()
-        xs = list(zip(kcp.tolist(), kwin.tolist(), (d2t * d2t).tolist(), (d3t * d3t).tolist()))
+        # the Kato accumulators add one state at a time, from the last evaluated one
         first = self._prev is None
-        if first:
-            self._prev = (ts[0], xs[0], (0.0,) * 4, (ww[0], qq[0]))
-        tp, xp, acc, sq0 = self._prev
-        half, sums = [0.0] * first, [acc] * first
-        for ti, x in zip(ts[first:], xs[first:]):
-            hk = 0.5 * (ti - tp)
-            acc = tuple(a + hk * (xi + xpi) for a, xi, xpi in zip(acc, x, xp))
-            half.append(hk)
-            sums.append(acc)
-            tp, xp = ti, x
-        for name, vals in zip(("K1_chiprime", "K1_window", "trace2_acc", "trace3_acc"),
-                              np.array(sums).T):
-            series[name].append(vals)
-        half = np.array(half)
+        tp, sq0 = (t[0], (ww[0], qq[0])) if first else self._prev
+        half = 0.5 * np.diff(t, prepend=tp)
         for j, s, s0 in zip(_KATO_ORDERS, (ww, qq), sq0):
             inc = np.empty_like(s)
             np.add(s[1:], s[:-1], out=inc[1:])
@@ -542,7 +547,7 @@ class RunningDiagnostics:
             inc *= half[:, None]
             for row in inc[first:]:
                 self._kato[j] += row
-        self._prev = (tp, xp, acc, (ww[-1].copy(), qq[-1].copy()))
+        self._prev = (t[-1], (ww[-1].copy(), qq[-1].copy()))
 
         F = self._F[:B] if self._F is not None else None
         for lv in cfg.identity_levels:
@@ -560,6 +565,10 @@ class RunningDiagnostics:
         out = {name: np.concatenate(parts) if parts else np.zeros(0)
                for name, parts in self._series.items()}
         times = out["times"]
+        d2, d3 = self.traces.d2, self.traces.d3_equation
+        for name, x in (("K1_chiprime", out.pop("kcp")), ("K1_window", out.pop("kwin")),
+                        ("trace2_acc", d2 * d2), ("trace3_acc", d3 * d3)):
+            out[name] = _running_trapezoid(x, times)
         out["strichartz"] = float(np.trapezoid(out.pop("stri4"), times) ** 0.25)
         out["maximal"] = float(np.sqrt(integrate(self._peak**2, self.grid)))
         out["kato"] = {j: (float(np.max(self._kato[j])),
@@ -569,4 +578,5 @@ class RunningDiagnostics:
         for lv in self.cfg.identity_levels:
             series = {k: np.concatenate(v) for k, v in self._identity[lv].items()}
             out["identity"][lv] = IdentityBreakdown.assemble(lv, times, out[f"J{lv}"], series)
+        out["traces"] = self.traces
         return out

@@ -22,7 +22,6 @@ from scipy.sparse import csr_matrix
 __all__ = [
     "Grid1D",
     "Field",
-    "TraceSeries",
     "fd_weights",
     "deriv_matrix",
     "trace_derivs",
@@ -102,20 +101,6 @@ class Field:
             )
 
 
-@dataclass
-class TraceSeries:
-    """Boundary values at x = 0 recorded every step: u, u_x, u_xx, u_xxx."""
-
-    times: np.ndarray
-    d0: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
-
-    def order(self, k: int):
-        return (self.d0, self.d1, self.d2, self.d3)[k]
-
-
 def _row_stencils(n: int, k: int):
     """First node and width of every row's stencil: centered inside, one-sided
     same-width near the edges so accuracy order 2 holds on every row."""
@@ -154,23 +139,17 @@ def deriv_matrix(grid: Grid1D, k: int):
 
 @lru_cache(maxsize=16)
 def _trace_weights(h: float):
-    # one-sided probes at x=0: 3 nodes for u_x, 4 for u_xx, 5 for u_xxx,
-    # each accuracy order 2
+    # one-sided probes at x=0: 3 nodes for u_x, 4 for u_xx, 5 for u_xxx, 6 for
+    # u_xxxx, each accuracy order 2
     return tuple(
-        fd_weights(np.arange(k + 2, dtype=float) * h, 0.0, k) for k in (1, 2, 3)
+        fd_weights(np.arange(k + 2, dtype=float) * h, 0.0, k) for k in (1, 2, 3, 4)
     )
 
 
 def trace_derivs(field: Field):
-    """(u, u_x, u_xx, u_xxx) at the left boundary node, one-sided, order >= 2."""
+    """(u, u_x, u_xx, u_xxx, u_xxxx) at the left boundary node, one-sided, order >= 2."""
     u = field.values
-    w1, w2, w3 = _trace_weights(field.grid.h)
-    return (
-        u[0],
-        float(w1 @ u[:3]),
-        float(w2 @ u[:4]),
-        float(w3 @ u[:5]),
-    )
+    return (u[0],) + tuple(float(w @ u[:len(w)]) for w in _trace_weights(field.grid.h))
 
 
 def integrate(values, grid: Grid1D, window=None) -> float:

@@ -27,6 +27,7 @@ from .datagen import (
 from .diagnostics import (
     DiagnosticsConfig,
     RunningDiagnostics,
+    TraceSeries,
     dissipation_audit,
     interpolation_check,
     stopping_time,
@@ -175,12 +176,15 @@ def _last_variation(rows, key) -> float:
     return 0.0 if m == 0.0 else abs(a - b) / m
 
 
-def _plain_solve(c: ExperimentConfig):
-    """Solve c's scenario with no observer, keeping only the first and last states;
-    returns the trajectory and the exact solution (or None)."""
+def _plain_solve(c: ExperimentConfig, traced: bool = False):
+    """Solve c's scenario keeping only the first and last states and, if traced, a
+    wall record; returns the trajectory, the exact solution and the record (or None)."""
     _, u0, bd, forcing, exact = scenario(c)
     nsteps = int(round(c.T / c.dt))
-    return solve(u0, solver_config(c, forcing, snapshot_stride=nsteps), bd), exact
+    traces = TraceSeries(bd, forcing) if traced else None
+    traj = solve(u0, solver_config(c, forcing, snapshot_stride=nsteps), bd,
+                 observers=[traces] if traced else ())
+    return traj, exact, traces
 
 
 def _exact_error(traj, exact):
@@ -218,9 +222,10 @@ def run_simulate(cfg: ExperimentConfig):
     traj, fin, ws, dcfg, exact = _run_with_diagnostics(cfg)
     times = fin["times"]
     tstars = {j: stopping_time(cfg.T, ws, j) for j in range(1, cfg.l + 1)}
-    ti2 = trace_integral(traj, 2, ws, j=cfg.trace_branch)
-    ti3 = trace_integral(traj, 3, ws, j=cfg.trace_branch)
-    _, _, rms = trace_identity_residual(traj)
+    traces = fin["traces"]
+    ti2 = trace_integral(traces, 2, ws, j=cfg.trace_branch)
+    ti3 = trace_integral(traces, 3, ws, j=cfg.trace_branch)
+    _, _, rms = trace_identity_residual(traces)
     interp = [interpolation_check(s, ws) for s in traj.snapshots]
     ratios = [c.ratio for c in interp if np.isfinite(c.ratio)]
     report = {
@@ -274,7 +279,7 @@ def run_simulate(cfg: ExperimentConfig):
             },
         }
     if cfg.boundary_kind == "zero" and cfg.data_kind != "mms":
-        aud = dissipation_audit(traj)
+        aud = dissipation_audit(traj, traces)
         report["dissipation"] = {
             "e_initial": aud.e_initial, "e_final": aud.e_final,
             "dissipated": aud.dissipated, "predicted": aud.predicted,
@@ -291,7 +296,7 @@ def run_converge(cfg: ExperimentConfig, levels=None):
         raise ConfigError("convergence study needs data.kind = mms or soliton")
 
     def measure(c):
-        err_max, err_l2 = _exact_error(*_plain_solve(c))
+        err_max, err_l2 = _exact_error(*_plain_solve(c)[:2])
         return {"err_max": err_max, "err_l2_rel": err_l2}, None
 
     rows, series = _study(cfg, levels, measure)
@@ -359,9 +364,9 @@ def run_propagation(cfg: ExperimentConfig, levels=None):
 
 def run_traces(cfg: ExperimentConfig, levels=None):
     def measure(c):
-        traj, _ = _plain_solve(c)
-        ti = trace_integral(traj, 2, weight_spec(c), j=c.trace_branch)
-        _, _, rms = trace_identity_residual(traj)
+        traces = _plain_solve(c, traced=True)[2]
+        ti = trace_integral(traces, 2, weight_spec(c), j=c.trace_branch)
+        _, _, rms = trace_identity_residual(traces)
         return {"window_integral_d2": ti.value, "window": [ti.t_start, ti.t_end],
                 "empty_window": ti.empty, "identity_rms": rms}, None
 

@@ -18,7 +18,8 @@ rough data (a kink profile), which is not smooth enough in time for it.  A step
 iterates until the last update, or the estimated distance to the fixed point (Hairer &
 Wanner IV.8), is within picard_tol*(1 + max|u^n|), for at most picard_max sweeps, and
 records its sweep count and that estimate.  A forced step reuses the last step's
-F(x, t^{n+1}) as its F(x, t^n) whenever the two times agree bit for bit.
+F(x, t^{n+1}) as its F(x, t^n) whenever the two times agree bit for bit.  solve
+computes no wall traces: an observer (diagnostics.TraceSeries) records them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from scipy.sparse import identity as sp_identity
 from scipy.sparse.linalg import splu as superlu
 
 from .config import ConfigError
-from .discretization import Field, Grid1D, TraceSeries, deriv_matrix, trace_derivs
+from .discretization import Field, Grid1D, deriv_matrix
 
 __all__ = [
     "SolverError",
@@ -143,15 +144,13 @@ def check_compatibility(u0: Field, bd: BoundaryData, tol: float = 1e-10) -> Comp
 
 @dataclass
 class Trajectory:
-    """Output of one solve: stored snapshots, per-step traces, bookkeeping."""
+    """Output of one solve: stored snapshots and per-step Picard bookkeeping."""
 
     grid: Grid1D
     times: np.ndarray
     snapshots: list
     snapshot_steps: list
-    traces: TraceSeries
     config: SolverConfig
-    boundary: BoundaryData
     picard_updates: np.ndarray
     picard_distances: np.ndarray  # per step: estimated distance left to the fixed point
     picard_sweeps: np.ndarray     # per step; entry 0 (the initial state) is 0
@@ -310,11 +309,12 @@ def _advance(field: Field, cfg: SolverConfig, bd: BoundaryData, sys_: _System, h
 
 
 def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Trajectory:
-    """March nsteps = T/dt steps from u0, recording traces every step.
+    """March nsteps = T/dt steps from u0.
 
     Observers are called with the state at t=0 and after every step; they are
-    how diagnostics accumulate without storing dense history.  Snapshots keep
-    every snapshot_stride-th state (endpoints always included).
+    how diagnostics, the wall traces among them, accumulate without storing dense
+    history.  Snapshots keep every snapshot_stride-th state (endpoints always
+    included).
     """
     nsteps = cfg.nsteps
     compat = check_compatibility(u0, bd)
@@ -324,11 +324,6 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
         )
     bd.validate(cfg.T)
     sys_ = _system_cached(u0.grid.n, u0.grid.L, cfg.dt, cfg.theta)
-    times = np.empty(nsteps + 1)
-    d0 = np.empty(nsteps + 1)
-    d1 = np.empty(nsteps + 1)
-    d2 = np.empty(nsteps + 1)
-    d3 = np.empty(nsteps + 1)
     updates = np.zeros(nsteps + 1)
     distances = np.zeros(nsteps + 1)
     sweeps = np.zeros(nsteps + 1, dtype=int)
@@ -339,8 +334,6 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
     # huge data overflows the observers before the first step can fail; the
     # stepper's non-finite check reports it once, not numpy's overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        times[0] = 0.0
-        d0[0], d1[0], d2[0], d3[0] = trace_derivs(state)
         for obs in observers:
             obs(state)
         history = ()  # references, not copies: each step's state is a new array
@@ -352,8 +345,6 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
             history = (un,) + history[:_HISTORY - 1]
             # pin the step clock to k*dt so long runs do not accumulate drift
             state.t = k * cfg.dt
-            times[k] = state.t
-            d0[k], d1[k], d2[k], d3[k] = trace_derivs(state)
             if k % cfg.snapshot_stride == 0 or k == nsteps:
                 snapshots.append(Field(state.grid, state.values.copy(), state.t))
                 snapshot_steps.append(k)
@@ -361,12 +352,10 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
                 obs(state)
     return Trajectory(
         grid=u0.grid,
-        times=times,
+        times=np.arange(nsteps + 1) * cfg.dt,  # each state's pinned clock k*dt
         snapshots=snapshots,
         snapshot_steps=snapshot_steps,
-        traces=TraceSeries(times=times.copy(), d0=d0, d1=d1, d2=d2, d3=d3),
         config=cfg,
-        boundary=bd,
         picard_updates=updates,
         picard_distances=distances,
         picard_sweeps=sweeps,

@@ -107,6 +107,9 @@ class CutoffSpec:
             for m in np.split(mids, _PANELS // _PANEL_CHUNK)])
         cum = np.concatenate([[0.0], np.cumsum(panel)])
         z = float(cum[-1])
+        if not z > 0.0:
+            raise ValueError(f"cutoff band b - epsilon = {self.b - self.epsilon:.3g} is too "
+                             f"narrow: its bump underflows to 0, so chi has no normalization")
         slopes = np.zeros(_PANELS + 1)  # the bump vanishes at eps and b
         slopes[1:-1] = _bump(edges[1:-1], self.epsilon, self.b, (0,))[0]
         object.__setattr__(self, "_norm", z)

@@ -324,8 +324,9 @@ def test_cli_degenerate_data_exits_2(tmp_path, capsys, recipe, overrides, phrase
 
 # values refused before any solve, with one line naming the key at fault (the
 # last override); without the refusal each ends in a traceback from deep inside
-# the run (an index, a NaN cast or a float overflow) or in a line blaming
-# another key (a data.center off the grid blames the corner or data.amplitude).
+# the run (an index, a NaN cast or a float overflow), in a line blaming
+# another key (a data.center off the grid blames the corner or data.amplitude)
+# or, for a cutoff band too narrow to normalize, in exit 0 with a NaN report.
 # The oracle recipe's time.dt = 0.008 needs time.T = 0.4
 @pytest.mark.parametrize("recipe,overrides", [
     ("oracle", {"time.T": "0.4", "oracle.c": "1e-300"}),
@@ -345,6 +346,7 @@ def test_cli_degenerate_data_exits_2(tmp_path, capsys, recipe, overrides, phrase
     ("soliton", {"data.center": "-inf"}),
     ("soliton", {"data.center": "1e300"}),
     ("identity_l2", {"data.center": "-1"}),
+    ("identity_l2", {"weight.epsilon": "0.01", "weight.b": "0.05"}),
 ])
 def test_cli_out_of_range_key_exits_2(tmp_path, capsys, recipe, overrides):
     cfgfile = _shrunk_recipe(tmp_path, recipe, overrides)
@@ -356,6 +358,19 @@ def test_cli_out_of_range_key_exits_2(tmp_path, capsys, recipe, overrides):
     err = capsys.readouterr().err
     key = list(overrides)[-1]
     assert err.startswith(f"config error: key {key!r}") and err.count("\n") == 1, err
+
+
+def test_cli_unwritable_out_exits_2(tmp_path, capsys):
+    # a path under an existing file cannot become the output directory: one line
+    # naming --out, not a NotADirectoryError traceback once the run is done
+    cfgfile = tmp_path / "mini.cfg"
+    cfgfile.write_text(MINI_SIMULATE)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc = main(["simulate", "--config", str(cfgfile), "--out", str(blocker / "sub"), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out") and err.count("\n") == 1, err
 
 
 def test_cli_levels_override(tmp_path):

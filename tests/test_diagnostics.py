@@ -17,8 +17,8 @@ from kdvhl.diagnostics import (
     DiagnosticsConfig,
     IdentityBreakdown,
     RunningDiagnostics,
+    TraceSeries,
     _hard_window_indices,
-    _trace_d4,
     _wall_traces,
     dissipation_audit,
     interpolation_check,
@@ -26,7 +26,7 @@ from kdvhl.diagnostics import (
     trace_identity_residual,
     trace_integral,
 )
-from kdvhl.discretization import Field, Grid1D, deriv_matrix, integrate, trace_derivs
+from kdvhl.discretization import Field, Grid1D, deriv_matrix, fd_weights, integrate, trace_derivs
 from kdvhl.solver import BoundaryData, SolverConfig, solve
 from kdvhl.weights import CutoffSpec, WeightSpec, chi, moving_weight
 
@@ -86,33 +86,34 @@ def test_identity_residual_decays_under_refinement(diag_run):
 
 
 def test_trace_integral_window_and_flags(diag_run):
-    traj, _, _ = diag_run
+    traces = diag_run[1]["traces"]
     # default gain window [(b+x0)/v, T*]; here (2+4)/1 = 6 > T = 0.4
-    ti = trace_integral(traj, 2, WS, j=1)
+    ti = trace_integral(traces, 2, WS, j=1)
     assert ti.empty and ti.value == 0.0
     assert ti.t_start == pytest.approx(6.0)
     # explicit window on the data that exists
-    ti2 = trace_integral(traj, 2, WS, window=(0.0, 0.4))
+    ti2 = trace_integral(traces, 2, WS, window=(0.0, 0.4))
     assert not ti2.empty and ti2.value >= 0.0
     # motionless weight never opens a window
     ws0 = WeightSpec(cutoff=CutoffSpec(0.4, 2.0), v=0.0, x0=4.0)
-    assert trace_integral(traj, 2, ws0).empty
+    assert trace_integral(traces, 2, ws0).empty
     with pytest.raises(ValueError):
-        trace_integral(traj, 0, WS)
+        trace_integral(traces, 0, WS)
 
 
 def test_trace_integral_equation_route_zero_for_quiet_boundary(diag_run):
-    traj, _, _ = diag_run
+    traces = diag_run[1]["traces"]
     # f = 0, F = 0 and u_x(0) ~ 0 make the equation-route third trace vanish
-    ti = trace_integral(traj, 3, WS, window=(0.0, 0.4))
+    ti = trace_integral(traces, 3, WS, window=(0.0, 0.4))
     assert ti.value <= 1e-20
 
 
 def test_trace_identity_residual_zero_run():
     grid = Grid1D(16.0, 161)
-    traj = solve(Field(grid, np.zeros(grid.n), 0.0), SolverConfig(dt=0.01, T=0.1),
-                 boundary_pulse("zero"))
-    _, r, rms = trace_identity_residual(traj)
+    traces = TraceSeries(boundary_pulse("zero"))
+    solve(Field(grid, np.zeros(grid.n), 0.0), SolverConfig(dt=0.01, T=0.1),
+          boundary_pulse("zero"), observers=[traces])
+    _, r, rms = trace_identity_residual(traces)
     assert rms == 0.0 and np.all(r == 0.0)
 
 
@@ -130,8 +131,8 @@ def test_dissipation_audit_consistency(diag_run):
     # the small domain lets dispersive radiation reach the wall, so the
     # drain is genuinely nonzero; the audit's bookkeeping must close on
     # itself and the two routes must agree to coarse-grid accuracy
-    traj, _, _ = diag_run
-    aud = dissipation_audit(traj)
+    traj, fin, _ = diag_run
+    aud = dissipation_audit(traj, fin["traces"])
     assert aud.dissipated == pytest.approx(aud.e_final - aud.e_initial, abs=1e-15)
     assert aud.discrepancy == pytest.approx(abs(aud.dissipated - aud.predicted), abs=1e-15)
     assert aud.predicted < 0.0 and aud.dissipated < 0.0
@@ -144,13 +145,18 @@ def test_maximal_dominates_initial_mass(diag_run):
     assert fin["maximal"] >= e0 * (1.0 - 1e-12)
 
 
+def _probe_d4(fld):
+    """The one-sided 6-node u_xxxx(0) probe, from its own Fornberg weights."""
+    return float(fd_weights(np.arange(6) * fld.grid.h, 0.0, 4) @ fld.values[:6])
+
+
 def test_trace_d4_exact_on_quintics():
     # two grid spacings in turn: a weight cache keyed on anything but h would
     # hand the second grid the first one's weights
     for L in (0.7, 2.59):
         g = Grid1D(L, 8)
         for deg in range(6):
-            got = _trace_d4(Field(g, (g.nodes + 0.5) ** deg, 0.0))
+            got = trace_derivs(Field(g, (g.nodes + 0.5) ** deg, 0.0))[4]
             exact = 0.0 if deg < 4 else {4: 24.0, 5: 120.0 * 0.5}[deg]
             assert got == pytest.approx(exact, abs=1e-6 * max(1.0, exact)), (L, deg)
 
@@ -170,10 +176,10 @@ def _full_grid_reference(states, wspec, bd, forcing):
         c0, c1, c3 = (moving_weight(wspec, x, t, k) for k in (0, 1, 3))
         b0, b1, b2 = (float(chi(wspec.cutoff, wspec.v * t - wspec.x0, k)) for k in (0, 1, 2))
         F = forcing(x, t)
-        _, d1t, d2t, _ = trace_derivs(fld)
+        _, d1t, d2t = trace_derivs(fld)[:3]
         f = bd.f(t)
         d3t = F[0] - bd.fprime(t) - 2.0 * f * d1t
-        d4t = _trace_d4(fld) if b0 != 0.0 else 0.0
+        d4t = _probe_d4(fld) if b0 != 0.0 else 0.0
         kcp = integrate(q * q * c1, grid)
         ref["J1"].append(integrate(w * w * c0, grid))
         ref["J2"].append(integrate(q * q * c0, grid))
@@ -375,13 +381,15 @@ def test_online_sup_functionals_match_offline(soliton_runs):
 def _per_state_reference(states, grid, bd, cfg, forcing):
     """finish() of the observer as it was before states were evaluated in blocks:
     each state alone, its band integrals and chi0 from one chi call, every
-    functional and identity term appended one state at a time."""
+    functional and identity term appended one state at a time.  "traces" holds the
+    wall record's rows: t, f, u_x, u_xx, u_xxx, u_xxxx and the equation-route u_xxx."""
     ws, levels = cfg.wspec, cfg.identity_levels
     cut, h, n, x = ws.cutoff, grid.h, grid.n, grid.nodes
     D = {k: deriv_matrix(grid, k) for k in (1, 2, 3)}
     series = {k: [] for k in ("t", "J1", "J2", "mass", "stri4")}
     acc = {k: [0.0] for k in ("K1_chiprime", "K1_window", "trace2_acc", "trace3_acc")}
     ident = {lv: {} for lv in levels}
+    walls = []
     kato = {j: np.zeros(n) for j in (1, 2)}
     peak = np.zeros(n)
     prev = None
@@ -405,8 +413,9 @@ def _per_state_reference(states, grid, bd, cfg, forcing):
             return h * (g @ c[k][1:] - 0.5 * (reduce(mul, [f[0] for f in factors]) * c[k][0]
                                               + last))
 
-        _, d1t, d2t, _ = trace_derivs(fld)
+        _, d1t, d2t, d3s = trace_derivs(fld)[:4]
         f, d3t = _wall_traces(bd, forcing, t, d1t)
+        walls.append((t, f, d1t, d2t, d3s, _probe_d4(fld), d3t))
         series["t"].append(t)
         series["J1"].append(integral(0, ww))
         series["J2"].append(integral(0, qq))
@@ -424,7 +433,7 @@ def _per_state_reference(states, grid, bd, cfg, forcing):
         F = np.asarray(forcing(x, t), dtype=float)
         b0, b1, b2 = c[:3, 0]
         kcp = inst["K1_chiprime"]
-        d4t = _trace_d4(fld) if b0 != 0.0 else 0.0
+        d4t = walls[-1][5] if b0 != 0.0 else 0.0
         terms = {
             1: {"weight_transport": -0.5 * ws.v * integral(1, ww), "smoothing": 1.5 * kcp,
                 "weight_third": -0.5 * integral(3, ww), "nl_cubic": integral(0, ww, w),
@@ -455,6 +464,7 @@ def _per_state_reference(states, grid, bd, cfg, forcing):
     out["identity"] = {lv: IdentityBreakdown.assemble(
         lv, times, out[f"J{lv}"], {k: np.asarray(v) for k, v in ident[lv].items()})
         for lv in levels}
+    out["traces"] = np.array(walls)
     return out
 
 
@@ -500,7 +510,9 @@ def test_blocked_observer_matches_per_state_reference(x0, count):
         rd = RunningDiagnostics(grid, bd, cfg, forcing=forcing, nstates=nstates)
         for fld in states:
             rd(fld)
-        _assert_same_bits(rd.finish(), want, nstates)
+        got = rd.finish()
+        got["traces"] = got["traces"].table()
+        _assert_same_bits(got, want, nstates)
 
 
 def test_identity_bookkeeping_needs_two_states():
@@ -532,3 +544,72 @@ def test_identity_study_keeps_no_snapshots(monkeypatch):
     cfg.n, cfg.T = 201, 0.25
     experiments.run_identity(cfg, levels=2)
     assert kept == [2, 2]
+
+
+def test_wall_traces_computed_once_per_state(monkeypatch):
+    # the wall record is the only code that computes wall values: a converge level
+    # and the oracle-compare half-line solve read no trace and compute none, and a
+    # simulate run computes each state's traces once, inside its observer
+    from kdvhl import diagnostics, discretization, experiments
+    from kdvhl.cli import resolve_config
+
+    # every trace_derivs call, whichever module imported it, looks up its weights once
+    calls = {"trace_derivs": 0, "_wall_traces": 0}
+    for mod, name, key in ((discretization, "_trace_weights", "trace_derivs"),
+                           (diagnostics, "_wall_traces", "_wall_traces")):
+        def spy(*args, _real=getattr(mod, name), _key=key):
+            calls[_key] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(mod, name, spy)
+
+    conv = resolve_config("mms")
+    conv.n, conv.T = 201, 0.2
+    experiments.run_converge(conv, levels=1)
+    oracle = resolve_config("oracle")
+    oracle.T, oracle.oracle_samples = 0.4, 3
+    experiments.run_oracle_compare(oracle)
+    assert calls == {"trace_derivs": 0, "_wall_traces": 0}
+
+    sim = resolve_config("dissipation")
+    sim.n, sim.dt, sim.T = 401, 0.025, 0.5
+    report, _ = experiments.run_simulate(sim)
+    assert calls == {"trace_derivs": 21, "_wall_traces": 21}
+    assert report["dissipation"]["predicted"] < 0.0
+
+
+def _equation_d3_post_hoc(traj, bd):
+    """The equation-route u_xxx(0) recomputed after the run from every stored
+    state: the reference the wall record must reproduce."""
+    d1 = [trace_derivs(s)[1] for s in traj.snapshots]
+    return np.array([_wall_traces(bd, traj.config.forcing, t, d)[1]
+                     for t, d in zip(traj.times, d1)])
+
+
+def test_trace_record_matches_post_hoc_equation_route():
+    # a forced run with a moving boundary value (the decaying_hump manufactured
+    # solution): the record's k = 3 window integral and identity residual equal,
+    # bit for bit, the route that recomputed the traces from the stored states
+    from kdvhl.oracle import decaying_hump
+
+    ms = decaying_hump(1.0, 2.0, 1.0)
+    grid = Grid1D(20.0, 201)
+    bd = ms.boundary()
+    traces = TraceSeries(bd, ms.forcing)
+    traj = solve(ms.initial(grid), SolverConfig(dt=0.02, T=0.6, forcing=ms.forcing), bd,
+                 observers=[traces])
+    assert len(traj.snapshots) == len(traj.times) == 31
+    assert np.min(np.abs([bd.f(t) for t in traj.times])) > 0.01
+    times, d3e = traj.times, _equation_d3_post_hoc(traj, bd)
+    d3 = np.array([trace_derivs(s)[3] for s in traj.snapshots])
+
+    t0, t1 = 0.1, 0.5
+    m = (times >= t0 - 1e-12) & (times <= t1 + 1e-12)
+    ti = trace_integral(traces, 3, WS, window=(t0, t1))
+    assert not ti.empty and ti.value > 0.0
+    assert ti.value == float(np.trapezoid(d3e[m] ** 2, times[m]))
+
+    r_want = d3 - d3e
+    t_got, r, rms = trace_identity_residual(traces)
+    assert t_got.tobytes() == times.tobytes() and r.tobytes() == r_want.tobytes()
+    assert rms == float(np.sqrt(np.mean(r_want * r_want))) and rms > 0.0

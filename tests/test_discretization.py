@@ -7,7 +7,6 @@ from scipy.sparse import csc_matrix, csr_matrix, diags as sp_diags, identity as 
 from kdvhl.discretization import (
     Field,
     Grid1D,
-    TraceSeries,
     _Hermite,
     deriv_matrix,
     fd_weights,
@@ -147,21 +146,16 @@ def test_deriv_matrix_invalid_order():
 
 def test_trace_derivs_on_polynomials():
     g = Grid1D(8.0, 81)
-    assert trace_derivs(Field(g, g.nodes**2, 0.0)) == pytest.approx((0.0, 0.0, 2.0, 0.0), abs=1e-8)
+    assert trace_derivs(Field(g, g.nodes**2, 0.0)) == pytest.approx((0.0, 0.0, 2.0, 0.0, 0.0),
+                                                                    abs=1e-8)
     # the 3-node first-derivative probe is second order, so on a cubic its
     # wall value carries a 2 h^2 truncation term; the deeper probes are exact
-    d0, d1, d2, d3 = trace_derivs(Field(g, g.nodes**3, 0.0))
+    d0, d1, d2, d3, d4 = trace_derivs(Field(g, g.nodes**3, 0.0))
     assert (d0, d2, d3) == pytest.approx((0.0, 0.0, 6.0), abs=1e-7)
     assert abs(d1) <= 2.0 * g.h**2 + 1e-9
+    assert abs(d4) <= 1e-5  # the 6-node probe divides rounding by h^4
     got = trace_derivs(Field(g, 2.0 + 3.0 * g.nodes, 0.0))
-    assert got == pytest.approx((2.0, 3.0, 0.0, 0.0), abs=1e-9)
-
-
-def test_trace_series_order_accessor():
-    ts = TraceSeries(times=np.zeros(2), d0=np.array([1.0, 1.0]), d1=np.array([2.0, 2.0]),
-                     d2=np.array([3.0, 3.0]), d3=np.array([4.0, 4.0]))
-    assert ts.order(0)[0] == 1.0
-    assert ts.order(3)[0] == 4.0
+    assert got == pytest.approx((2.0, 3.0, 0.0, 0.0, 0.0), abs=1e-9)
 
 
 def test_integrate_exact_on_linear():

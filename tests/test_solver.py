@@ -7,6 +7,7 @@ from scipy.sparse.linalg import splu as superlu
 
 from kdvhl.cli import _LEVELED, available_recipes, resolve_config
 from kdvhl.datagen import boundary_pulse, gaussian_bump
+from kdvhl.diagnostics import TraceSeries
 from kdvhl.discretization import Field, Grid1D, deriv_matrix, integrate
 from kdvhl.experiments import refine, scenario
 from kdvhl import solver
@@ -52,10 +53,11 @@ def test_nsteps_requires_integer_multiple():
 
 def test_zero_data_stays_zero():
     g = Grid1D(20.0, 201)
+    traces = TraceSeries(boundary_pulse("zero"))
     traj = solve(Field(g, np.zeros(g.n), 0.0), SolverConfig(dt=0.05, T=0.5),
-                 boundary_pulse("zero"))
+                 boundary_pulse("zero"), observers=[traces])
     assert all(np.all(s.values == 0.0) for s in traj.snapshots)
-    assert np.all(traj.traces.d3 == 0.0)
+    assert np.all(traces.d3 == 0.0)
 
 
 def test_dirichlet_row_exact():
@@ -63,7 +65,8 @@ def test_dirichlet_row_exact():
     bd = boundary_pulse("gaussian-pulse", A=0.5, t_c=0.4, w=0.2)
     traj = solve(Field(g, np.zeros(g.n), 0.0), SolverConfig(dt=0.01, T=1.0), bd)
     fvals = np.array([bd.f(t) for t in traj.times])
-    assert np.max(np.abs(traj.traces.d0 - fvals)) <= 1e-12
+    # snapshot_stride = 1 keeps every state
+    assert np.max(np.abs(np.array([s.values[0] for s in traj.snapshots]) - fvals)) <= 1e-12
 
 
 def test_right_wall_rows_pinned():
@@ -126,8 +129,9 @@ def test_linear_step_is_energy_neutral_while_boundary_quiet():
     g = Grid1D(40.0, 801)
     u0 = Field(g, gaussian_bump(1.0, 30.0, 2.0)(g.nodes), 0.0)
     cfg = SolverConfig(dt=0.05, T=0.5, nonlinear=False)
-    traj = solve(u0, cfg, boundary_pulse("zero"))
-    assert np.max(np.abs(traj.traces.d1)) <= 1e-10  # boundary actually quiet
+    traces = TraceSeries(boundary_pulse("zero"))
+    traj = solve(u0, cfg, boundary_pulse("zero"), observers=[traces])
+    assert np.max(np.abs(traces.d1)) <= 1e-10  # boundary actually quiet
     E = np.array([integrate(s.values**2, g) for s in traj.snapshots])
     assert np.max(E[1:] / E[:-1]) <= 1.0 + 1e-10
 
@@ -162,9 +166,10 @@ def test_boundary_drain_dominates_unforced_energy_loss():
 
     g = Grid1D(40.0, 801)
     u0 = Field(g, gaussian_bump(1.0, 3.0, 0.6)(g.nodes), 0.0)
+    traces = TraceSeries(boundary_pulse("zero"))
     traj = solve(u0, SolverConfig(dt=0.0125, T=2.0, snapshot_stride=160),
-                 boundary_pulse("zero"))
-    aud = dissipation_audit(traj)
+                 boundary_pulse("zero"), observers=[traces])
+    aud = dissipation_audit(traj, traces)
     assert aud.dissipated < 0.0
     assert aud.relative <= 3e-2
 

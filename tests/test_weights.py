@@ -144,6 +144,19 @@ def test_cutoff_normalization_cached(cut):
     assert cut.normalization > 0.0
 
 
+def test_cutoff_refuses_band_too_narrow_to_normalize():
+    # the bump's exponent -1/((s - eps)(b - s)) stays below the log floor on a band
+    # b - eps <= 2/sqrt(500) = 0.0894, so every bump value is 0; a zero normalization
+    # would make chi NaN
+    with pytest.raises(ValueError, match="normalization"):
+        CutoffSpec(0.01, 0.05)
+    with pytest.raises(ValueError, match="normalization"):
+        CutoffSpec(0.01, 0.01 + 2.0 / np.sqrt(500.0))
+    cut = CutoffSpec(0.01, 0.1)  # a band of 0.09 keeps a sliver of mass
+    assert cut.normalization > 0.0
+    assert chi(cut, 0.1) == 1.0 and np.all(np.isfinite(chi(cut, np.linspace(0.0, 0.2, 401))))
+
+
 def test_weight_spec_rejects_negative_speed(cut):
     with pytest.raises(ValueError):
         WeightSpec(cutoff=cut, v=-0.5, x0=4.0)
