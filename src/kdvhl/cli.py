@@ -55,22 +55,16 @@ def resolve_config(spec: str):
     )
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
+def _plain(obj):
+    """json's fallback for numpy values: an array as a list, a numpy scalar as its
+    Python value (np.float64 subclasses float, so json writes it as float.__repr__)."""
+    return obj.tolist() if isinstance(obj, np.ndarray) else obj.item()
 
 
 def _write_outputs(report: dict, series, out: Path, quiet: bool) -> None:
     out.mkdir(parents=True, exist_ok=True)
     rp = out / "report.json"
-    rp.write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n")
+    rp.write_text(json.dumps(report, indent=2, sort_keys=True, default=_plain) + "\n")
     header = ",".join(experiments.SERIES_COLUMNS)
     for name, table in series:
         np.savetxt(out / f"{name}.csv", table, fmt="%.17g", delimiter=",",

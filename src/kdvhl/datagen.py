@@ -19,6 +19,7 @@ from .discretization import Field, Grid1D
 from .solver import BoundaryData
 
 __all__ = [
+    "ResolutionWarning",
     "KinkSpec",
     "kink_data",
     "gaussian_bump",

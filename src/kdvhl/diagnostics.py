@@ -19,7 +19,9 @@ with the one-sided stencil kept as a cross-check only.
 
 A run's wall values are computed once per state, by the TraceSeries observer;
 RunningDiagnostics owns one and returns it from finish(), and every trace reader
-takes it.
+takes it.  trace_integral and dissipation_audit return their report.json blocks
+as plain dicts; the audit reads E = 1/2 int u^2 at both ends of the run from the
+observer's int u^2 series, so each state's energy is integrated once.
 
 The observer evaluates states in blocks: RunningDiagnostics buffers each
 observed state, and a block of at most max(1, 2**15 // n) states (a budget of
@@ -54,20 +56,17 @@ from typing import Optional
 import numpy as np
 
 from .discretization import Field, Grid1D, deriv_matrix, integrate, trace_derivs
-from .solver import BoundaryData, Trajectory
+from .solver import BoundaryData
 from .weights import CutoffSpec, WeightSpec, chi, moving_weight
 
 __all__ = [
-    "DiagnosticsConfig",
     "stopping_time",
     "TraceSeries",
-    "TraceIntegral",
     "trace_integral",
     "trace_identity_residual",
     "IdentityBreakdown",
     "InterpolationCheck",
     "interpolation_check",
-    "DissipationAudit",
     "dissipation_audit",
     "RunningDiagnostics",
 ]
@@ -86,41 +85,6 @@ _TERM_ORDER_L2 = (
 
 # derivative orders j of the Kato functional sup_x int_0^T (d_x^j u)^2 dt
 _KATO_ORDERS = (1, 2)
-
-
-@dataclass(frozen=True)
-class DiagnosticsConfig:
-    """What to accumulate during a run.
-
-    identity_levels selects which integrated-by-parts identities to track
-    (subset of {1, 2}); R is the hard-window width (defaults to b so the hard
-    window contains the chi' support); delta is the Young-split parameter,
-    report-only, defaulting to 0.05 / sup(chi')^2 which keeps the split's
-    leading coefficient positive.
-    """
-
-    wspec: WeightSpec
-    identity_levels: tuple = ()
-    R: Optional[float] = None
-    delta: Optional[float] = None
-
-    def __post_init__(self):
-        if not set(self.identity_levels) <= {1, 2}:
-            raise ValueError("identity bookkeeping is available for levels 1 and 2 only")
-        if self.R is not None and self.R <= self.wspec.cutoff.epsilon:
-            raise ValueError(
-                f"hard-window width R={self.R} must exceed epsilon="
-                f"{self.wspec.cutoff.epsilon}"
-            )
-
-    @property
-    def hard_window_R(self) -> float:
-        return self.R if self.R is not None else self.wspec.cutoff.b
-
-    def young_delta(self) -> float:
-        if self.delta is not None:
-            return self.delta
-        return 0.05 / self.wspec.sup_chi_prime**2
 
 
 def stopping_time(T: float, wspec: WeightSpec, j: int) -> float:
@@ -144,17 +108,6 @@ def _hard_window_indices(grid: Grid1D, wspec: WeightSpec, R: float, t: float):
     i0 = int(np.ceil(lo / grid.h - 1e-12))
     i1 = int(np.floor(hi / grid.h + 1e-12))
     return i0, i1
-
-
-@dataclass
-class TraceIntegral:
-    """Windowed boundary dissipation int_{t0}^{t1} (d_x^k u(0,t))^2 dt."""
-
-    value: float
-    k: int
-    t_start: float
-    t_end: float
-    empty: bool
 
 
 def _wall_traces(bd: BoundaryData, forcing, t: float, d1: float):
@@ -201,8 +154,9 @@ class TraceSeries:
 
 
 def trace_integral(traces: TraceSeries, k: int, wspec: WeightSpec, j: int = 1,
-                   window: Optional[tuple] = None) -> TraceIntegral:
-    """Boundary-trace dissipation over the late-time gain window.
+                   window: Optional[tuple] = None) -> dict:
+    """Boundary-trace dissipation int_{t0}^{t1} (d_x^k u(0,t))^2 dt over the late-time
+    gain window, as the report's {value, t_start, t_end, empty} block.
 
     Defaults to [(b + x0)/v, T*] with T* = stopping_time(T, wspec, j); an empty
     window (which the j >= 2 stopping branch forces whenever it binds) returns
@@ -217,14 +171,12 @@ def trace_integral(traces: TraceSeries, k: int, wspec: WeightSpec, j: int = 1,
         t1 = stopping_time(T, wspec, j)
     else:
         t0, t1 = window
-    if t0 >= t1:
-        return TraceIntegral(value=0.0, k=k, t_start=t0, t_end=t1, empty=True)
-    g = (traces.d1, traces.d2, traces.d3_equation)[k - 1]
     m = (times >= t0 - 1e-12) & (times <= t1 + 1e-12)
-    if np.count_nonzero(m) < 2:
-        return TraceIntegral(value=0.0, k=k, t_start=t0, t_end=t1, empty=True)
+    if t0 >= t1 or np.count_nonzero(m) < 2:
+        return {"value": 0.0, "t_start": t0, "t_end": t1, "empty": True}
+    g = (traces.d1, traces.d2, traces.d3_equation)[k - 1]
     val = float(np.trapezoid(g[m] ** 2, times[m]))
-    return TraceIntegral(value=val, k=k, t_start=t0, t_end=t1, empty=False)
+    return {"value": val, "t_start": t0, "t_end": t1, "empty": False}
 
 
 def trace_identity_residual(traces: TraceSeries):
@@ -438,50 +390,48 @@ def interpolation_check(field: Field, wspec: WeightSpec) -> InterpolationCheck:
     return InterpolationCheck(lhs=lhs, rhs_terms=rhs, ratio=lhs / s, degenerate=False)
 
 
-@dataclass
-class DissipationAudit:
-    """Unforced, f=0 energy law: E(T) - E(0) = -1/2 int u_x(0,t)^2 dt."""
-
-    e_initial: float
-    e_final: float
-    dissipated: float
-    predicted: float
-    discrepancy: float
-    relative: float
-
-
-def dissipation_audit(traj: Trajectory, traces: TraceSeries) -> DissipationAudit:
-    """Compare the measured L2-energy drop with the wall record's boundary drain."""
-    g = traj.grid
-    e0 = 0.5 * integrate(traj.snapshots[0].values ** 2, g)
-    eT = 0.5 * integrate(traj.snapshots[-1].values ** 2, g)
+def dissipation_audit(fin: dict) -> dict:
+    """Unforced, f=0 energy law E(T) - E(0) = -1/2 int u_x(0,t)^2 dt, as the report's
+    dissipation block: the energy change of RunningDiagnostics.finish() against its
+    wall record's boundary drain; E = 1/2 int u^2 is read off the observer's "mass"
+    series int u^2 at the first and last observed states."""
+    e0, eT = 0.5 * fin["mass"][0], 0.5 * fin["mass"][-1]
+    traces = fin["traces"]
     drain = -0.5 * float(np.trapezoid(traces.d1 ** 2, traces.times))
     measured = eT - e0
     disc = abs(measured - drain)
-    rel = disc / max(abs(measured), 1e-300)
-    return DissipationAudit(
-        e_initial=e0, e_final=eT, dissipated=measured, predicted=drain,
-        discrepancy=disc, relative=rel,
-    )
+    return {"e_initial": e0, "e_final": eT, "dissipated": measured, "predicted": drain,
+            "discrepancy": disc, "relative": disc / max(abs(measured), 1e-300)}
 
 
 class RunningDiagnostics:
     """Observer that accumulates the full report during a solve.
 
     Records per step: J_1, J_2, both smoothing accumulations, the running
-    boundary-trace integrals, the mass curve, identity terms for the
-    configured levels, and per-node accumulators for the sup-type functionals.
-    Attach to solve(..., observers=[rd]); call finish() afterwards, the only
-    way to read what was recorded.  Each call buffers the state and records its
-    wall values (finish()'s "traces"); a block of buffered states is evaluated
+    boundary-trace integrals, the int u^2 series ("mass", which dissipation_audit
+    reads), identity terms for the levels in identity_levels (a subset of
+    {1, 2}), and per-node accumulators for the sup-type functionals.  R is the
+    hard-window width, defaulting to b so the hard window contains the chi'
+    support.  Attach to solve(..., observers=[rd]); call finish() afterwards, the
+    only way to read what was recorded.  Each call buffers the state and records
+    its wall values (finish()'s "traces"); a block of buffered states is evaluated
     when it is full and, given nstates (the number of states the run will
     observe), on the last state.
     """
 
-    def __init__(self, grid: Grid1D, bd: BoundaryData, cfg: DiagnosticsConfig,
-                 forcing=None, nstates: Optional[int] = None):
+    def __init__(self, grid: Grid1D, bd: BoundaryData, wspec: WeightSpec,
+                 identity_levels: tuple = (), R: Optional[float] = None, forcing=None,
+                 nstates: Optional[int] = None):
+        if not set(identity_levels) <= {1, 2}:
+            raise ValueError("identity bookkeeping is available for levels 1 and 2 only")
+        if R is not None and R <= wspec.cutoff.epsilon:
+            raise ValueError(
+                f"hard-window width R={R} must exceed epsilon={wspec.cutoff.epsilon}"
+            )
         self.grid = grid
-        self.cfg = cfg
+        self.wspec = wspec
+        self.identity_levels = tuple(identity_levels)
+        self.R = R if R is not None else wspec.cutoff.b
         self.forcing = forcing
         self.traces = TraceSeries(bd, forcing)
         self._nstates = nstates
@@ -491,14 +441,14 @@ class RunningDiagnostics:
             rows = max(1, min(rows, nstates))
         self._rows = 0
         self._U = np.empty((rows, grid.n))
-        identity = bool(cfg.identity_levels)
+        identity = bool(identity_levels)
         self._F = np.empty((rows, grid.n)) if identity and forcing is not None else None
         self._orders = (0, 1, 2, 3) if identity else (0, 1)
-        third = 2 in cfg.identity_levels
+        third = 2 in identity_levels
         self._D = {k: deriv_matrix(grid, k) for k in ((1, 2, 3) if third else (1, 2))}
         self._series = {name: [] for name in (
             "times", "J1", "J2", "mass", "kcp", "kwin", "stri4")}
-        self._identity = {lv: {} for lv in cfg.identity_levels}
+        self._identity = {lv: {} for lv in identity_levels}
         self._prev = None  # the last evaluated state: t, u_x^2 and u_xx^2
         self._kato = {j: np.zeros(grid.n) for j in _KATO_ORDERS}
         self._peak = np.zeros(grid.n)
@@ -517,16 +467,14 @@ class RunningDiagnostics:
     def _evaluate(self):
         """Evaluate the buffered states as one block and append their series."""
         B, self._rows = self._rows, 0
-        cfg, g = self.cfg, self.grid
-        ws = cfg.wspec
+        g, ws = self.grid, self.wspec
         traces = self.traces.table(self._seen - B).T
         t = traces[0]
         blk = _Block(g, self._U[:B], t, self._D, ws, self._orders)
         u, w, _, _ = blk.derivs
         ww, qq = blk.sq
         kcp = blk.band(1, qq)
-        R = cfg.hard_window_R
-        kwin = np.array([integrate(row, g, window=_hard_window_indices(g, ws, R, ti))
+        kwin = np.array([integrate(row, g, window=_hard_window_indices(g, ws, self.R, ti))
                          for row, ti in zip(qq, t.tolist())])
         series = self._series
         series["times"].append(t)
@@ -550,7 +498,7 @@ class RunningDiagnostics:
         self._prev = (t[-1], (ww[-1].copy(), qq[-1].copy()))
 
         F = self._F[:B] if self._F is not None else None
-        for lv in cfg.identity_levels:
+        for lv in self.identity_levels:
             store = self._identity[lv]
             for name, vals in _identity_terms(blk, lv, ws, self._D, kcp, traces, F).items():
                 store.setdefault(name, []).append(vals)
@@ -575,7 +523,7 @@ class RunningDiagnostics:
                            float(self.grid.nodes[int(np.argmax(self._kato[j]))]))
                        for j in _KATO_ORDERS}
         out["identity"] = {}
-        for lv in self.cfg.identity_levels:
+        for lv in self.identity_levels:
             series = {k: np.concatenate(v) for k, v in self._identity[lv].items()}
             out["identity"][lv] = IdentityBreakdown.assemble(lv, times, out[f"J{lv}"], series)
         out["traces"] = self.traces

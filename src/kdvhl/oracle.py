@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -112,22 +112,19 @@ def spectral_restriction(uhat, grid: PeriodicGrid, x, order: int = 0):
     return out
 
 
-def wholeline_times(u0_values, grid: PeriodicGrid, T: float,
-                    dt: Optional[float] = None, cfl: float = 0.5) -> np.ndarray:
+def wholeline_times(u0_values, grid: PeriodicGrid, T: float, cfl: float = 0.5) -> np.ndarray:
     """The step times of wholeline_solve for the same arguments.
 
-    dt defaults to cfl * dx / max|2 u0| (the nonlinear advection limit; the
-    stiff dispersive part is integrated exactly) and is shrunk to divide T.
+    The step is cfl * dx / max|2 u0| (the nonlinear advection limit; the stiff
+    dispersive part is integrated exactly), shrunk to divide T.
     """
-    if dt is None:
-        speed = max(2.0 * float(np.max(np.abs(u0_values))), 1e-8)
-        dt = cfl * grid.dx / speed
+    speed = max(2.0 * float(np.max(np.abs(u0_values))), 1e-8)
+    dt = cfl * grid.dx / speed
     nsteps = max(1, int(np.ceil(T / dt - 1e-12)))
     return (T / nsteps) * np.arange(nsteps + 1)
 
 
-def wholeline_solve(u0_values, grid: PeriodicGrid, T: float,
-                    dt: Optional[float] = None, cfl: float = 0.5,
+def wholeline_solve(u0_values, grid: PeriodicGrid, T: float, cfl: float = 0.5,
                     observers=()) -> WholelineTrajectory:
     """March the periodic problem to time T.
 
@@ -146,7 +143,7 @@ def wholeline_solve(u0_values, grid: PeriodicGrid, T: float,
             f"periodic support guard violated: |u0| reaches {edge:.2e} within "
             f"P/8 of a period end (limit {_SUPPORT_TOL:.0e})"
         )
-    times = wholeline_times(u0, grid, T, dt, cfl)
+    times = wholeline_times(u0, grid, T, cfl)
     dt = times[1]
 
     k = grid.wavenumbers

@@ -20,6 +20,9 @@ Wanner IV.8), is within picard_tol*(1 + max|u^n|), for at most picard_max sweeps
 records its sweep count and that estimate.  A forced step reuses the last step's
 F(x, t^{n+1}) as its F(x, t^n) whenever the two times agree bit for bit.  solve
 computes no wall traces: an observer (diagnostics.TraceSeries) records them.
+Before the first step solve checks, once per run, the corner condition
+u0(0) = f(0) to 1e-10 and (BoundaryData.validate) that f and fprime are finite
+and consistent; either failure is a ConfigError, the CLI's exit 2.
 """
 
 from __future__ import annotations
@@ -41,11 +44,17 @@ __all__ = [
     "SolverError",
     "BoundaryData",
     "SolverConfig",
-    "CompatibilityResult",
-    "check_compatibility",
     "Trajectory",
     "solve",
 ]
+
+
+# corner condition u0(0) = f(0), required for a clean start
+_CORNER_TOL = 1e-10
+# BoundaryData.validate: relative tolerance of fprime against a centered difference of
+# f, at this many evenly spaced probe times
+_FPRIME_RTOL = 1e-6
+_N_PROBE = 9
 
 
 class SolverError(RuntimeError):
@@ -66,11 +75,11 @@ class BoundaryData:
     fprime: Callable[[float], float]
     keys: tuple = ()
 
-    def validate(self, T: float, rtol: float = 1e-6, n_probe: int = 9):
+    def validate(self, T: float):
         """Check that f and fprime are finite and fprime matches a centered
         difference of f at probe times."""
         blame = f" (set by {', '.join(self.keys)})" if self.keys else ""
-        ts = np.linspace(0.0, T, n_probe)
+        ts = np.linspace(0.0, T, _N_PROBE)
         dh = 6e-6 * max(1.0, T)
         if T <= 4.0 * dh:
             return
@@ -87,10 +96,10 @@ class BoundaryData:
             fp = vals[2]
             worst = max(worst, abs(fp - fd))
             scale = max(scale, abs(fp), abs(fd))
-        if worst > rtol * scale:
+        if worst > _FPRIME_RTOL * scale:
             raise ConfigError(
                 f"boundary data{blame} inconsistent: |fprime - d/dt f| = {worst:.3e} "
-                f"exceeds {rtol:.1e} * {scale:.3e} at probe times"
+                f"exceeds {_FPRIME_RTOL:.1e} * {scale:.3e} at probe times"
             )
 
 
@@ -127,19 +136,6 @@ class SolverConfig:
                 f"T = {self.T} is not an integer number of steps of dt = {self.dt}"
             )
         return n
-
-
-@dataclass
-class CompatibilityResult:
-    ok: bool
-    mismatch: float
-    tol: float
-
-
-def check_compatibility(u0: Field, bd: BoundaryData, tol: float = 1e-10) -> CompatibilityResult:
-    """Corner condition u0(0) = f(0), required for a clean start."""
-    mismatch = abs(float(u0.values[0]) - float(bd.f(0.0)))
-    return CompatibilityResult(ok=mismatch <= tol, mismatch=mismatch, tol=tol)
 
 
 @dataclass
@@ -317,11 +313,10 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
     included).
     """
     nsteps = cfg.nsteps
-    compat = check_compatibility(u0, bd)
-    if not compat.ok:
-        raise ValueError(
-            f"incompatible data: |u0(0) - f(0)| = {compat.mismatch:.3e} > {compat.tol:.1e}"
-        )
+    mismatch = abs(float(u0.values[0]) - float(bd.f(0.0)))
+    if not mismatch <= _CORNER_TOL:
+        raise ConfigError(f"incompatible data at the corner: |u0(0) - f(0)| = {mismatch:.3e} > "
+                          f"{_CORNER_TOL:.0e} (move data.center or change boundary.*)")
     bd.validate(cfg.T)
     sys_ = _system_cached(u0.grid.n, u0.grid.L, cfg.dt, cfg.theta)
     updates = np.zeros(nsteps + 1)

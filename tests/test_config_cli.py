@@ -408,6 +408,61 @@ def test_cli_subcommand_must_match_experiment(tmp_path, capsys):
     assert not (tmp_path / "m").exists()
 
 
+def test_cli_corner_mismatch_exits_2(tmp_path, capsys):
+    # a bump with u0(0) = 0.5 exp(-1) against the zero boundary: solve's corner
+    # check refuses it with one config error line and no traceback
+    lines = [ln for ln in MINI_SIMULATE.splitlines() if not ln.startswith("data.center")]
+    cfgfile = tmp_path / "corner.cfg"
+    cfgfile.write_text("\n".join(lines + ["data.center = 1.0"]) + "\n")
+    rc = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "c")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "corner" in err and err.count("\n") == 1, err
+    assert "1.839e-01" in err and "1e-10" in err and "data.center" in err
+    assert not (tmp_path / "c").exists()
+
+
+def _mini_report(tmp_path, extra=()):
+    cfgfile = tmp_path / "mini.cfg"
+    cfgfile.write_text(MINI_SIMULATE + "".join(f"{line}\n" for line in extra))
+    assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "r"),
+                 "--quiet"]) == 0
+    return json.loads((tmp_path / "r" / "report.json").read_text())
+
+
+def test_simulate_dissipation_energies_are_the_snapshot_integrals(tmp_path, monkeypatch):
+    from kdvhl import experiments
+    from kdvhl.discretization import integrate
+
+    trajs = []
+
+    def keep(*args, solve=experiments.solve, **kwargs):
+        trajs.append(solve(*args, **kwargs))
+        return trajs[-1]
+
+    monkeypatch.setattr(experiments, "solve", keep)
+    block = _mini_report(tmp_path)["dissipation"]
+    (traj,) = trajs
+    # E = 1/2 int u^2 of the first and last states, bit for bit through report.json
+    for key, snap in (("e_initial", traj.snapshots[0]), ("e_final", traj.final)):
+        assert block[key] == 0.5 * integrate(snap.values ** 2, traj.grid)
+
+
+@pytest.mark.parametrize("delta", [None, 0.01])
+def test_simulate_reports_young_delta(tmp_path, delta):
+    from kdvhl.weights import CutoffSpec, WeightSpec
+
+    report = _mini_report(tmp_path, [] if delta is None else [f"diagnostics.delta = {delta}"])
+    supcp = WeightSpec(CutoffSpec(0.4, 2.0), v=1.0, x0=4.0).sup_chi_prime
+    want = 0.05 / supcp**2 if delta is None else delta  # the default keeps 0.5 - delta*supcp^2 > 0
+    assert set(report["identity"]) == {"1", "2"}
+    for block in report["identity"].values():
+        young = block["young"]
+        assert young["delta"] == want
+        assert young["sup_chi_prime"] == supcp
+        assert young["coefficient_check"] == 0.5 - young["delta"] * supcp**2 > 0.0
+
+
 def test_cli_deterministic_reports(tmp_path):
     cfgfile = tmp_path / "mini.cfg"
     cfgfile.write_text(MINI_SIMULATE)

@@ -6,6 +6,7 @@ from scipy.sparse import csr_matrix, diags as sp_diags, identity as sp_identity
 from scipy.sparse.linalg import splu as superlu
 
 from kdvhl.cli import _LEVELED, available_recipes, resolve_config
+from kdvhl.config import ConfigError
 from kdvhl.datagen import boundary_pulse, gaussian_bump
 from kdvhl.diagnostics import TraceSeries
 from kdvhl.discretization import Field, Grid1D, deriv_matrix, integrate
@@ -18,7 +19,6 @@ from kdvhl.solver import (
     _System,
     _extrapolate,
     _system_cached,
-    check_compatibility,
     solve,
     splu,
 )
@@ -80,12 +80,15 @@ def test_right_wall_rows_pinned():
 
 
 def test_incompatible_corner_raises():
+    # one check, in solve: a config error naming the mismatch and its 1e-10 tolerance
     g = Grid1D(20.0, 201)
     u0 = Field(g, np.full(g.n, 0.1), 0.0)
-    with pytest.raises(ValueError, match="incompatible"):
+    with pytest.raises(ConfigError, match="incompatible") as err:
         solve(u0, SolverConfig(dt=0.1, T=0.5), boundary_pulse("zero"))
-    res = check_compatibility(u0, boundary_pulse("zero"))
-    assert not res.ok and res.mismatch == pytest.approx(0.1)
+    msg = str(err.value)
+    assert "corner" in msg and "1.000e-01" in msg and "1e-10" in msg and "\n" not in msg
+    u0.values[0] = 1e-11  # within the tolerance
+    solve(u0, SolverConfig(dt=0.1, T=0.5), boundary_pulse("zero"))
 
 
 def test_inconsistent_boundary_pair_rejected():
@@ -162,16 +165,17 @@ def test_backward_euler_decays():
 def test_boundary_drain_dominates_unforced_energy_loss():
     # coarse-resolution audit of E(T) - E(0) = -1/2 int u_x(0,t)^2 dt;
     # the recipe-resolution version is covered by the acceptance gate
-    from kdvhl.diagnostics import dissipation_audit
+    from kdvhl.diagnostics import RunningDiagnostics, dissipation_audit
+    from kdvhl.weights import CutoffSpec, WeightSpec
 
     g = Grid1D(40.0, 801)
     u0 = Field(g, gaussian_bump(1.0, 3.0, 0.6)(g.nodes), 0.0)
-    traces = TraceSeries(boundary_pulse("zero"))
-    traj = solve(u0, SolverConfig(dt=0.0125, T=2.0, snapshot_stride=160),
-                 boundary_pulse("zero"), observers=[traces])
-    aud = dissipation_audit(traj, traces)
-    assert aud.dissipated < 0.0
-    assert aud.relative <= 3e-2
+    rd = RunningDiagnostics(g, boundary_pulse("zero"), WeightSpec(CutoffSpec(0.4, 2.0), 1.0, 4.0))
+    solve(u0, SolverConfig(dt=0.0125, T=2.0, snapshot_stride=160),
+          boundary_pulse("zero"), observers=[rd])
+    aud = dissipation_audit(rd.finish())
+    assert aud["dissipated"] < 0.0
+    assert aud["relative"] <= 3e-2
 
 
 def test_nonfinite_state_raises():
