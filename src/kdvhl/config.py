@@ -137,6 +137,8 @@ def _dotted_key(attr: str) -> str:
 # dotted key -> (field name, converter) and field name -> dotted key
 _KEYMAP = {_dotted_key(f.name): (f.name, _KINDS[f.type]) for f in fields(ExperimentConfig)}
 _REVMAP = {attr: key for key, (attr, _) in _KEYMAP.items()}
+# the float fields, Optional[float] ones included: each must be finite when set
+_FLOATS = tuple(attr for attr, kind in _KEYMAP.values() if kind is float)
 
 
 def _convert(key: str, raw: str, kind):
@@ -191,11 +193,13 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"key {_REVMAP[attr]!r}: {getattr(cfg, attr)!r} not one of {allowed}")
     for attr in ("L", "dt", "T", "epsilon", "b", "data_c", "data_width", "data_base_width",
                  "boundary_w", "boundary_ramp", "oracle_P", "oracle_c", "oracle_width",
-                 "oracle_cfl", "picard_tol"):
-        if not (0 < getattr(cfg, attr) < math.inf):
+                 "oracle_cfl", "picard_tol", "delta"):
+        value = getattr(cfg, attr)
+        if value is not None and not (0 < value < math.inf):
             raise ConfigError(f"key {_REVMAP[attr]!r} must be positive and finite")
-    for attr in ("x0", "boundary_A", "boundary_t_c", "boundary_omega", "oracle_x_left"):
-        if not math.isfinite(getattr(cfg, attr)):
+    for attr in _FLOATS:
+        value = getattr(cfg, attr)
+        if value is not None and not math.isfinite(value):
             raise ConfigError(f"key {_REVMAP[attr]!r} must be finite")
     for attr, low in (("n", 8), ("snapshot_stride", 1), ("picard_max", 1), ("data_m", 1),
                       ("levels", 1), ("oracle_samples", 1)):

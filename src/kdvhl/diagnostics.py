@@ -2,20 +2,20 @@
 integrated-by-parts identities they satisfy.
 
 The central objects are the derivative energies J_l(t) = int (d_x^l u)^2
-chi(x + v t - x0) dx.  Multiplying the differentiated equation by
-(d_x^l u) chi and integrating by parts yields, for l = 1,
+chi(x + v t - x0) dx.  Multiplying the equation differentiated l times by
+(d_x^l u) chi and integrating by parts yields, at every level l,
 
-    1/2 dJ_1/dt - v/2 int w^2 chi' + 3/2 int w_x^2 chi' - 1/2 int w^2 chi'''
-        + int w^3 chi - int u w^2 chi'
-    = u_xxx(0) w(0) chi0 - 1/2 w_x(0)^2 chi0 - w_x(0) w(0) chi0'
-        + 1/2 w(0)^2 chi0'' + f w(0)^2 chi0 + int F_x w chi,
+    1/2 dJ_l/dt - v/2 int (d^l u)^2 chi' + 3/2 int (d^{l+1} u)^2 chi'
+        - 1/2 int (d^l u)^2 chi''' + c_l int u_x (d^l u)^2 chi - int u (d^l u)^2 chi'
+    = d_{l+2} d_l chi0 - 1/2 d_{l+1}^2 chi0 - d_{l+1} d_l chi0' + 1/2 d_l^2 chi0''
+        + f d_l^2 chi0 + int (d^l F) (d^l u) chi,
 
-with w = u_x and chi0 = chi(v t - x0); for l = 2 the same structure holds with
-q = u_xx, the nonlinear pair 5 int u_x q^2 chi - int u q^2 chi', and traces one
-order higher.  Every term is recorded as a signed series; their sum is the
-residual, which must vanish to discretization order.  The third boundary
+with d_k = d_x^k u(0, t), chi0 = chi(v t - x0) and c_1 = 1, c_2 = 5; levels 1
+and 2 are implemented.  Every term is recorded as a signed series; their sum is
+the residual, which must vanish to discretization order.  The third boundary
 derivative is taken from the equation itself, u_xxx(0) = F(0) - f' - 2 f u_x(0),
-with the one-sided stencil kept as a cross-check only.
+with the one-sided stencil kept as a cross-check only; the fourth is the
+one-sided probe, read only once chi0 > 0.
 
 A run's wall values are computed once per state, by the TraceSeries observer;
 RunningDiagnostics owns one and returns it from finish(), and every trace reader
@@ -49,7 +49,6 @@ left of the band needs.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -64,24 +63,22 @@ __all__ = [
     "TraceSeries",
     "trace_integral",
     "trace_identity_residual",
-    "IdentityBreakdown",
-    "InterpolationCheck",
     "interpolation_check",
     "dissipation_audit",
     "RunningDiagnostics",
 ]
 
-# fixed summation order defining every identity residual (bit-for-bit contract)
-_TERM_ORDER_L1 = (
-    "time_derivative", "weight_transport", "smoothing", "weight_third",
-    "nl_cubic", "nl_transport", "forcing",
-    "trace_d3d1", "trace_d2sq", "trace_d2d1", "trace_d1sq", "trace_cubic",
-)
-_TERM_ORDER_L2 = (
-    "time_derivative", "weight_transport", "smoothing", "weight_third",
-    "nl_steepening", "nl_transport", "forcing",
-    "trace_d4d2", "trace_d3sq", "trace_d3d2", "trace_d2sq", "trace_cubic",
-)
+# per identity level l: the name and coefficient c_l of its nonlinear term
+_LEVELS = {1: ("nl_cubic", 1.0), 2: ("nl_steepening", 5.0)}
+
+
+def _term_order(l: int) -> tuple:
+    """The level-l identity's term names, in the fixed summation order that
+    defines its residual (bit-for-bit contract)."""
+    return ("time_derivative", "weight_transport", "smoothing", "weight_third",
+            _LEVELS[l][0], "nl_transport", "forcing", f"trace_d{l + 2}d{l}",
+            f"trace_d{l + 1}sq", f"trace_d{l + 1}d{l}", f"trace_d{l}sq", "trace_cubic")
+
 
 # derivative orders j of the Kato functional sup_x int_0^T (d_x^j u)^2 dt
 _KATO_ORDERS = (1, 2)
@@ -265,109 +262,64 @@ class _Block:
         return out
 
 
-def _identity_terms(blk: _Block, level: int, wspec: WeightSpec, D: dict, kcp, traces,
+def _identity_terms(blk: _Block, l: int, wspec: WeightSpec, D: dict, kcp, traces,
                     F) -> dict:
-    """All signed identity terms except the dJ/dt piece, one value per state of
-    the block; kcp = int u_xx^2 chi', traces the block's columns of the wall
-    record's table(), F the forcing rows or None."""
-    u, w, q, qx = blk.derivs
-    ww, qq = blk.sq
+    """The level-l identity's signed terms except the dJ/dt piece, one value per
+    state of the block, in _term_order(l); kcp = int u_xx^2 chi', traces the
+    block's columns of the wall record's table(), F the forcing rows or None."""
+    u, w = blk.derivs[:2]
+    ul, ul1 = blk.derivs[l:l + 2]  # d_x^l u and d_x^(l+1) u
+    sq = blk.sq[l - 1]  # (d_x^l u)^2
     b0, b1, b2 = blk.chi[:3, :blk.B]
-    v = wspec.v
     _, f, d1t, d2t, _, d4t, d3t = traces
-
-    out = {}
-    if level == 1:
-        out["weight_transport"] = -0.5 * v * blk.band(1, ww)
-        out["smoothing"] = 1.5 * kcp
-        out["weight_third"] = -0.5 * blk.band(3, ww)
-        out["nl_cubic"] = blk.full(ww * w)
-        out["nl_transport"] = -blk.band(1, u * ww)
-        if F is not None:
-            out["forcing"] = -blk.full(_deriv_rows(D[1], np.ascontiguousarray(F.T)) * w)
-        else:
-            out["forcing"] = np.zeros(blk.B)
-        out["trace_d3d1"] = -d3t * d1t * b0
-        out["trace_d2sq"] = 0.5 * d2t * d2t * b0
-        out["trace_d2d1"] = d2t * d1t * b1
-        out["trace_d1sq"] = -0.5 * d1t * d1t * b2
-        out["trace_cubic"] = -f * d1t * d1t * b0
+    # the wall value of each order at x = 0; the u_xxxx probe is noisy, so it is
+    # read only once chi0 > 0
+    wall = (None, d1t, d2t, d3t, np.where(b0 != 0.0, d4t, 0.0))
+    tl, tl1, tl2 = wall[l:l + 3]
+    # int (d_x^k u)^2 chi' for k = l and l + 1: the observer's kcp at order 2
+    chi1_l = kcp if l == 2 else blk.band(1, sq)
+    chi1_l1 = kcp if l + 1 == 2 else blk.band(1, ul1 * ul1)
+    if F is not None:
+        forcing = -blk.full(_deriv_rows(D[l], np.ascontiguousarray(F.T)) * ul)
     else:
-        out["weight_transport"] = -0.5 * v * kcp
-        out["smoothing"] = 1.5 * blk.band(1, qx * qx)
-        out["weight_third"] = -0.5 * blk.band(3, qq)
-        out["nl_steepening"] = 5.0 * blk.full(w * qq)
-        out["nl_transport"] = -blk.band(1, u * qq)
-        if F is not None:
-            out["forcing"] = -blk.full(_deriv_rows(D[2], np.ascontiguousarray(F.T)) * q)
-        else:
-            out["forcing"] = np.zeros(blk.B)
-        d4t = np.where(b0 != 0.0, d4t, 0.0)  # the probe is noisy; read only once chi0 > 0
-        out["trace_d4d2"] = -d4t * d2t * b0
-        out["trace_d3sq"] = 0.5 * d3t * d3t * b0
-        out["trace_d3d2"] = d3t * d2t * b1
-        out["trace_d2sq"] = -0.5 * d2t * d2t * b2
-        out["trace_cubic"] = -f * d2t * d2t * b0
-    return out
+        forcing = np.zeros(blk.B)
+    return dict(zip(_term_order(l)[1:], (
+        -0.5 * wspec.v * chi1_l, 1.5 * chi1_l1, -0.5 * blk.band(3, sq),
+        _LEVELS[l][1] * blk.full(sq * w), -blk.band(1, u * sq), forcing,
+        -tl2 * tl * b0, 0.5 * tl1 * tl1 * b0, tl1 * tl * b1, -0.5 * tl * tl * b2,
+        -f * tl * tl * b0)))
 
 
-@dataclass
-class IdentityBreakdown:
-    """Signed per-step identity terms; residual == ordered sum, by definition.
+def _identity_breakdown(l: int, times, J, terms: dict) -> dict:
+    """The level-l identity from its terms: {terms, residual, normalized, scale}.
 
-    normalized is int |residual| dt divided by the largest single term's
-    int |term| dt, the refinement-study metric.
+    terms gains the dJ/dt piece, 1/2 dJ_l/dt, last; residual is the sum of the
+    terms in _term_order(l), by definition; normalized is int |residual| dt
+    divided by scale, the largest single term's int |term| dt: the
+    refinement-study metric.
     """
-
-    level: int
-    times: np.ndarray
-    J: np.ndarray
-    terms: dict
-    residual: np.ndarray
-    normalized: float
-    scale: float
-
-    @staticmethod
-    def assemble(level: int, times, J, terms: dict) -> "IdentityBreakdown":
-        times = np.asarray(times, dtype=float)
-        if times.size < 2:
-            raise ValueError(f"identity bookkeeping needs at least two observed states for "
-                             f"dJ/dt, got {times.size}")
-        J = np.asarray(J, dtype=float)
-        order = _TERM_ORDER_L1 if level == 1 else _TERM_ORDER_L2
-        full = dict(terms)
-        full["time_derivative"] = 0.5 * np.gradient(J, times)
-        residual = np.zeros_like(times)
-        for name in order:
-            residual = residual + np.asarray(full[name], dtype=float)
-        scale = max(
-            float(np.trapezoid(np.abs(np.asarray(full[n], dtype=float)), times))
-            for n in order
-        )
-        resid_int = float(np.trapezoid(np.abs(residual), times))
-        normalized = resid_int / scale if scale > 0.0 else 0.0
-        return IdentityBreakdown(
-            level=level, times=times, J=J, terms=full,
-            residual=residual, normalized=normalized, scale=scale,
-        )
+    if times.size < 2:
+        raise ValueError(f"identity bookkeeping needs at least two observed states for "
+                         f"dJ/dt, got {times.size}")
+    terms = {**terms, "time_derivative": 0.5 * np.gradient(J, times)}
+    order = _term_order(l)
+    residual = np.zeros_like(times)
+    for name in order:
+        residual = residual + terms[name]
+    scale = max(float(np.trapezoid(np.abs(terms[n]), times)) for n in order)
+    resid_int = float(np.trapezoid(np.abs(residual), times))
+    return {"terms": terms, "residual": residual,
+            "normalized": resid_int / scale if scale > 0.0 else 0.0, "scale": scale}
 
 
-@dataclass
-class InterpolationCheck:
-    """sup-bound check: ||(u_xx)^2 chi'||_inf against the three gain integrals."""
+def interpolation_check(field: Field, wspec: WeightSpec) -> tuple:
+    """Compare sup (u_xx)^2 chi' with the integrals that dominate it; returns
+    (ratio, degenerate).
 
-    lhs: float
-    rhs_terms: tuple
-    ratio: float
-    degenerate: bool
-
-
-def interpolation_check(field: Field, wspec: WeightSpec) -> InterpolationCheck:
-    """Compare sup (u_xx)^2 chi' with the integrals that dominate it.
-
-    rhs terms: int (u_xx)^2 chi', int (u_xxx)^2 chi', and int (u_xx)^2 chi'
+    The integrals: int (u_xx)^2 chi', int (u_xxx)^2 chi', and int (u_xx)^2 chi'
     for the widened companion cutoff (eps/3, b+eps) whose derivative dominates
-    |chi''|.  The ratio lhs/sum(rhs) should stay O(1) under refinement.
+    |chi''|.  The ratio sup/sum should stay O(1) under refinement; degenerate
+    flags a zero sum, where the ratio is 0 (zero sup) or inf.
     """
     grid = field.grid
     cut = wspec.cutoff
@@ -378,16 +330,10 @@ def interpolation_check(field: Field, wspec: WeightSpec) -> InterpolationCheck:
     wide = _aux_cutoff(cut.epsilon / 3.0, cut.b + cut.epsilon)
     c1w = chi(wide, x + wspec.v * field.t - wspec.x0, 1)
     lhs = float(np.max(q * q * c1))
-    rhs = (
-        _weighted_sq(grid, q, c1),
-        _weighted_sq(grid, qx, c1),
-        _weighted_sq(grid, q, c1w),
-    )
-    s = sum(rhs)
+    s = _weighted_sq(grid, q, c1) + _weighted_sq(grid, qx, c1) + _weighted_sq(grid, q, c1w)
     if s <= 0.0:
-        return InterpolationCheck(lhs=lhs, rhs_terms=rhs, ratio=0.0 if lhs == 0.0 else np.inf,
-                                  degenerate=True)
-    return InterpolationCheck(lhs=lhs, rhs_terms=rhs, ratio=lhs / s, degenerate=False)
+        return (0.0 if lhs == 0.0 else np.inf), True
+    return lhs / s, False
 
 
 def dissipation_audit(fin: dict) -> dict:
@@ -525,6 +471,6 @@ class RunningDiagnostics:
         out["identity"] = {}
         for lv in self.identity_levels:
             series = {k: np.concatenate(v) for k, v in self._identity[lv].items()}
-            out["identity"][lv] = IdentityBreakdown.assemble(lv, times, out[f"J{lv}"], series)
+            out["identity"][lv] = _identity_breakdown(lv, times, out[f"J{lv}"], series)
         out["traces"] = self.traces
         return out

@@ -132,7 +132,7 @@ def _series_table(fin: dict) -> np.ndarray:
             fin["trace2_acc"], fin["trace3_acc"]]
     for lv in (1, 2):
         if lv in fin["identity"]:
-            cols.append(fin["identity"][lv].residual)
+            cols.append(fin["identity"][lv]["residual"])
         else:
             cols.append(np.full(n, np.nan))
     return np.column_stack(cols)
@@ -215,7 +215,7 @@ def run_simulate(cfg: ExperimentConfig):
     traces = fin["traces"]
     _, _, rms = trace_identity_residual(traces)
     interp = [interpolation_check(s, ws) for s in traj.snapshots]
-    ratios = [c.ratio for c in interp if np.isfinite(c.ratio)]
+    ratios = [r for r, _ in interp if np.isfinite(r)]
     report = {
         "schema": SCHEMA,
         "experiment": "simulate",
@@ -240,7 +240,7 @@ def run_simulate(cfg: ExperimentConfig):
         "interpolation": {
             "max_ratio": max(ratios) if ratios else 0.0,
             "n_samples": len(interp),
-            "any_degenerate": bool(any(c.degenerate for c in interp)),
+            "any_degenerate": bool(any(d for _, d in interp)),
         },
         "identity": {},
         "flags": {"picard_max_update": float(np.max(traj.picard_updates)),
@@ -248,24 +248,20 @@ def run_simulate(cfg: ExperimentConfig):
                   "picard_capped_steps": int(np.sum(~traj.picard_converged)),
                   "picard_mean_sweeps": float(np.mean(traj.picard_sweeps[1:]))},
     }
-    for lv, br in fin["identity"].items():
+    if fin["identity"]:
         supcp = ws.sup_chi_prime
         # the Young-split parameter, report-only: the default keeps the split's leading
         # coefficient 0.5 - delta * supcp**2 positive
         delta = cfg.delta if cfg.delta is not None else 0.05 / supcp**2
-        report["identity"][str(lv)] = {
-            "normalized_residual": br.normalized,
-            "scale": br.scale,
-            "young": {
-                "delta": delta,
-                "sup_chi_prime": supcp,
-                "coefficient_check": 0.5 - delta * supcp**2,
-            },
-            "term_integrals": {
-                name: float(np.trapezoid(np.abs(arr), br.times))
-                for name, arr in br.terms.items()
-            },
-        }
+        young = {"delta": delta, "sup_chi_prime": supcp,
+                 "coefficient_check": 0.5 - delta * supcp**2}
+        report["identity"] = {str(lv): {
+            "normalized_residual": br["normalized"],
+            "scale": br["scale"],
+            "young": young,
+            "term_integrals": {name: float(np.trapezoid(np.abs(arr), times))
+                               for name, arr in br["terms"].items()},
+        } for lv, br in fin["identity"].items()}
     if cfg.boundary_kind == "zero" and cfg.data_kind != "mms":
         report["dissipation"] = dissipation_audit(fin)
     if exact is not None:
@@ -310,7 +306,7 @@ def run_propagation(cfg: ExperimentConfig, levels=None):
         u0 = traj.snapshots[0]
         rough = integrate((deriv_matrix(traj.grid, 2) @ u0.values) ** 2, traj.grid)
         interp = [interpolation_check(s, ws) for s in traj.snapshots]
-        finite = [ic.ratio for ic in interp if np.isfinite(ic.ratio)]
+        finite = [r for r, _ in interp if np.isfinite(r)]
         row = {
             "sup_J1": _sup_before(times, fin["J1"], t1),
             "sup_J2": _sup_before(times, fin["J2"], t2),
@@ -380,8 +376,8 @@ def run_identity(cfg: ExperimentConfig, levels=None):
         fin = _run_with_diagnostics(c, snapshot_stride=int(round(c.T / c.dt)))[1]
         row = {}
         for ilv, br in fin["identity"].items():
-            row[f"normalized_l{ilv}"] = br.normalized
-            row[f"scale_l{ilv}"] = br.scale
+            row[f"normalized_l{ilv}"] = br["normalized"]
+            row[f"scale_l{ilv}"] = br["scale"]
         return row, _series_table(fin)
 
     rows, series = _study(cfg, levels, measure)

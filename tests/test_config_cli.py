@@ -195,7 +195,13 @@ _INVALID_CONTEXT = {"boundary.w": {"boundary.kind": "gaussian-pulse"},
                                        ("data.width", "0"), ("boundary.w", "0"),
                                        ("data.x1", "0.5"), ("boundary.ramp", "0"),
                                        ("boundary.t_c", "inf"),
-                                       ("time.T", "1e20"), ("time.dt", "1e-320")])
+                                       ("time.T", "1e20"), ("time.dt", "1e-320"),
+                                       ("diagnostics.delta", "nan"),
+                                       ("diagnostics.delta", "inf"),
+                                       ("diagnostics.delta", "0"),
+                                       ("diagnostics.delta", "-1"),
+                                       ("study.residual_decay", "nan"),
+                                       ("data.base_center", "inf")])
 def test_cli_invalid_config_exit_code(tmp_path, capsys, key, value):
     # keys that only act under another setting bring that setting along
     context = {**_INVALID_CONTEXT.get(key, {}), key: value}
