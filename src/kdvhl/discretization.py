@@ -7,17 +7,22 @@ come from the classic recurrence for finite-difference coefficients on
 arbitrary nodes, so boundary closures and trace probes share one code path.
 On a uniform grid a row's weights depend only on its stencil's width and the
 row's offset inside it, so each distinct stencil (at most five per operator)
-is derived once and copied into every row that uses it.  A private cubic
-Hermite interpolant serves the cutoff chi and the oracle's inflow trace.
+is derived once and copied into every row that uses it.  scipy's compiled CSR kernels
+apply the operators.  A cubic Hermite interpolant serves chi and the oracle's inflow.
 """
 
 from __future__ import annotations
 
+import os
+import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from importlib import import_module, machinery, util
 
 import numpy as np
-from scipy.sparse import csr_matrix
+
+from .config import ConfigError
 
 __all__ = [
     "Grid1D",
@@ -27,6 +32,22 @@ __all__ = [
     "trace_derivs",
     "integrate",
 ]
+
+
+def _scipy_ext(name: str):
+    """scipy's compiled module `name` from its file, running no scipy package __init__
+    (~0.3 s of imports kdvhl never uses); else the normal import, giving the same module."""
+    stem = os.path.join(util.find_spec("scipy").submodule_search_locations[0],  # no import
+                        *name.split(".")[1:])
+    for path in (stem + s for s in machinery.EXTENSION_SUFFIXES if os.path.isfile(stem + s)):
+        spec = util.spec_from_file_location(name, path)
+        module = util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return sys.modules.setdefault(name, module)
+    return import_module(name)
+
+
+_sparsetools = _scipy_ext("scipy.sparse._sparsetools")
 
 
 def fd_weights(xs, x0: float, k: int):
@@ -117,23 +138,43 @@ def _row_stencils(n: int, k: int):
     raise ValueError(f"derivative order must be 1, 2 or 3, got {k}")
 
 
+class _CSR(namedtuple("_CSR", "data indices indptr")):
+    """A square matrix as CSR arrays: rows in order, int32 column indices."""
+
+    def __matmul__(self, x):
+        """The product with a vector or a C-ordered (n, m) block, by csr_matrix's kernels."""
+        n = len(self.indptr) - 1
+        if len(x) != n:  # the kernels would read past the end of x
+            raise ValueError(f"an operator on {n} nodes applied to {len(x)} rows")
+        y = np.zeros(x.shape)
+        if x.ndim == 1:
+            _sparsetools.csr_matvec(n, n, self.indptr, self.indices, self.data, x, y)
+        else:
+            _sparsetools.csr_matvecs(n, n, x.shape[1], self.indptr, self.indices, self.data,
+                                     x.ravel(), y.ravel())
+        return y
+
+
 @lru_cache(maxsize=64)
-def _deriv_matrix_cached(n: int, h: float, k: int):
+def _deriv_matrix_cached(n: int, h: float, k: int) -> _CSR:
     lo, m = _row_stencils(n, k)
     offset = np.arange(n) - lo
-    start = np.cumsum(m) - m  # first COO entry of each row
-    rows = np.repeat(np.arange(n), m)
-    cols = np.repeat(lo, m) + np.arange(len(rows)) - np.repeat(start, m)
-    data = np.empty(len(rows))
+    indptr = np.concatenate(([0], np.cumsum(m))).astype(np.int32)
+    indices = (np.repeat(lo - indptr[:-1], m) + np.arange(indptr[-1])).astype(np.int32)
+    data = np.empty(indptr[-1])
     for off, width in sorted(set(zip(offset.tolist(), m.tolist()))):
-        w = fd_weights(np.arange(width, dtype=float) * h, off * h, k)
-        first = start[(offset == off) & (m == width)]
+        with np.errstate(all="ignore"):  # a huge or tiny h is refused just below
+            w = fd_weights(np.arange(width, dtype=float) * h, off * h, k)
+        if not np.all(np.isfinite(w)):
+            raise ConfigError(f"key 'grid.L' = {h * (n - 1):.6g} with grid.n = {n} gives h = "
+                              f"{h:.3g}, at which the order-{k} difference weights are not finite")
+        first = indptr[:-1][(offset == off) & (m == width)]  # each row's first entry
         data[first[:, None] + np.arange(width)] = w
-    return csr_matrix((data, (rows, cols)), shape=(n, n))
+    return _CSR(data, indices, indptr)
 
 
-def deriv_matrix(grid: Grid1D, k: int):
-    """Sparse k-th derivative operator for the grid (cached per (n, h, k))."""
+def deriv_matrix(grid: Grid1D, k: int) -> _CSR:
+    """The k-th derivative operator for the grid, as CSR arrays (cached per (n, h, k))."""
     return _deriv_matrix_cached(grid.n, grid.h, k)
 
 

@@ -6,9 +6,9 @@ third-derivative operator).  The dispersive term is implicit: A = I + theta*dt*D
 is banded with symmetric part I inside, as centred D3 is skew, up to the rounding of
 the Fornberg weights: D3's computed centre weight is 1.28e-15/h^3 on the soliton
 recipe's grid, not 0, and a D1 pair reads -80.0 / 79.99999999999999 at n = 6401 on
-L = 40.  So A is factored once without pivoting, which is stable for such A (Golub &
-Van Loan 1979), and each Picard sweep on the midpoint-averaged nonlinear flux solves
-it with two BLAS dtbsv calls.
+L = 40.  So SuperLU factors A once without pivoting, which is stable for such A (Golub &
+Van Loan 1979), and each Picard sweep on the midpoint-averaged nonlinear flux solves it
+with two BLAS dtbsv calls, both scipy's compiled kernels loaded from their files.
 Each step iterates from the cubic in time through u^n and the three states before it,
 4u^n - 6u^{n-1} + 4u^{n-2} - u^{n-3}; steps 1-3 use the lower-order extrapolant through
 every state there is (u^n on step 1 and in linear runs).  The solutions are smooth in
@@ -33,12 +33,12 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
-from scipy.sparse import identity as sp_identity
-from scipy.sparse.linalg import splu as superlu
 
 from .config import ConfigError
-from .discretization import Field, Grid1D, deriv_matrix
+from .discretization import Field, Grid1D, _scipy_ext, deriv_matrix
+
+_superlu = _scipy_ext("scipy.sparse.linalg._dsolve._superlu")
+_dtbsv = _scipy_ext("scipy.linalg._fblas").dtbsv
 
 __all__ = [
     "SolverError",
@@ -162,37 +162,42 @@ class _BandLU(namedtuple("_BandLU", "kl L ku U")):
 
     def solve(self, b):
         """Overwrite b with A^-1 b: two banded triangular solves (dtbsv)."""
-        y = dtbsv(self.kl, self.L, b, lower=1, diag=1, overwrite_x=1)
-        return dtbsv(self.ku, self.U, y, overwrite_x=1)
+        y = _dtbsv(self.kl, self.L, b, lower=1, diag=1, overwrite_x=1)
+        return _dtbsv(self.ku, self.U, y, overwrite_x=1)
 
 
 def _band(F, upper: bool):
-    """A triangular CSC factor in LAPACK band storage, and its bandwidth."""
-    cols = np.repeat(np.arange(F.shape[1]), np.diff(F.indptr))
-    off = cols - F.indices if upper else F.indices - cols  # distance from the diagonal
+    """A triangular factor's SuperLU CSC arrays, cut at indptr[-1], as (bandwidth, band)."""
+    data, indices, indptr = F
+    n, nnz = len(indptr) - 1, indptr[-1]
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    off = cols - indices[:nnz] if upper else indices[:nnz] - cols  # distance from the diagonal
     k = int(np.max(off))
-    B = np.zeros((k + 1, F.shape[1]), order="F")
-    B[k - off if upper else off, cols] = F.data
+    B = np.zeros((k + 1, n), order="F")
+    B[k - off if upper else off, cols] = data[:nnz]
     return k, B
 
 
 def splu(A) -> _BandLU:
-    """Band LU of A without row interchanges; like scipy's splu, its solve(b) gives A^-1 b.
-
-    The bandwidths are the factors' own, which without interchanges are A's.
-    """
-    A = A.tocsc()
+    """Band LU without row interchanges of A, given as CSC arrays (data, indices, indptr)
+    with C int indices; like scipy's splu, its solve(b) gives A^-1 b.  The factors are
+    SuperLU's, from the call scipy's splu(A, permc_spec="NATURAL", diag_pivot_thresh=0)
+    makes; without interchanges their bandwidths are A's."""
+    data, indices, indptr = A
+    n = len(indptr) - 1
     try:
-        lu = superlu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True})
+        lu = _superlu.gstrf(n, len(data), data, indices, indptr,
+                            csc_construct_func=lambda arrays, shape: arrays, ilu=False,
+                            options={"DiagPivotThresh": 0.0, "ColPerm": "NATURAL",
+                                     "SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"implicit system is singular: {exc}") from exc
-    U = lu.U
-    ident, growth = np.arange(A.shape[0]), np.max(np.abs(U.data)) / np.max(np.abs(A.data))
+    (kl, L), (ku, U) = _band(lu.L, False), _band(lu.U, True)
+    ident, growth = np.arange(n), np.max(np.abs(U)) / np.max(np.abs(data))
     if not (np.array_equal(lu.perm_r, ident) and np.array_equal(lu.perm_c, ident)
-            and np.all(U.diagonal() != 0.0) and growth <= 1e3):  # every recipe: growth 1
+            and np.all(U[ku] != 0.0) and growth <= 1e3):  # every recipe: growth 1
         raise SolverError(f"implicit system needs pivoting (growth max|U|/max|A| = {growth:.3e})")
-    return _BandLU(*_band(lu.L, False), *_band(U, True))
+    return _BandLU(kl, L, ku, U)
 
 
 class _System:
@@ -202,16 +207,20 @@ class _System:
         n = grid.n
         self.D3 = deriv_matrix(grid, 3)
         self.D1 = deriv_matrix(grid, 1)
-        A = sp_identity(n, format="csr") + (theta * dt) * self.D3
-        # row 0 is the Dirichlet row; right closure: u(L) = 0 with u_x(L) = 0
-        # imposed through the last interior node; pinning both end values
-        # keeps the wall exactly energy-neutral for the centered interior stencil.
-        # A pinned row keeps only its diagonal, set to 1 in place
-        for r in (0, n - 2, n - 1):
-            row = slice(A.indptr[r], A.indptr[r + 1])
-            A.data[row] = A.indices[row] == r
-        A.eliminate_zeros()
-        self.lu = splu(A)
+        # A = I + theta*dt*D3 in CSC arrays, each entry as scipy's sparse sum forms it
+        # (theta*dt*w, then 1.0 added on the diagonal, exact zeros dropped).  Row 0 is
+        # the Dirichlet row; right closure: u(L) = 0 with u_x(L) = 0 imposed through the
+        # last interior node; pinning both end values keeps the wall exactly energy-neutral
+        # for the centered interior stencil.  A pinned row keeps only its diagonal, 1
+        w, cols, indptr = self.D3
+        rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+        a = (theta * dt) * w
+        a[rows == cols] += 1.0
+        a = np.where(np.isin(rows, (0, n - 2, n - 1)), rows == cols, a)
+        order = np.lexsort((rows, cols))  # by column, rows ascending
+        order = order[a[order] != 0.0]
+        colptr = np.searchsorted(cols[order], np.arange(n + 1)).astype(np.int32)
+        self.lu = splu((a[order], rows[order], colptr))
 
 
 @lru_cache(maxsize=8)

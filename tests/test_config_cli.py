@@ -178,7 +178,8 @@ _INVALID_CONTEXT = {"boundary.w": {"boundary.kind": "gaussian-pulse"},
 
 
 @pytest.mark.parametrize("key,value", [("time.theta", "2"), ("time.T", "0.25"),
-                                       ("grid.L", "nan"), ("data.center", "0"),
+                                       ("grid.L", "nan"), ("grid.L", "1e120"),
+                                       ("grid.L", "1e300"), ("data.center", "0"),
                                        ("oracle.samples", "0"), ("oracle.cfl", "0"),
                                        ("diagnostics.l", "4"),
                                        ("diagnostics.identity_levels", "3"),

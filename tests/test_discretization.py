@@ -122,13 +122,32 @@ def test_deriv_matrix_equals_per_row_reference(n, k):
         assert np.array_equal(getattr(got, attr), getattr(ref, attr)), attr
 
 
+@pytest.mark.parametrize("n", [8, 601, 6401])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_deriv_matrix_product_equals_csr_matrix_bit_for_bit(n, k):
+    # the operator runs the kernels csr_matrix @ runs, on a vector and on the
+    # C-ordered blocks the observer passes; signed zeros in x and exact zeros in
+    # the sums must come out with the same sign
+    D = deriv_matrix(Grid1D(30.0, n), k)
+    ref = csr_matrix(D, shape=(n, n))
+    rng = np.random.default_rng(n + k)
+    x = rng.standard_normal(n)
+    x[: n // 2] = 0.0
+    x[: n // 4] = -0.0
+    block = np.ascontiguousarray(np.stack([x] + [rng.standard_normal(n) for _ in range(53)]).T)
+    for v in (x, block, np.ascontiguousarray(block[:, :1])):
+        got, want = D @ v, ref @ v
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_implicit_system_solve_matches_lil_reference():
     # _System keeps only the band factors of its operator, so the assembly is
     # checked through L U against the LIL-built reference, entry for entry
     g = Grid1D(40.0, 801)
     dt, theta = 0.0125, 0.5
     n = g.n
-    A = (sp_identity(n, format="lil") + (theta * dt) * deriv_matrix(g, 3).tolil()).tolil()
+    D3 = csr_matrix(deriv_matrix(g, 3), shape=(n, n))
+    A = (sp_identity(n, format="lil") + (theta * dt) * D3.tolil()).tolil()
     for r in (0, n - 2, n - 1):
         A.rows[r], A.data[r] = [r], [1.0]
     kl, L, ku, U = _System(g, dt, theta).lu

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix, diags as sp_diags, identity as sp_identity
+from scipy.sparse import csc_matrix, csr_matrix, diags as sp_diags, identity as sp_identity
 from scipy.sparse.linalg import splu as superlu
 
 from kdvhl.cli import _LEVELED, available_recipes, resolve_config
@@ -335,6 +335,20 @@ def test_cubic_start_converges_on_the_soliton_grid():
     assert int(np.sum(~traj.picard_converged)) <= 10
 
 
+def _csc_arrays(A):
+    """The (data, indices, indptr) arrays of a scipy CSC matrix, as splu takes them."""
+    return A.data, A.indices, A.indptr
+
+
+def _independent_system(n, L, dt, theta):
+    """A = I + theta*dt*D3 with rows 0, n-2, n-1 pinned, assembled apart from _System:
+    the pinned rows of theta*dt*D3 zeroed by a diagonal scaling, then the identity added."""
+    keep = np.ones(n)
+    keep[[0, -2, -1]] = 0.0
+    D3 = csr_matrix(deriv_matrix(Grid1D(L, n), 3), shape=(n, n))
+    return (sp_diags(keep) @ ((theta * dt) * D3) + sp_identity(n)).tocsc()
+
+
 def _band_cases():
     """(n, L, dt, theta) of every grid a bundled recipe steps on, plus both
     ends of theta and a step far beyond dt ~ h."""
@@ -350,17 +364,37 @@ def _band_cases():
 
 @pytest.mark.parametrize("n,L,dt,theta", _band_cases())
 def test_band_solve_matches_pivoted_lu(n, L, dt, theta):
-    # an assembly independent of _System's: zero the pinned rows of
-    # theta*dt*D3 by a diagonal scaling, then add the identity
     g = Grid1D(L, n)
-    keep = np.ones(n)
-    keep[[0, -2, -1]] = 0.0
-    A = (sp_diags(keep) @ ((theta * dt) * deriv_matrix(g, 3)) + sp_identity(n)).tocsc()
+    A = _independent_system(n, L, dt, theta)
     b = np.random.default_rng(n).standard_normal(n)
     ref = superlu(A).solve(b)
     got = _System(g, dt, theta).lu.solve(b.copy())
     assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
     assert np.max(np.abs(A @ got - b)) <= 10.0 * np.max(np.abs(A @ ref - b))
+
+
+def _band_of(F, k, upper):
+    """A triangular scipy factor in LAPACK band storage of bandwidth k, read from its
+    COO entries: U[k + i - j, j] = U_ij above the diagonal, L[i - j, j] = L_ij below."""
+    F = F.tocoo()
+    off = F.col - F.row if upper else F.row - F.col
+    assert off.min() >= 0 and off.max() == k
+    B = np.zeros((k + 1, F.shape[1]), order="F")
+    B[k - off if upper else off, F.col] = F.data
+    return B
+
+
+@pytest.mark.parametrize("n,L,dt,theta", _band_cases())
+def test_band_factors_equal_scipy_splu_bit_for_bit(n, L, dt, theta):
+    # _System's own assembly and gstrf call against scipy's public splu with the
+    # same pivot-free options on an independently assembled A: the factors, and so
+    # every solve, are the same bits
+    A = _independent_system(n, L, dt, theta)
+    ref = superlu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    for lu in (_System(Grid1D(L, n), dt, theta).lu, splu(_csc_arrays(A))):
+        assert _band_of(ref.L, lu.kl, False).tobytes() == lu.L.tobytes()
+        assert _band_of(ref.U, lu.ku, True).tobytes() == lu.U.tobytes()
 
 
 @pytest.mark.parametrize("corner", [0.0, 1e-8], ids=["interchange", "growth"])
@@ -371,7 +405,7 @@ def test_band_factor_rejects_systems_that_need_pivoting(corner):
     M[0, 0] = corner
     assert abs(np.linalg.det(M)) > 0.1
     with pytest.raises(SolverError, match="needs pivoting"):
-        splu(csr_matrix(M))
+        splu(_csc_arrays(csc_matrix(M)))
 
 
 @pytest.mark.parametrize("which", ["f", "fprime"])
