@@ -94,7 +94,9 @@ def gaussian_bump(amplitude: float, center: float, width: float):
     """Smooth background profile A*exp(-((x-c)/w)^2)."""
     def profile(x):
         z = (np.asarray(x, dtype=float) - center) / width
-        return amplitude * np.exp(-z * z)
+        with np.errstate(over="ignore"):  # far out z*z is inf, and exp(-inf) = 0 is right
+            zz = z * z
+        return amplitude * np.exp(-zz)
     return profile
 
 

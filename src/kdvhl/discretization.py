@@ -36,7 +36,9 @@ __all__ = [
 
 def _scipy_ext(name: str):
     """scipy's compiled module `name` from its file, running no scipy package __init__
-    (~0.3 s of imports kdvhl never uses); else the normal import, giving the same module."""
+    (~0.3 s of imports kdvhl never uses); else the normal import, giving the same module.
+    kdvhl loads four: `_sparsetools` (CSR products), `_superlu` (gstrf), `_fblas`
+    (dtbsv) and, for the oracle's march, `pypocketfft` (r2c/c2r)."""
     stem = os.path.join(util.find_spec("scipy").submodule_search_locations[0],  # no import
                         *name.split(".")[1:])
     for path in (stem + s for s in machinery.EXTENSION_SUFFIXES if os.path.isfile(stem + s)):

@@ -4,8 +4,10 @@ solutions.
 The whole-line solver integrates u_t + u_xxx + (u^2)_x = 0 on a large periodic
 domain with an integrating-factor RK4 (the dispersive phase is exact, only the
 nonlinear flux is stepped) and 2/3-rule dealiasing.  The data are real, so the
-march runs on the half spectrum (rfft/irfft).  It is streamed: observers see
-every step's spectrum and no state is kept, so it needs O(m + nsteps) memory
+march runs on the half spectrum, through scipy's compiled pocketfft kernel:
+r2c/c2r on one thread, loaded from its file like kdvhl's other three kernels,
+so neither numpy.fft nor a scipy package is imported.  It is streamed: observers
+see every step's spectrum and no state is kept, so it needs O(m + nsteps) memory
 (one spectrum and the time grid) however long it runs.  Restricting such a
 run to a window [x*, x*+L] manufactures inflow data for the half-line solver
 whose answer can then be cross-checked against the restriction itself.
@@ -25,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .config import ConfigError
-from .discretization import Field, Grid1D, _Hermite
+from .discretization import Field, Grid1D, _Hermite, _scipy_ext
 from .solver import BoundaryData, SolverError
 
 __all__ = [
@@ -39,6 +41,8 @@ __all__ = [
     "ManufacturedSolution",
     "decaying_hump",
 ]
+
+_pocketfft = _scipy_ext("scipy.fft._pocketfft.pypocketfft")
 
 _SUPPORT_TOL = 1e-10
 _BLOCK = 64  # points per block of the restriction matrix
@@ -68,8 +72,9 @@ class PeriodicGrid:
 
     @property
     def wavenumbers(self):
-        """The m/2 + 1 nonnegative wavenumbers of the half spectrum (rfft order)."""
-        return 2.0 * np.pi * np.fft.rfftfreq(self.m, d=self.dx)
+        """The m/2 + 1 nonnegative wavenumbers of the half spectrum (rfft order),
+        in numpy's rfftfreq arithmetic."""
+        return 2.0 * np.pi * (np.arange(self.m // 2 + 1) * (1.0 / (self.m * self.dx)))
 
 
 @dataclass
@@ -155,12 +160,16 @@ def wholeline_solve(u0_values, grid: PeriodicGrid, T: float, cfl: float = 0.5,
     flux = np.where(dealias, -1j * k, 0.0)
     E = np.exp(0.5 * dt * L)
     E2 = E * E
+    pad = np.zeros(k.size, dtype=complex)  # the kept prefix, its tail zero
+    u = np.empty(grid.m)
 
     def nonlin(uhat):
-        u = np.fft.irfft(uhat[:nkeep], n=grid.m)
-        return flux * np.fft.rfft(u * u)
+        pad[:nkeep] = uhat[:nkeep]
+        _pocketfft.c2r(pad, (0,), grid.m, False, 2, u, 1)  # irfft: 1/m, one thread
+        np.multiply(u, u, out=u)
+        return flux * _pocketfft.r2c(u, (0,), True, 0, None, 1)
 
-    uhat = np.fft.rfft(u0)
+    uhat = _pocketfft.r2c(u0, (0,), True, 0, None, 1)
     for obs in observers:
         obs(0, 0.0, uhat)
     # a blow-up is reported once, by the non-finite check, not by overflow warnings

@@ -179,6 +179,26 @@ def test_wholeline_transports_soliton(soliton_run):
     assert np.max(np.abs(seen.states(per.m)[-1] - ref)) <= 1e-5
 
 
+def test_wholeline_dealiases_the_flux():
+    # a wave packet whose spectrum lies wholly above the 2/3 cutoff: the rule
+    # keeps it out of the flux, so it moves linearly and the kept modes stay at
+    # round-off (5e-15); without the rule its square (a mean near k = 0 and the
+    # 1.7 k_max harmonic, aliased to 0.3 k_max) fills them to 0.12 of the spectrum
+    per = PeriodicGrid(96.0, 512, x_left=-30.0)
+    x = per.nodes
+    u0 = 0.5 * np.exp(-(((x - 18.0) / 5.0) ** 2)) * np.cos(0.85 * (np.pi / per.dx) * x)
+    k = per.wavenumbers
+    kept = k <= (2.0 / 3.0) * k[-1]
+    worst = []
+
+    def kept_fraction(step, t, uhat):
+        worst.append(np.max(np.abs(uhat[kept])) / np.max(np.abs(uhat)))
+
+    traj = wholeline_solve(u0, per, T=1.0, cfl=0.1, observers=[kept_fraction])
+    assert len(worst) == len(traj.times) > 1
+    assert max(worst) <= 1e-12
+
+
 def test_spectral_restriction_interpolates(soliton_run):
     per, traj, seen, _ = soliton_run
     k = len(traj.times) // 2

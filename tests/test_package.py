@@ -22,7 +22,7 @@ def test_all_names_resolve(name):
 
 
 _SCIPY_EXTS = ("scipy.sparse._sparsetools", "scipy.sparse.linalg._dsolve._superlu",
-               "scipy.linalg._fblas")
+               "scipy.linalg._fblas", "scipy.fft._pocketfft.pypocketfft")
 
 
 def _fresh_python(code: str) -> str:
@@ -34,35 +34,63 @@ def _fresh_python(code: str) -> str:
                           text=True, check=True).stdout
 
 
-def test_cli_import_loads_no_scipy_package():
-    # every CLI call pays for what `import kdvhl.cli` loads; kdvhl runs three
-    # compiled scipy kernels (CSR products, SuperLU, BLAS dtbsv) and loads their
-    # modules from file, so no scipy package __init__ may run
-    loaded = set(_fresh_python("import sys, kdvhl.cli; print(' '.join(sys.modules))").split())
-    assert "kdvhl.cli" in loaded
+_ORACLE_MINI = """experiment = oracle-compare
+grid.L = 40.0
+grid.n = 201
+time.dt = 0.05
+time.T = 0.2
+oracle.P = 120.0
+oracle.m = 256
+oracle.x_left = -30.0
+oracle.x_star = 20.0
+oracle.cfl = 0.4
+oracle.kind = soliton
+oracle.center = 12.0
+"""
+
+
+def test_cli_import_loads_no_scipy_package(tmp_path):
+    # every CLI call pays for what kdvhl loads; kdvhl runs four compiled scipy
+    # kernels (CSR products, SuperLU, BLAS dtbsv, pocketfft) and loads their
+    # modules from file, so no scipy package __init__ may run, on import or in
+    # a run (an oracle march included), and numpy.fft is never imported
+    cfg = tmp_path / "oracle.cfg"
+    cfg.write_text(_ORACLE_MINI)
+    rc, *loaded = _fresh_python(
+        "import sys\nfrom kdvhl.cli import main\n"
+        f"rc = main(['oracle-compare', '--config', {str(cfg)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}, '--quiet'])\n"
+        "print(rc, ' '.join(sys.modules))").split()
+    assert rc == "0"
+    loaded = set(loaded)
+    assert {"kdvhl.cli", "kdvhl.oracle"} <= loaded
     assert {m for m in loaded if m.split(".")[0] == "scipy"} <= set(_SCIPY_EXTS)
-    assert not {"scipy", "scipy.sparse", "scipy.linalg"} & loaded
+    assert not {"scipy", "scipy.sparse", "scipy.linalg", "scipy.fft", "numpy.fft"} & loaded
 
 
 # one run of every kernel through kdvhl: an operator product, a factorization and
-# its solve (two dtbsv calls), hashed so that equal output is equal bits; then
-# whether a scipy package was imported, and whether the modules kdvhl holds are
-# the ones a normal import of scipy's packages gives
+# its solve (two dtbsv calls) and a short whole-line march (r2c and c2r), hashed so
+# that equal output is equal bits; then whether a scipy package was imported, and
+# whether the modules kdvhl holds are the ones a normal import of scipy's packages gives
 _KERNEL_RUN = """
 import hashlib, importlib, importlib.machinery, sys
 import numpy as np
 if {fallback}:
     importlib.machinery.EXTENSION_SUFFIXES[:] = []  # no file found: the normal import
-from kdvhl import discretization, solver
+from kdvhl import discretization, oracle, solver
 g = discretization.Grid1D(30.0, 601)
 x = np.sin(g.nodes)
 out = [discretization.deriv_matrix(g, 3) @ x, solver._System(g, 0.0125, 0.5).lu.solve(x)]
+per = oracle.PeriodicGrid(40.0, 128, -20.0)
+oracle.wholeline_solve(np.exp(-per.nodes ** 2), per, 0.05,
+                       observers=[lambda step, t, uhat: out.append(uhat.copy())])
 print(hashlib.sha256(b"".join(v.tobytes() for v in out)).hexdigest())
 print("scipy.sparse" in sys.modules)
 import scipy.linalg.blas, scipy.sparse.linalg
 print(discretization._sparsetools is importlib.import_module("scipy.sparse._sparsetools")
       and solver._superlu is importlib.import_module("scipy.sparse.linalg._dsolve._superlu")
-      and solver._dtbsv is scipy.linalg.blas.dtbsv)
+      and solver._dtbsv is scipy.linalg.blas.dtbsv
+      and oracle._pocketfft is importlib.import_module("scipy.fft._pocketfft.pypocketfft"))
 """
 
 
