@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -106,13 +107,11 @@ def main(argv=None) -> int:
         if cfg.experiment != args.experiment:
             raise ConfigError(f"key 'experiment' is {cfg.experiment!r} but the subcommand "
                               f"is {args.experiment!r}")
-        runner = _RUNNERS[args.experiment]
-        if args.experiment in _LEVELED:
-            if args.levels is not None and args.levels < 1:
+        if args.experiment in _LEVELED and args.levels is not None:
+            if args.levels < 1:
                 raise ConfigError(f"--levels must be at least 1, got {args.levels}")
-            report, series = runner(cfg, levels=args.levels)
-        else:
-            report, series = runner(cfg)
+            cfg = replace(cfg, levels=args.levels)
+        report, series = _RUNNERS[args.experiment](cfg)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2

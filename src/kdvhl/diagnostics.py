@@ -19,9 +19,10 @@ one-sided probe, read only once chi0 > 0.
 
 A run's wall values are computed once per state, by the TraceSeries observer;
 RunningDiagnostics owns one and returns it from finish(), and every trace reader
-takes it.  trace_integral and dissipation_audit return their report.json blocks
-as plain dicts; the audit reads E = 1/2 int u^2 at both ends of the run from the
-observer's int u^2 series, so each state's energy is integrated once.
+takes it.  trace_integral, interpolation_check and dissipation_audit return their
+report.json blocks as plain dicts; the audit reads E = 1/2 int u^2 at both ends
+of the run from the observer's int u^2 series, so each state's energy is
+integrated once.
 
 The observer evaluates states in blocks: RunningDiagnostics buffers each
 observed state, and a block of at most max(1, 2**15 // n) states (a budget of
@@ -129,7 +130,6 @@ class TraceSeries:
     """
 
     times = _column(0, "time of each observed state")
-    f = _column(1, "boundary value f(t)")
     d1 = _column(2, "one-sided u_x(0)")
     d2 = _column(3, "one-sided u_xx(0)")
     d3 = _column(4, "one-sided u_xxx(0), the cross-check of d3_equation")
@@ -150,28 +150,24 @@ class TraceSeries:
         return np.array(self._rows[7 * start:]).reshape(-1, 7)
 
 
-def trace_integral(traces: TraceSeries, k: int, wspec: WeightSpec, j: int = 1,
-                   window: Optional[tuple] = None) -> dict:
-    """Boundary-trace dissipation int_{t0}^{t1} (d_x^k u(0,t))^2 dt over the late-time
-    gain window, as the report's {value, t_start, t_end, empty} block.
+def trace_integral(traces: TraceSeries, k: int, wspec: WeightSpec, j: int = 1) -> dict:
+    """Boundary-trace dissipation int_{t0}^{t1} (d_x^k u(0,t))^2 dt, k = 2 or 3, over
+    the late-time gain window, as the report's {value, t_start, t_end, empty} block.
 
-    Defaults to [(b + x0)/v, T*] with T* = stopping_time(T, wspec, j); an empty
-    window (which the j >= 2 stopping branch forces whenever it binds) returns
-    value 0 with the empty flag set.  k=3 uses the equation route for the trace.
+    The window is [(b + x0)/v, T*] with T* = stopping_time(T, wspec, j) and T the
+    last observed time; an empty window (which the j >= 2 stopping branch forces
+    whenever it binds, and v = 0 always) returns value 0 with the empty flag set.
+    k = 3 uses the equation route for the trace.
     """
-    if k not in (1, 2, 3):
-        raise ValueError(f"trace order must be 1, 2 or 3, got {k}")
+    if k not in (2, 3):
+        raise ValueError(f"trace order must be 2 or 3, got {k}")
     times = traces.times
-    T = times[-1]
-    if window is None:
-        t0 = np.inf if wspec.v == 0.0 else (wspec.cutoff.b + wspec.x0) / wspec.v
-        t1 = stopping_time(T, wspec, j)
-    else:
-        t0, t1 = window
+    t0 = np.inf if wspec.v == 0.0 else (wspec.cutoff.b + wspec.x0) / wspec.v
+    t1 = stopping_time(times[-1], wspec, j)
     m = (times >= t0 - 1e-12) & (times <= t1 + 1e-12)
     if t0 >= t1 or np.count_nonzero(m) < 2:
         return {"value": 0.0, "t_start": t0, "t_end": t1, "empty": True}
-    g = (traces.d1, traces.d2, traces.d3_equation)[k - 1]
+    g = traces.d2 if k == 2 else traces.d3_equation
     val = float(np.trapezoid(g[m] ** 2, times[m]))
     return {"value": val, "t_start": t0, "t_end": t1, "empty": False}
 
@@ -312,28 +308,35 @@ def _identity_breakdown(l: int, times, J, terms: dict) -> dict:
             "normalized": resid_int / scale if scale > 0.0 else 0.0, "scale": scale}
 
 
-def interpolation_check(field: Field, wspec: WeightSpec) -> tuple:
-    """Compare sup (u_xx)^2 chi' with the integrals that dominate it; returns
-    (ratio, degenerate).
+def interpolation_check(states, wspec: WeightSpec) -> dict:
+    """Compare sup (u_xx)^2 chi' with the integrals that dominate it on each stored
+    state; returns the report's {max_ratio, n_samples, any_degenerate} block.
 
     The integrals: int (u_xx)^2 chi', int (u_xxx)^2 chi', and int (u_xx)^2 chi'
     for the widened companion cutoff (eps/3, b+eps) whose derivative dominates
-    |chi''|.  The ratio sup/sum should stay O(1) under refinement; degenerate
-    flags a zero sum, where the ratio is 0 (zero sup) or inf.
+    |chi''|.  The ratio sup/sum should stay O(1) under refinement; a state is
+    degenerate when its sum is zero, where the ratio is 0 (zero sup) or inf.
+    max_ratio is the largest finite ratio, 0 if there is none.
     """
-    grid = field.grid
     cut = wspec.cutoff
-    x = grid.nodes
-    q = deriv_matrix(grid, 2) @ field.values
-    qx = deriv_matrix(grid, 3) @ field.values
-    c1 = moving_weight(wspec, x, field.t, 1)
     wide = _aux_cutoff(cut.epsilon / 3.0, cut.b + cut.epsilon)
-    c1w = chi(wide, x + wspec.v * field.t - wspec.x0, 1)
-    lhs = float(np.max(q * q * c1))
-    s = _weighted_sq(grid, q, c1) + _weighted_sq(grid, qx, c1) + _weighted_sq(grid, q, c1w)
-    if s <= 0.0:
-        return (0.0 if lhs == 0.0 else np.inf), True
-    return lhs / s, False
+    ratios, degenerate = [], False  # the ratio of each state whose sum is nonzero
+    for field in states:
+        grid = field.grid
+        x = grid.nodes
+        q = deriv_matrix(grid, 2) @ field.values
+        qx = deriv_matrix(grid, 3) @ field.values
+        c1 = moving_weight(wspec, x, field.t, 1)
+        c1w = chi(wide, x + wspec.v * field.t - wspec.x0, 1)
+        lhs = float(np.max(q * q * c1))
+        s = _weighted_sq(grid, q, c1) + _weighted_sq(grid, qx, c1) + _weighted_sq(grid, q, c1w)
+        if s <= 0.0:  # its ratio, 0 or inf, cannot set max_ratio
+            degenerate = True
+        else:
+            ratios.append(lhs / s)
+    finite = [r for r in ratios if np.isfinite(r)]
+    return {"max_ratio": max(finite, default=0.0), "n_samples": len(states),
+            "any_degenerate": degenerate}
 
 
 def dissipation_audit(fin: dict) -> dict:

@@ -35,10 +35,13 @@ __all__ = [
 
 
 def _scipy_ext(name: str):
-    """scipy's compiled module `name` from its file, running no scipy package __init__
-    (~0.3 s of imports kdvhl never uses); else the normal import, giving the same module.
-    kdvhl loads four: `_sparsetools` (CSR products), `_superlu` (gstrf), `_fblas`
-    (dtbsv) and, for the oracle's march, `pypocketfft` (r2c/c2r)."""
+    """scipy's compiled module `name`: the one in sys.modules once loaded, else loaded
+    from its file, running no scipy package __init__ (~0.3 s of imports kdvhl never uses),
+    else the normal import, giving the same module.  kdvhl loads four: `_sparsetools` (CSR
+    products), `_superlu` (gstrf) and `_fblas` (dtbsv) on import, and `pypocketfft`
+    (r2c/c2r) on the oracle's first march."""
+    if name in sys.modules:
+        return sys.modules[name]
     stem = os.path.join(util.find_spec("scipy").submodule_search_locations[0],  # no import
                         *name.split(".")[1:])
     for path in (stem + s for s in machinery.EXTENSION_SUFFIXES if os.path.isfile(stem + s)):
@@ -183,10 +186,12 @@ def deriv_matrix(grid: Grid1D, k: int) -> _CSR:
 @lru_cache(maxsize=16)
 def _trace_weights(h: float):
     # one-sided probes at x=0: 3 nodes for u_x, 4 for u_xx, 5 for u_xxx, 6 for
-    # u_xxxx, each accuracy order 2
-    return tuple(
-        fd_weights(np.arange(k + 2, dtype=float) * h, 0.0, k) for k in (1, 2, 3, 4)
-    )
+    # u_xxxx, each accuracy order 2; quiet, as in _deriv_matrix_cached, where at a
+    # huge h the recurrence's running product of node gaps overflows
+    with np.errstate(all="ignore"):
+        return tuple(
+            fd_weights(np.arange(k + 2, dtype=float) * h, 0.0, k) for k in (1, 2, 3, 4)
+        )
 
 
 def trace_derivs(field: Field):

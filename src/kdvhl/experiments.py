@@ -54,6 +54,11 @@ SERIES_COLUMNS = (
 )
 
 
+def _report(cfg: ExperimentConfig, experiment: str, **body) -> dict:
+    """A report.json dict: the schema, the experiment and the config echo, then body."""
+    return {"schema": SCHEMA, "experiment": experiment, "config": dump_config(cfg), **body}
+
+
 def weight_spec(cfg: ExperimentConfig) -> WeightSpec:
     return WeightSpec(cutoff=CutoffSpec(cfg.epsilon, cfg.b), v=cfg.v, x0=cfg.x0)
 
@@ -90,8 +95,6 @@ def scenario(cfg: ExperimentConfig):
         u0 = ms.initial(grid)
         forcing = ms.forcing
         exact = ms.u
-    else:
-        raise ConfigError(f"unhandled data kind {cfg.data_kind!r}")
 
     # keys: what sets f, for BoundaryData.validate's refusals to name
     if cfg.boundary_kind == "auto" and cfg.data_kind == "soliton":
@@ -138,15 +141,15 @@ def _series_table(fin: dict) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _study(cfg: ExperimentConfig, levels, measure):
-    """Run measure(c) -> (row, series table or None) on each refinement level.
+def _study(cfg: ExperimentConfig, measure):
+    """Run measure(c) -> (row, series table or None) on cfg.levels refinement levels.
 
     Starts from cfg and refines between levels; returns the rows, each headed by
     its level, n and dt, and the tables named series_level{lv}.
     """
     rows, series = [], []
     c = cfg
-    for lv in range(levels if levels is not None else cfg.levels):
+    for lv in range(cfg.levels):
         row, table = measure(c)
         rows.append({"level": lv, "n": c.n, "dt": c.dt, **row})
         if table is not None:
@@ -214,14 +217,10 @@ def run_simulate(cfg: ExperimentConfig):
     tstars = {j: stopping_time(cfg.T, ws, j) for j in range(1, cfg.l + 1)}
     traces = fin["traces"]
     _, _, rms = trace_identity_residual(traces)
-    interp = [interpolation_check(s, ws) for s in traj.snapshots]
-    ratios = [r for r, _ in interp if np.isfinite(r)]
-    report = {
-        "schema": SCHEMA,
-        "experiment": "simulate",
-        "config": dump_config(cfg),
-        "stopping_times": {str(j): tstars[j] for j in tstars},
-        "functionals": {
+    report = _report(
+        cfg, "simulate",
+        stopping_times={str(j): tstars[j] for j in tstars},
+        functionals={
             "sup_J1": _sup_before(times, fin["J1"], tstars.get(1, cfg.T)),
             "sup_J2": _sup_before(times, fin["J2"], tstars.get(2, cfg.T)),
             "K1_chiprime_final": float(fin["K1_chiprime"][-1]),
@@ -230,24 +229,20 @@ def run_simulate(cfg: ExperimentConfig):
             "strichartz": fin["strichartz"],
             "maximal": fin["maximal"],
         },
-        "traces": {
+        traces={
             "window_integral_d2": trace_integral(traces, 2, ws, j=cfg.trace_branch),
             "window_integral_d3": trace_integral(traces, 3, ws, j=cfg.trace_branch),
             "accumulated_d2": float(fin["trace2_acc"][-1]),
             "accumulated_d3": float(fin["trace3_acc"][-1]),
             "identity_rms": rms,
         },
-        "interpolation": {
-            "max_ratio": max(ratios) if ratios else 0.0,
-            "n_samples": len(interp),
-            "any_degenerate": bool(any(d for _, d in interp)),
-        },
-        "identity": {},
-        "flags": {"picard_max_update": float(np.max(traj.picard_updates)),
-                  "picard_max_distance": float(np.max(traj.picard_distances)),
-                  "picard_capped_steps": int(np.sum(~traj.picard_converged)),
-                  "picard_mean_sweeps": float(np.mean(traj.picard_sweeps[1:]))},
-    }
+        interpolation=interpolation_check(traj.snapshots, ws),
+        identity={},
+        flags={"picard_max_update": float(np.max(traj.picard_updates)),
+               "picard_max_distance": float(np.max(traj.picard_distances)),
+               "picard_capped_steps": int(np.sum(~traj.picard_converged)),
+               "picard_mean_sweeps": float(np.mean(traj.picard_sweeps[1:]))},
+    )
     if fin["identity"]:
         supcp = ws.sup_chi_prime
         # the Young-split parameter, report-only: the default keeps the split's leading
@@ -270,7 +265,7 @@ def run_simulate(cfg: ExperimentConfig):
     return report, [("series", _series_table(fin))]
 
 
-def run_converge(cfg: ExperimentConfig, levels=None):
+def run_converge(cfg: ExperimentConfig):
     if cfg.data_kind not in ("mms", "soliton"):
         raise ConfigError("convergence study needs data.kind = mms or soliton")
 
@@ -278,25 +273,23 @@ def run_converge(cfg: ExperimentConfig, levels=None):
         err_max, err_l2 = _exact_error(*_plain_solve(c)[:2])
         return {"err_max": err_max, "err_l2_rel": err_l2}, None
 
-    rows, series = _study(cfg, levels, measure)
+    rows, series = _study(cfg, measure)
     orders_max = [float(np.log2(r)) for r in _decay(rows, "err_max")]
     orders_l2 = [float(np.log2(r)) for r in _decay(rows, "err_l2_rel")]
-    report = {
-        "schema": SCHEMA,
-        "experiment": "converge",
-        "config": dump_config(cfg),
-        "levels": rows,
-        "observed_order_max": orders_max,
-        "observed_order_l2": orders_l2,
-        "passes": {
+    report = _report(
+        cfg, "converge",
+        levels=rows,
+        observed_order_max=orders_max,
+        observed_order_l2=orders_l2,
+        passes={
             "order": bool(orders_max and orders_max[-1] >= cfg.order_tol),
             "order_l2": bool(orders_l2 and orders_l2[-1] >= cfg.order_tol),
         },
-    }
+    )
     return report, series
 
 
-def run_propagation(cfg: ExperimentConfig, levels=None):
+def run_propagation(cfg: ExperimentConfig):
     def measure(c):
         nsteps = int(round(c.T / c.dt))
         traj, fin, ws, _ = _run_with_diagnostics(c, snapshot_stride=max(1, nsteps // 40))
@@ -305,43 +298,39 @@ def run_propagation(cfg: ExperimentConfig, levels=None):
         t2 = stopping_time(c.T, ws, 2)
         u0 = traj.snapshots[0]
         rough = integrate((deriv_matrix(traj.grid, 2) @ u0.values) ** 2, traj.grid)
-        interp = [interpolation_check(s, ws) for s in traj.snapshots]
-        finite = [r for r, _ in interp if np.isfinite(r)]
         row = {
             "sup_J1": _sup_before(times, fin["J1"], t1),
             "sup_J2": _sup_before(times, fin["J2"], t2),
             "K1_chiprime": float(fin["K1_chiprime"][-1]),
             "K1_window": float(fin["K1_window"][-1]),
             "rough_global": float(rough),
-            "interp_max_ratio": max(finite) if finite else 0.0,
+            "interp_max_ratio": interpolation_check(traj.snapshots, ws)["max_ratio"],
             "T_star_1": t1, "T_star_2": t2,
         }
         return row, _series_table(fin)
 
-    rows, series = _study(cfg, levels, measure)
+    rows, series = _study(cfg, measure)
     growth = [rows[i + 1]["rough_global"] / rows[i]["rough_global"]
               for i in range(len(rows) - 1)]
     var = {key: _last_variation(rows, key)
            for key in ("sup_J2", "K1_chiprime", "K1_window", "interp_max_ratio")}
-    report = {
-        "schema": SCHEMA,
-        "experiment": "propagation",
-        "config": dump_config(cfg),
-        "levels": rows,
-        "rough_growth": growth,
-        "variation": var,
-        "passes": {
+    report = _report(
+        cfg, "propagation",
+        levels=rows,
+        rough_growth=growth,
+        variation=var,
+        passes={
             "sup_J2_stable": bool(var["sup_J2"] <= cfg.stability_tol),
             "K1_chiprime_stable": bool(var["K1_chiprime"] <= cfg.stability_tol),
             "K1_window_stable": bool(var["K1_window"] <= cfg.stability_tol),
             "rough_diverges": bool(growth and min(growth) >= cfg.rough_growth),
             "interp_stable": bool(var["interp_max_ratio"] <= cfg.interp_tol),
         },
-    }
+    )
     return report, series
 
 
-def run_traces(cfg: ExperimentConfig, levels=None):
+def run_traces(cfg: ExperimentConfig):
     def measure(c):
         traces = _plain_solve(c, traced=True)[2]
         ti = trace_integral(traces, 2, weight_spec(c), j=c.trace_branch)
@@ -349,25 +338,23 @@ def run_traces(cfg: ExperimentConfig, levels=None):
         return {"window_integral_d2": ti["value"], "window": [ti["t_start"], ti["t_end"]],
                 "empty_window": ti["empty"], "identity_rms": rms}, None
 
-    rows, _ = _study(cfg, levels, measure)
+    rows, _ = _study(cfg, measure)
     rms_ratios = _decay(rows, "identity_rms")
     var = 0.0 if rows[-1]["empty_window"] else _last_variation(rows, "window_integral_d2")
-    report = {
-        "schema": SCHEMA,
-        "experiment": "traces",
-        "config": dump_config(cfg),
-        "levels": rows,
-        "rms_decay": rms_ratios,
-        "variation_window_integral": var,
-        "passes": {
+    report = _report(
+        cfg, "traces",
+        levels=rows,
+        rms_decay=rms_ratios,
+        variation_window_integral=var,
+        passes={
             "rms_decays": bool(rms_ratios and min(rms_ratios) >= cfg.residual_decay),
             "window_integral_stable": bool(var <= cfg.stability_tol),
         },
-    }
+    )
     return report, []
 
 
-def run_identity(cfg: ExperimentConfig, levels=None):
+def run_identity(cfg: ExperimentConfig):
     if not cfg.identity_levels:
         raise ConfigError("identity study needs diagnostics.identity_levels (e.g. 1,2)")
 
@@ -380,19 +367,17 @@ def run_identity(cfg: ExperimentConfig, levels=None):
             row[f"scale_l{ilv}"] = br["scale"]
         return row, _series_table(fin)
 
-    rows, series = _study(cfg, levels, measure)
+    rows, series = _study(cfg, measure)
     decay = {str(ilv): _decay(rows, f"normalized_l{ilv}") for ilv in cfg.identity_levels}
-    report = {
-        "schema": SCHEMA,
-        "experiment": "identity",
-        "config": dump_config(cfg),
-        "levels": rows,
-        "residual_decay": decay,
-        "passes": {
+    report = _report(
+        cfg, "identity",
+        levels=rows,
+        residual_decay=decay,
+        passes={
             str(ilv): bool(decay[str(ilv)] and min(decay[str(ilv)]) >= cfg.residual_decay)
             for ilv in cfg.identity_levels
         },
-    }
+    )
     return report, series
 
 
@@ -451,13 +436,7 @@ def run_oracle_compare(cfg: ExperimentConfig):
     for r in rows:
         r["rel"] = r["diff_l2"] / scale if scale > 0 else 0.0
     max_rel = max(r["rel"] for r in rows)
-    report = {
-        "schema": SCHEMA,
-        "experiment": "oracle-compare",
-        "config": dump_config(cfg),
-        "samples": rows,
-        "normalization": scale,
-        "max_rel_discrepancy": max_rel,
-        "passes": {"equivalence": bool(max_rel <= cfg.oracle_tol)},
-    }
+    report = _report(cfg, "oracle-compare", samples=rows, normalization=scale,
+                     max_rel_discrepancy=max_rel,
+                     passes={"equivalence": bool(max_rel <= cfg.oracle_tol)})
     return report, []

@@ -5,10 +5,11 @@ The whole-line solver integrates u_t + u_xxx + (u^2)_x = 0 on a large periodic
 domain with an integrating-factor RK4 (the dispersive phase is exact, only the
 nonlinear flux is stepped) and 2/3-rule dealiasing.  The data are real, so the
 march runs on the half spectrum, through scipy's compiled pocketfft kernel:
-r2c/c2r on one thread, loaded from its file like kdvhl's other three kernels,
-so neither numpy.fft nor a scipy package is imported.  It is streamed: observers
-see every step's spectrum and no state is kept, so it needs O(m + nsteps) memory
-(one spectrum and the time grid) however long it runs.  Restricting such a
+r2c/c2r on one thread, loaded from its file like kdvhl's other three kernels
+but only once a march runs, so neither numpy.fft nor a scipy package is
+imported.  It is streamed: observers see every step's spectrum and no state is
+kept, so it needs O(m + nsteps) memory (one spectrum and the time grid) however
+long it runs.  Restricting such a
 run to a window [x*, x*+L] manufactures inflow data for the half-line solver
 whose answer can then be cross-checked against the restriction itself.
 
@@ -41,8 +42,6 @@ __all__ = [
     "ManufacturedSolution",
     "decaying_hump",
 ]
-
-_pocketfft = _scipy_ext("scipy.fft._pocketfft.pypocketfft")
 
 _SUPPORT_TOL = 1e-10
 _BLOCK = 64  # points per block of the restriction matrix
@@ -99,9 +98,9 @@ def _restriction_matrix(grid: PeriodicGrid, x, order: int = 0):
     return R
 
 
-def spectral_restriction(uhat, grid: PeriodicGrid, x, order: int = 0):
-    """Evaluate a half spectrum (or a stack of them, one per row), or its
-    order-th derivative, at the points x by its trigonometric series.
+def spectral_restriction(uhat, grid: PeriodicGrid, x):
+    """Evaluate a half spectrum (or a stack of them, one per row) at the points x
+    by its trigonometric series.
 
     The matrix is built over blocks of _BLOCK points, so a wide window never
     holds an (m/2+1) x len(x) complex array.  einsum keeps the products on one
@@ -112,8 +111,8 @@ def spectral_restriction(uhat, grid: PeriodicGrid, x, order: int = 0):
     x = np.asarray(x, dtype=float)
     out = np.empty(uhat.shape[:-1] + x.shape)
     for s in range(0, x.size, _BLOCK):
-        out[..., s:s + _BLOCK] = np.einsum("...k,kj->...j", uhat, _restriction_matrix(
-            grid, x[s:s + _BLOCK], order)).real
+        out[..., s:s + _BLOCK] = np.einsum("...k,kj->...j", uhat,
+                                           _restriction_matrix(grid, x[s:s + _BLOCK])).real
     return out
 
 
@@ -138,6 +137,7 @@ def wholeline_solve(u0_values, grid: PeriodicGrid, T: float, cfl: float = 0.5,
     and should copy what it keeps.  Data must be effectively
     compactly supported: below 1e-10 within P/8 of both period ends.
     """
+    pocketfft = _scipy_ext("scipy.fft._pocketfft.pypocketfft")  # loaded by the first march
     u0 = np.asarray(u0_values, dtype=float)
     if u0.shape != (grid.m,):
         raise ValueError(f"u0 has shape {u0.shape}, grid has m={grid.m}")
@@ -165,11 +165,11 @@ def wholeline_solve(u0_values, grid: PeriodicGrid, T: float, cfl: float = 0.5,
 
     def nonlin(uhat):
         pad[:nkeep] = uhat[:nkeep]
-        _pocketfft.c2r(pad, (0,), grid.m, False, 2, u, 1)  # irfft: 1/m, one thread
+        pocketfft.c2r(pad, (0,), grid.m, False, 2, u, 1)  # irfft: 1/m, one thread
         np.multiply(u, u, out=u)
-        return flux * _pocketfft.r2c(u, (0,), True, 0, None, 1)
+        return flux * pocketfft.r2c(u, (0,), True, 0, None, 1)
 
-    uhat = _pocketfft.r2c(u0, (0,), True, 0, None, 1)
+    uhat = pocketfft.r2c(u0, (0,), True, 0, None, 1)
     for obs in observers:
         obs(0, 0.0, uhat)
     # a blow-up is reported once, by the non-finite check, not by overflow warnings

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -146,7 +145,6 @@ class Trajectory:
     times: np.ndarray
     snapshots: list
     snapshot_steps: list
-    config: SolverConfig
     picard_updates: np.ndarray
     picard_distances: np.ndarray  # per step: estimated distance left to the fixed point
     picard_sweeps: np.ndarray     # per step; entry 0 (the initial state) is 0
@@ -221,11 +219,6 @@ class _System:
         order = order[a[order] != 0.0]
         colptr = np.searchsorted(cols[order], np.arange(n + 1)).astype(np.int32)
         self.lu = splu((a[order], rows[order], colptr))
-
-
-@lru_cache(maxsize=8)
-def _system_cached(n: int, L: float, dt: float, theta: float) -> _System:
-    return _System(Grid1D(L, n), dt, theta)
 
 
 # weights on u^n, u^{n-1}, ... of the polynomial through u^n and m earlier states at t^{n+1}
@@ -327,7 +320,7 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
         raise ConfigError(f"incompatible data at the corner: |u0(0) - f(0)| = {mismatch:.3e} > "
                           f"{_CORNER_TOL:.0e} (move data.center or change boundary.*)")
     bd.validate(cfg.T)
-    sys_ = _system_cached(u0.grid.n, u0.grid.L, cfg.dt, cfg.theta)
+    sys_ = _System(u0.grid, cfg.dt, cfg.theta)
     updates = np.zeros(nsteps + 1)
     distances = np.zeros(nsteps + 1)
     sweeps = np.zeros(nsteps + 1, dtype=int)
@@ -359,7 +352,6 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
         times=np.arange(nsteps + 1) * cfg.dt,  # each state's pinned clock k*dt
         snapshots=snapshots,
         snapshot_steps=snapshot_steps,
-        config=cfg,
         picard_updates=updates,
         picard_distances=distances,
         picard_sweeps=sweeps,

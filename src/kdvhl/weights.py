@@ -115,11 +115,6 @@ class CutoffSpec:
         object.__setattr__(self, "_norm", z)
         object.__setattr__(self, "_antideriv", _Hermite(edges, cum / z, slopes / z))
 
-    @property
-    def normalization(self):
-        """Cached integral of the unnormalized bump over (epsilon, b)."""
-        return self._norm
-
 
 def chi(spec: CutoffSpec, x, order=0):
     """Evaluate chi_{eps,b} (order=0) or its derivatives (order=1..3).

@@ -398,6 +398,7 @@ def test_cli_levels_override(tmp_path):
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
     assert len(report["levels"]) == 2
+    assert report["config"]["study.levels"] == 2  # the echo names the levels that ran
 
 
 def test_cli_levels_must_be_positive(tmp_path, capsys):

@@ -83,28 +83,34 @@ def test_identity_residual_decays_under_refinement(diag_run):
         assert ratio >= 2.5, (lv, ratio)
 
 
+# a weight whose gain window [(b+x0)/v, T] opens at t = 0: (2 - 2)/1
+WS_OPEN = WeightSpec(cutoff=CutoffSpec(0.4, 2.0), v=1.0, x0=-2.0)
+
+
 def test_trace_integral_window_and_flags(diag_run):
     traces = diag_run[1]["traces"]
-    # default gain window [(b+x0)/v, T*]; here (2+4)/1 = 6 > T = 0.4
+    # gain window [(b+x0)/v, T*]; here (2+4)/1 = 6 > T = 0.4
     ti = trace_integral(traces, 2, WS, j=1)
     assert set(ti) == {"value", "t_start", "t_end", "empty"}
     assert ti["empty"] and ti["value"] == 0.0
     assert ti["t_start"] == pytest.approx(6.0)
-    # explicit window on the data that exists
-    ti2 = trace_integral(traces, 2, WS, window=(0.0, 0.4))
+    # a window on the data that exists
+    ti2 = trace_integral(traces, 2, WS_OPEN)
+    assert (ti2["t_start"], ti2["t_end"]) == (0.0, pytest.approx(0.4))
     assert not ti2["empty"] and ti2["value"] >= 0.0
     # motionless weight never opens a window
     ws0 = WeightSpec(cutoff=CutoffSpec(0.4, 2.0), v=0.0, x0=4.0)
     assert trace_integral(traces, 2, ws0)["empty"]
-    with pytest.raises(ValueError):
-        trace_integral(traces, 0, WS)
+    for k in (0, 1, 4):
+        with pytest.raises(ValueError, match="2 or 3"):
+            trace_integral(traces, k, WS)
 
 
 def test_trace_integral_equation_route_zero_for_quiet_boundary(diag_run):
     traces = diag_run[1]["traces"]
     # f = 0, F = 0 and u_x(0) ~ 0 make the equation-route third trace vanish
-    ti = trace_integral(traces, 3, WS, window=(0.0, 0.4))
-    assert ti["value"] <= 1e-20
+    ti = trace_integral(traces, 3, WS_OPEN)
+    assert not ti["empty"] and ti["value"] <= 1e-20
 
 
 def test_trace_identity_residual_zero_run():
@@ -118,12 +124,20 @@ def test_trace_identity_residual_zero_run():
 
 def test_interpolation_check_paths(diag_run):
     traj, _, _ = diag_run
-    ratio, degenerate = interpolation_check(traj.final, WS)
-    assert not degenerate
-    assert 0.0 < ratio < 10.0
+    check = interpolation_check([traj.final], WS)
+    assert check == {"max_ratio": check["max_ratio"], "n_samples": 1, "any_degenerate": False}
+    assert 0.0 < check["max_ratio"] < 10.0
+    # a zero state is degenerate, with ratio 0
     zero = Field(traj.grid, np.zeros(traj.grid.n), 0.0)
-    ratio, degenerate = interpolation_check(zero, WS)
-    assert degenerate and ratio == 0.0
+    assert interpolation_check([zero], WS) == {"max_ratio": 0.0, "n_samples": 1,
+                                               "any_degenerate": True}
+    # the largest finite ratio over the states, and 0 for no states
+    states = traj.snapshots[::10]
+    want = max(interpolation_check([s], WS)["max_ratio"] for s in states)
+    assert interpolation_check(states + [zero], WS) == {
+        "max_ratio": want, "n_samples": len(states) + 1, "any_degenerate": True}
+    assert interpolation_check([], WS) == {"max_ratio": 0.0, "n_samples": 0,
+                                           "any_degenerate": False}
 
 
 def test_dissipation_audit_consistency(diag_run):
@@ -537,8 +551,8 @@ def test_identity_study_keeps_no_snapshots(monkeypatch):
 
     monkeypatch.setattr(experiments, "solve", spy)
     cfg = resolve_config("identity_l2")
-    cfg.n, cfg.T = 201, 0.25
-    experiments.run_identity(cfg, levels=2)
+    cfg.n, cfg.T, cfg.levels = 201, 0.25, 2
+    experiments.run_identity(cfg)
     assert kept == [2, 2]
 
 
@@ -560,8 +574,8 @@ def test_wall_traces_computed_once_per_state(monkeypatch):
         monkeypatch.setattr(mod, name, spy)
 
     conv = resolve_config("mms")
-    conv.n, conv.T = 201, 0.2
-    experiments.run_converge(conv, levels=1)
+    conv.n, conv.T, conv.levels = 201, 0.2, 1
+    experiments.run_converge(conv)
     oracle = resolve_config("oracle")
     oracle.T, oracle.oracle_samples = 0.4, 3
     experiments.run_oracle_compare(oracle)
@@ -574,12 +588,11 @@ def test_wall_traces_computed_once_per_state(monkeypatch):
     assert report["dissipation"]["predicted"] < 0.0
 
 
-def _equation_d3_post_hoc(traj, bd):
+def _equation_d3_post_hoc(traj, bd, forcing):
     """The equation-route u_xxx(0) recomputed after the run from every stored
     state: the reference the wall record must reproduce."""
     d1 = [trace_derivs(s)[1] for s in traj.snapshots]
-    return np.array([_wall_traces(bd, traj.config.forcing, t, d)[1]
-                     for t, d in zip(traj.times, d1)])
+    return np.array([_wall_traces(bd, forcing, t, d)[1] for t, d in zip(traj.times, d1)])
 
 
 def test_trace_record_matches_post_hoc_equation_route():
@@ -596,12 +609,14 @@ def test_trace_record_matches_post_hoc_equation_route():
                  observers=[traces])
     assert len(traj.snapshots) == len(traj.times) == 31
     assert np.min(np.abs([bd.f(t) for t in traj.times])) > 0.01
-    times, d3e = traj.times, _equation_d3_post_hoc(traj, bd)
+    times, d3e = traj.times, _equation_d3_post_hoc(traj, bd, ms.forcing)
     d3 = np.array([trace_derivs(s)[3] for s in traj.snapshots])
 
-    t0, t1 = 0.1, 0.5
+    # the gain window [(b + x0)/v, T] = [0.1, 0.6]
+    t0, t1 = 0.1, 0.6
     m = (times >= t0 - 1e-12) & (times <= t1 + 1e-12)
-    ti = trace_integral(traces, 3, WS, window=(t0, t1))
+    ti = trace_integral(traces, 3, WeightSpec(cutoff=CutoffSpec(0.4, 2.0), v=1.0, x0=-1.9))
+    assert (ti["t_start"], ti["t_end"]) == (pytest.approx(t0), pytest.approx(t1))
     assert not ti["empty"] and ti["value"] > 0.0
     assert ti["value"] == float(np.trapezoid(d3e[m] ** 2, times[m]))
 

@@ -8,6 +8,7 @@ from kdvhl.discretization import (
     Field,
     Grid1D,
     _Hermite,
+    _trace_weights,
     deriv_matrix,
     fd_weights,
     integrate,
@@ -175,6 +176,15 @@ def test_trace_derivs_on_polynomials():
     assert abs(d4) <= 1e-5  # the 6-node probe divides rounding by h^4
     got = trace_derivs(Field(g, 2.0 + 3.0 * g.nodes, 0.0))
     assert got == pytest.approx((2.0, 3.0, 0.0, 0.0, 0.0), abs=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+def test_trace_weights_quiet_at_huge_h():
+    # the recurrence's running product of node gaps overflows at h = 5e72; the
+    # probe rows are built without a numpy warning and come out finite
+    rows = _trace_weights.__wrapped__(5e72)
+    assert [len(w) for w in rows] == [3, 4, 5, 6]
+    assert all(np.all(np.isfinite(w)) for w in rows)
 
 
 def test_integrate_exact_on_linear():

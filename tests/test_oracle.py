@@ -213,7 +213,9 @@ def test_spectral_restriction_interpolates(soliton_run):
         assert np.array_equal(row, spectral_restriction(uhat, per, mids))
 
 
-def test_spectral_restriction_derivatives():
+def test_window_probe_derivative_taps():
+    # the probe's u, u_x and u_xxx taps at x* against the series itself and
+    # centered differences of the exact profile
     per = PeriodicGrid(64.0, 256, x_left=-32.0)
     u = soliton_solution(1.0, 0.0)
     uhat = np.fft.rfft(u(per.nodes, 0.0))
@@ -221,8 +223,17 @@ def test_spectral_restriction_derivatives():
     h = 1e-3
     d1 = (u(x + h, 0.0) - u(x - h, 0.0)) / (2 * h)
     d3 = (u(x + 2 * h, 0.0) - 2 * u(x + h, 0.0) + 2 * u(x - h, 0.0) - u(x - 2 * h, 0.0)) / (2 * h**3)
-    assert np.max(np.abs(spectral_restriction(uhat, per, x, order=1) - d1)) <= 1e-6
-    assert np.max(np.abs(spectral_restriction(uhat, per, x, order=3) - d3)) <= 1e-5
+    taps = []
+    for xs in x:
+        probe = WindowProbe(per, xs, Grid1D(20.0, 201))
+        probe(0, 0.0, uhat)
+        probe(1, 0.1, 2.0 * uhat)  # one row per observed step, linear in the spectrum
+        assert np.allclose(probe.traces[1], 2.0 * probe.traces[0], rtol=1e-14, atol=0.0)
+        taps.append(probe.traces[0])
+    got_u, got_d1, got_d3 = np.array(taps).T
+    assert np.max(np.abs(got_u - spectral_restriction(uhat, per, x))) <= 1e-14
+    assert np.max(np.abs(got_d1 - d1)) <= 1e-6
+    assert np.max(np.abs(got_d3 - d3)) <= 1e-5
 
 
 def test_extraction_window_must_fit():

@@ -18,7 +18,6 @@ from kdvhl.solver import (
     SolverError,
     _System,
     _extrapolate,
-    _system_cached,
     solve,
     splu,
 )
@@ -228,7 +227,7 @@ def _advance_reference(field, cfg, bd, sys_, prev=()):
 def _march_reference(u0, cfg, bd, extrapolate=True):
     """March the reference step, from u^n on every step unless extrapolate; returns
     (final field, [(final update, distance, sweeps, stop flag, state values)] per step)."""
-    sys_ = _system_cached(u0.grid.n, u0.grid.L, cfg.dt, cfg.theta)
+    sys_ = _System(u0.grid, cfg.dt, cfg.theta)  # factorization is deterministic: solve's bits
     state, prev, steps = u0, [], []
     for k in range(1, cfg.nsteps + 1):
         un = state.values
@@ -266,10 +265,11 @@ def test_picard_stop_bound_keeps_every_decision(amplitude, dt, picard_max):
 
 def test_capped_steps_are_recorded():
     g = Grid1D(20.0, 401)
-    traj = solve(bump_field(g), SolverConfig(dt=0.01, T=0.2, picard_max=2), boundary_pulse("zero"))
+    cfg = SolverConfig(dt=0.01, T=0.2, picard_max=2)
+    traj = solve(bump_field(g), cfg, boundary_pulse("zero"))
     assert traj.picard_sweeps[0] == 0 and np.all(traj.picard_sweeps[1:] == 2)
     assert not traj.picard_converged[1:].any()
-    assert float(np.max(traj.picard_updates)) > traj.config.picard_tol
+    assert float(np.max(traj.picard_updates)) > cfg.picard_tol
 
 
 def test_rate_test_never_stops_on_a_single_update():
@@ -445,7 +445,7 @@ def test_forcing_is_reused_across_steps_bit_for_bit():
     assert 0 < misses < nsteps // 2  # both branches of the reuse run
     assert len(calls) == nsteps + 1 + misses
 
-    sys_ = _system_cached(g.n, g.L, dt, 0.5)
+    sys_ = _System(g, dt, 0.5)
     state, history = ms.initial(g), ()
     for k in range(1, nsteps + 1):
         un = state.values

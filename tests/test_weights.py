@@ -141,7 +141,14 @@ def test_cutoff_requires_wide_support():
 
 
 def test_cutoff_normalization_cached(cut):
-    assert cut.normalization > 0.0
+    # chi' is the bump divided by its integral over (eps, b), cached at construction
+    def bump(s):
+        return np.exp(-1.0 / ((s - EPS) * (B - s)))
+
+    assert cut._norm == pytest.approx(quad(bump, EPS, B, epsabs=0.0, epsrel=1e-13)[0],
+                                      rel=1e-12)
+    s = np.linspace(EPS + 0.1, B - 0.1, 7)
+    assert np.allclose(chi(cut, s, 1) * cut._norm, bump(s), rtol=1e-14, atol=0.0)
 
 
 def test_cutoff_refuses_band_too_narrow_to_normalize():
@@ -153,7 +160,7 @@ def test_cutoff_refuses_band_too_narrow_to_normalize():
     with pytest.raises(ValueError, match="normalization"):
         CutoffSpec(0.01, 0.01 + 2.0 / np.sqrt(500.0))
     cut = CutoffSpec(0.01, 0.1)  # a band of 0.09 keeps a sliver of mass
-    assert cut.normalization > 0.0
+    assert cut._norm > 0.0
     assert chi(cut, 0.1) == 1.0 and np.all(np.isfinite(chi(cut, np.linspace(0.0, 0.2, 401))))
 
 
