@@ -13,6 +13,7 @@ apply the operators.  A cubic Hermite interpolant serves chi and the oracle's in
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from collections import namedtuple
@@ -99,6 +100,7 @@ class Grid1D:
             raise ValueError(f"grid length must be positive, got {self.L}")
         if self.n < 8:
             raise ValueError(f"grid needs at least 8 nodes, got {self.n}")
+        _check_wall_probes(self.h)
 
     @property
     def h(self) -> float:
@@ -183,8 +185,7 @@ def deriv_matrix(grid: Grid1D, k: int) -> _CSR:
     return _deriv_matrix_cached(grid.n, grid.h, k)
 
 
-@lru_cache(maxsize=16)
-def _trace_weights(h: float):
+def _probe_rows(h: float):
     # one-sided probes at x=0: 3 nodes for u_x, 4 for u_xx, 5 for u_xxx, 6 for
     # u_xxxx, each accuracy order 2; quiet, as in _deriv_matrix_cached, where at a
     # huge h the recurrence's running product of node gaps overflows
@@ -192,6 +193,28 @@ def _trace_weights(h: float):
         return tuple(
             fd_weights(np.arange(k + 2, dtype=float) * h, 0.0, k) for k in (1, 2, 3, 4)
         )
+
+
+# what trace_derivs looks up once per state; _check_wall_probes builds its own rows
+_trace_weights = lru_cache(maxsize=16)(_probe_rows)
+
+
+@lru_cache(maxsize=16)
+def _check_wall_probes(h: float) -> None:
+    """Refuse an h whose order-k wall probe is not finite or misses its moment
+    condition sum_j w_j (jh)^k = k!: past h ~ 2e61 the running product of node
+    gaps overflows and the u_xxxx row loses its last weight, and near 1e-79 the
+    rows reach inf, while the operators' narrower stencils stay finite.  h^k is
+    applied one factor at a time, so no power of h leaves the float range."""
+    for k, w in enumerate(_probe_rows(h), 1):
+        scaled = w
+        with np.errstate(all="ignore"):
+            for _ in range(k):
+                scaled = scaled * h
+            moment = scaled @ np.arange(len(w), dtype=float) ** k
+        if not (np.all(np.isfinite(w)) and abs(moment / math.factorial(k) - 1.0) <= 1e-10):
+            raise ConfigError(f"key 'grid.L' gives h = {h:.3g}, at which the order-{k} "
+                              f"one-sided wall probe is not finite or not exact on x^{k}")
 
 
 def trace_derivs(field: Field):

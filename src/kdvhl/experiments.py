@@ -39,7 +39,6 @@ from .oracle import (
     WindowProbe,
     decaying_hump,
     extract_halfline_data,
-    spectral_restriction,
     wholeline_solve,
     wholeline_times,
 )
@@ -415,15 +414,14 @@ def run_oracle_compare(cfg: ExperimentConfig):
     probe = WindowProbe(per, cfg.oracle_x_star, grid,
                         keep=np.concatenate([idx for idx, _ in windows]).tolist())
     wtraj = wholeline_solve(u0w, per, cfg.T, cfl=cfg.oracle_cfl, observers=[probe])
+    spectra = np.array([lag @ np.array([probe.spectra[i] for i in idx])
+                        for idx, lag in windows])
 
-    u0, bd = extract_halfline_data(wtraj, probe)
+    u0, bd, restr = extract_halfline_data(wtraj, probe, spectra)
     stride = max(1, int(np.gcd.reduce(ksamples)))  # store only the sampled steps
     traj = solve(u0, solver_config(cfg, None, snapshot_stride=stride), bd)
     snaps = dict(zip(traj.snapshot_steps, traj.snapshots))
 
-    spectra = np.array([lag @ np.array([probe.spectra[i] for i in idx])
-                        for idx, lag in windows])
-    restr = spectral_restriction(spectra, per, cfg.oracle_x_star + grid.nodes)
     norms = []
     rows = []
     for kh, ref in zip(ksamples, restr):

@@ -9,14 +9,17 @@ r2c/c2r on one thread, loaded from its file like kdvhl's other three kernels
 but only once a march runs, so neither numpy.fft nor a scipy package is
 imported.  It is streamed: observers see every step's spectrum and no state is
 kept, so it needs O(m + nsteps) memory (one spectrum and the time grid) however
-long it runs.  Restricting such a
-run to a window [x*, x*+L] manufactures inflow data for the half-line solver
-whose answer can then be cross-checked against the restriction itself.
+long it runs.  The march allocates its buffers once and updates one spectrum
+in place, so an observer sees the same array at every step and must copy what
+it keeps.  Restricting such a run to a window [x*, x*+L] manufactures inflow
+data for the half-line solver whose answer can then be cross-checked against
+the restriction itself.
 
-Bounded buffers: a WindowProbe keeps three doubles per step and the spectra it
-was asked to keep; a restriction builds its (m/2+1)-row matrix over blocks of
-_BLOCK = 64 points, one block at a time (525 kB of complex values at m = 1024,
-however many points are restricted).
+Bounded buffers: a WindowProbe keeps three doubles per step and copies of the
+spectra it was asked to keep; a restriction builds its (m/2+1)-row matrix over
+blocks of _BLOCK = 64 points, one block at a time (525 kB of complex values at
+m = 1024, however many points or spectra are restricted), and each block serves
+every spectrum of a stack.
 """
 
 from __future__ import annotations
@@ -133,9 +136,10 @@ def wholeline_solve(u0_values, grid: PeriodicGrid, T: float, cfl: float = 0.5,
     """March the periodic problem to time T.
 
     Each observer is called as obs(step, t, uhat) with the half spectrum
-    rfft(u) at step 0 and after every step; an observer must not modify uhat
-    and should copy what it keeps.  Data must be effectively
-    compactly supported: below 1e-10 within P/8 of both period ends.
+    rfft(u) at step 0 and after every step.  uhat is one buffer that the march
+    updates in place, the same array at every call: an observer must not modify
+    it and must copy what it keeps.  Data must be effectively compactly
+    supported: below 1e-10 within P/8 of both period ends.
     """
     pocketfft = _scipy_ext("scipy.fft._pocketfft.pypocketfft")  # loaded by the first march
     u0 = np.asarray(u0_values, dtype=float)
@@ -160,30 +164,62 @@ def wholeline_solve(u0_values, grid: PeriodicGrid, T: float, cfl: float = 0.5,
     flux = np.where(dealias, -1j * k, 0.0)
     E = np.exp(0.5 * dt * L)
     E2 = E * E
-    pad = np.zeros(k.size, dtype=complex)  # the kept prefix, its tail zero
+    E_2 = 2.0 * E
+    # as complex scalars they give the same products, without a cast per call
+    half, step_dt, sixth = (np.complex128(c) for c in (0.5 * dt, dt, dt / 6.0))
+    # every buffer of the march, allocated once; each product keeps the operand
+    # order of the textbook update (E * s, not s * E: complex products are not
+    # bitwise commutative under FMA)
+    pad = np.zeros(k.size, dtype=complex)  # a stage's kept prefix, its tail zero
+    stage = pad[:nkeep]
     u = np.empty(grid.m)
+    spec, Nv, Na, Nb, Nc, E2u, s1, s2 = np.empty((8, k.size), dtype=complex)
+    # the kept prefixes, all that the stages feed to nonlin
+    Ek, t1, t2, Nvk, Nak, Nbk, E2uk = (b[:nkeep] for b in (E, s1, s2, Nv, Na, Nb, E2u))
+    finite = np.empty(k.size, dtype=bool)
 
-    def nonlin(uhat):
-        pad[:nkeep] = uhat[:nkeep]
+    def nonlin(N):
+        """N = flux * rfft(irfft(pad)**2), the flux of the stage held in pad."""
         pocketfft.c2r(pad, (0,), grid.m, False, 2, u, 1)  # irfft: 1/m, one thread
         np.multiply(u, u, out=u)
-        return flux * pocketfft.r2c(u, (0,), True, 0, None, 1)
+        pocketfft.r2c(u, (0,), True, 0, spec, 1)
+        np.multiply(flux, spec, out=N)
 
-    uhat = pocketfft.r2c(u0, (0,), True, 0, None, 1)
+    uhat = pocketfft.r2c(u0, (0,), True, 0, None, 1)  # updated in place from here on
+    uk = uhat[:nkeep]
     for obs in observers:
         obs(0, 0.0, uhat)
     # a blow-up is reported once, by the non-finite check, not by overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, len(times)):
-            Nv = nonlin(uhat)
-            a = E * (uhat + (0.5 * dt) * Nv)
-            Na = nonlin(a)
-            b = E * uhat + (0.5 * dt) * Na
-            Nb = nonlin(b)
-            c = E2 * uhat + dt * (E * Nb)
-            Nc = nonlin(c)
-            uhat = E2 * uhat + (dt / 6.0) * (E2 * Nv + 2.0 * E * (Na + Nb) + Nc)
-            if not np.all(np.isfinite(uhat)):
+            stage[:] = uk
+            nonlin(Nv)
+            # a = E * (uhat + (dt/2) Nv), on the kept prefix only
+            np.multiply(half, Nvk, out=t1)
+            np.add(uk, t1, out=t1)
+            np.multiply(Ek, t1, out=stage)
+            nonlin(Na)
+            # b = E * uhat + (dt/2) Na
+            np.multiply(Ek, uk, out=t1)
+            np.multiply(half, Nak, out=t2)
+            np.add(t1, t2, out=stage)
+            nonlin(Nb)
+            # c = E2 * uhat + dt * (E * Nb)
+            np.multiply(E2, uhat, out=E2u)
+            np.multiply(Ek, Nbk, out=t1)
+            np.multiply(step_dt, t1, out=t1)
+            np.add(E2uk, t1, out=stage)
+            nonlin(Nc)
+            # uhat = E2 * uhat + (dt/6) * (E2 * Nv + 2E * (Na + Nb) + Nc)
+            np.multiply(E2, Nv, out=s1)
+            np.add(Na, Nb, out=s2)
+            np.multiply(E_2, s2, out=s2)
+            np.add(s1, s2, out=s1)
+            np.add(s1, Nc, out=s1)
+            np.multiply(sixth, s1, out=s1)
+            np.add(E2u, s1, out=uhat)
+            np.isfinite(uhat, out=finite)
+            if not finite.all():
                 raise SolverError(f"whole-line solve went non-finite at t={times[step]:.6g}")
             for obs in observers:
                 obs(step, times[step], uhat)
@@ -211,7 +247,7 @@ class WindowProbe:
         self._taps = np.hstack([_restriction_matrix(grid, [x_star], p) for p in (0, 1, 3)])
 
     def __call__(self, step: int, t: float, uhat):
-        self._traces.extend((uhat @ self._taps).real)
+        self._traces.frombytes((uhat @ self._taps).real.tobytes())
         if step in self.keep:
             self.spectra[step] = uhat.copy()
 
@@ -221,22 +257,25 @@ class WindowProbe:
         return np.array(self._traces).reshape(-1, 3)
 
 
-def extract_halfline_data(traj: WholelineTrajectory,
-                          probe: WindowProbe) -> tuple[Field, BoundaryData]:
-    """Restrict a probed whole-line run to [x*, x*+L]: initial data plus inflow trace.
+def extract_halfline_data(traj: WholelineTrajectory, probe: WindowProbe,
+                          spectra) -> tuple[Field, BoundaryData, np.ndarray]:
+    """Restrict a probed whole-line run to [x*, x*+L]: initial data, inflow trace
+    and the window values of each further spectrum in the stack spectra.
 
     f(t) is the solution at x*, and its slope comes from the equation itself,
     f'(t) = -(u_xxx + 2 u u_x)(x*, t), evaluated spectrally, so no time
     differencing enters.  Between march times f is the cubic Hermite
     interpolant of these values and slopes, and fprime is its derivative, so
-    the pair is consistent by construction.
+    the pair is consistent by construction.  The step-0 spectrum and spectra
+    are restricted in one spectral_restriction call, one matrix block for all
+    rows, with the same bits as a call per spectrum.
     """
     fvals, d1, d3 = probe.traces.T
     inflow = _Hermite(traj.times, fvals, -(d3 + 2.0 * fvals * d1))
-    u0_vals = spectral_restriction(probe.spectra[0], probe.grid,
-                                   probe.x_star + probe.window.nodes)
+    stack = np.vstack([probe.spectra[0], spectra])
+    restr = spectral_restriction(stack, probe.grid, probe.x_star + probe.window.nodes)
     bd = BoundaryData(f=lambda t: float(inflow(t)), fprime=lambda t: float(inflow(t, 1)))
-    return Field(probe.window, u0_vals, 0.0), bd
+    return Field(probe.window, restr[0], 0.0), bd, restr[1:]
 
 
 @dataclass

@@ -218,6 +218,27 @@ def test_cli_invalid_config_exit_code(tmp_path, capsys, key, value):
     assert err.startswith("config error") and key in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("L,center,width", [("2e62", "6.0", "1.0"),
+                                             ("7e-79", "3.5e-79", "0.5e-79")])
+def test_cli_wrong_wall_probe_grid_exits_2(tmp_path, capsys, L, center, width):
+    # at h = 2.9e61 the 6-node u_xxxx probe's last weight overflows to -0, and at
+    # h = 1e-79 that probe is inf and the u_xxx one inexact, while the operators'
+    # stencils stay finite; the probes' moment check refuses both grids before a
+    # warning or a report
+    cfgfile = tmp_path / "probe.cfg"
+    cfgfile.write_text(f"experiment = simulate\ngrid.L = {L}\ngrid.n = 8\n"
+                       f"time.dt = 0.02\ntime.T = 0.2\ndata.kind = bump\n"
+                       f"data.amplitude = 0.5\ndata.center = {center}\n"
+                       f"data.width = {width}\nboundary.kind = zero\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "p")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "grid.L" in err and err.count("\n") == 1
+    assert not (tmp_path / "p" / "report.json").exists()
+
+
 ORACLE_MINI = """
 experiment = oracle-compare
 grid.L = 40.0

@@ -244,8 +244,9 @@ def test_extraction_window_must_fit():
 
 def test_extracted_data_consistent(soliton_run):
     per, traj, seen, probe = soliton_run
-    u0, bd = extract_halfline_data(traj, probe)
+    u0, bd, restr = extract_halfline_data(traj, probe, np.array(seen.spectra[-2:]))
     grid = probe.window
+    assert restr.shape == (2, grid.n)
     # corner compatibility and a self-consistent (f, f') pair
     assert abs(bd.f(0.0) - u0.values[0]) <= 1e-12
     bd.validate(2.0)
@@ -259,6 +260,68 @@ def test_extracted_data_consistent(soliton_run):
     # the restriction itself at t=0
     exact = soliton_solution(1.0, 8.0)(12.0 + grid.nodes, 0.0)
     assert np.max(np.abs(u0.values - exact)) <= 1e-8
+
+
+def test_stacked_restriction_matches_separate_calls(soliton_run):
+    # step 0 and the further spectra share each 64-point matrix block; on a
+    # 2001-point window (the oracle recipe's) every row is the bits of its own call
+    per, traj, seen, probe = soliton_run
+    wide = WindowProbe(per, 12.0, Grid1D(40.0, 2001))
+    for step, (t, uhat) in enumerate(zip(seen.times, seen.spectra)):
+        wide(step, t, uhat)
+    spectra = np.array(seen.spectra[1::len(seen.spectra) // 9][:9])
+    u0, _, restr = extract_halfline_data(traj, wide, spectra)
+    x = 12.0 + wide.window.nodes
+    assert np.array_equal(u0.values, spectral_restriction(seen.spectra[0], per, x))
+    assert len(restr) == 9
+    for row, uhat in zip(restr, spectra):
+        assert np.array_equal(row, spectral_restriction(uhat, per, x))
+
+
+def test_kept_spectra_survive_the_in_place_march(soliton_run):
+    # the march hands every observer one buffer that it updates in place: a
+    # reference taken at a step is the final state by the end, while the
+    # probe's kept copies still hold their own steps' spectra
+    per, _, seen, _ = soliton_run
+    u0 = soliton_solution(1.0, 8.0)(per.nodes, 0.0)
+    refs = []
+    probe = WindowProbe(per, 12.0, Grid1D(20.0, 201), keep=[1, 5])
+    wholeline_solve(u0, per, T=2.0, cfl=0.1,
+                    observers=[probe, lambda step, t, uhat: refs.append(uhat)])
+    assert all(r is refs[0] for r in refs)
+    assert np.array_equal(refs[0], seen.spectra[-1])
+    assert sorted(probe.spectra) == [0, 1, 5]
+    for step, kept in probe.spectra.items():
+        assert np.array_equal(kept, seen.spectra[step])
+        assert not np.array_equal(kept, seen.spectra[-1])
+
+
+def test_march_commutes_with_kdv_scaling():
+    # u -> 4 u(2x, 8t) maps KdV solutions to solutions, and every factor is a
+    # power of two: on the halved period with the same m and T/8 the march
+    # takes the same steps, and each spectrum is exactly 4x the original's
+    u0 = gaussian_bump(0.8, 0.0, 3.0)
+    runs = []
+    for P, T in ((120.0, 4.0), (60.0, 4.0 / 8.0)):
+        per = PeriodicGrid(P, 256, x_left=-P / 2)
+        seen = _Collect()
+        scale = 120.0 / P
+        traj = wholeline_solve(scale**2 * u0(scale * per.nodes), per, T=T, cfl=0.1,
+                               observers=[seen])
+        runs.append((traj.times, np.array(seen.spectra)))
+    (times, spectra), (times2, spectra2) = runs
+    assert len(times) == len(times2) > 50
+    assert np.array_equal(times2, times / 8.0)
+    assert np.array_equal(spectra2, 4.0 * spectra)
+
+
+def test_march_keeps_the_mean_mode_bitwise(soliton_run):
+    # the flux -ik vanishes at k = 0 and the phase there is exp(0) = 1, so
+    # the mass mode never changes, not even in its last bit
+    per, traj, seen, _ = soliton_run
+    mean = np.array([s[0] for s in seen.spectra])
+    assert len(mean) == len(traj.times)
+    assert np.array_equal(mean, np.full(len(mean), mean[0]))
 
 
 def test_bump_data_round_trip():
