@@ -101,14 +101,14 @@ def gaussian_bump(amplitude: float, center: float, width: float):
 
 
 def boundary_pulse(kind: str, **params) -> BoundaryData:
-    """Closed-form boundary data families (f and fprime both analytic).
+    """Closed-form boundary data families (f analytic, fprime its complex step).
 
     kinds: "zero"; "gaussian-pulse" with A, t_c, w giving f = A t^2
     exp(-((t-t_c)/w)^2); "ramped-cosine" with A, omega, ramp giving
     f = A t^2/(t^2+ramp^2) cos(omega t).  All satisfy f(0) = 0.
     """
     if kind == "zero":
-        return BoundaryData(f=lambda t: 0.0, fprime=lambda t: 0.0)
+        return BoundaryData(f=lambda t: 0.0)
     if kind == "gaussian-pulse":
         A = float(params["A"])
         t_c = float(params["t_c"])
@@ -118,11 +118,7 @@ def boundary_pulse(kind: str, **params) -> BoundaryData:
             z = (t - t_c) / w
             return A * t * t * np.exp(-z * z)
 
-        def fprime(t):
-            z = (t - t_c) / w
-            return A * (2.0 * t - 2.0 * t * t * z / w) * np.exp(-z * z)
-
-        return BoundaryData(f=f, fprime=fprime)
+        return BoundaryData(f=f)
     if kind == "ramped-cosine":
         A = float(params["A"])
         om = float(params["omega"])
@@ -132,13 +128,7 @@ def boundary_pulse(kind: str, **params) -> BoundaryData:
             s = t * t / (t * t + r * r)
             return A * s * np.cos(om * t)
 
-        def fprime(t):
-            d = t * t + r * r
-            s = t * t / d
-            sp = 2.0 * t * r * r / (d * d)
-            return A * (sp * np.cos(om * t) - s * om * np.sin(om * t))
-
-        return BoundaryData(f=f, fprime=fprime)
+        return BoundaryData(f=f)
     raise ValueError(f"unknown boundary pulse kind {kind!r}")
 
 
@@ -174,15 +164,5 @@ def soliton_data(c: float, x_c: float, grid: Grid1D) -> Field:
 
 def soliton_boundary(c: float, x_c: float) -> BoundaryData:
     """Boundary data matching the exact soliton at x = 0."""
-    rc = np.sqrt(c)
     u = soliton_solution(c, x_c)
-
-    def f(t):
-        return u(0.0, t)
-
-    def fprime(t):
-        z = 0.5 * rc * (-c * t - x_c)
-        # d/dt sech^2(z) = -2 sech^2 tanh * dz/dt, dz/dt = -c^(3/2)/2
-        return 1.5 * c * np.tanh(z) * c * rc / np.cosh(z) ** 2
-
-    return BoundaryData(f=f, fprime=fprime)
+    return BoundaryData(f=lambda t: u(0.0, t))

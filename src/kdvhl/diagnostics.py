@@ -114,7 +114,7 @@ def _wall_traces(bd: BoundaryData, forcing, t: float, d1: float):
     F0 = 0.0
     if forcing is not None:
         F0 = float(np.asarray(forcing(np.array([0.0]), t)).ravel()[0])
-    return f, F0 - float(bd.fprime(t)) - 2.0 * f * d1
+    return f, F0 - bd.fprime(t) - 2.0 * f * d1
 
 
 def _column(i: int, doc: str) -> property:

@@ -243,7 +243,8 @@ class _Hermite:
     """Piecewise-cubic Hermite interpolant of values y and slopes dy at knots x.
 
     Each piece is a cubic in s = t - x_i, so a knot returns its value and slope
-    exactly.  One path serves a scalar t (a few microseconds) and an array.
+    exactly.  One path serves a scalar t (a few microseconds) and an array.  A
+    complex t picks its piece by its real part, for a complex-step derivative.
     """
 
     def __init__(self, x, y, dy):
@@ -254,11 +255,9 @@ class _Hermite:
         self._coef = np.array([y[:-1], dy[:-1], (3.0 * sec - 2.0 * dy[:-1] - dy[1:]) / h,
                                (dy[:-1] + dy[1:] - 2.0 * sec) / h**2])
 
-    def __call__(self, t, nu: int = 0):
-        """The interpolant (nu = 0) or its first derivative (nu = 1) at t."""
-        i = np.searchsorted(self._inner, t, side="right")
+    def __call__(self, t):
+        """The interpolant at t."""
+        i = np.searchsorted(self._inner, t.real, side="right")
         y, m, a, b = self._coef[:, i]
         s = t - self._left[i]
-        if nu:
-            return m + s * (2.0 * a + 3.0 * b * s)
         return y + s * (m + s * (a + s * b))

@@ -265,16 +265,16 @@ def extract_halfline_data(traj: WholelineTrajectory, probe: WindowProbe,
     f(t) is the solution at x*, and its slope comes from the equation itself,
     f'(t) = -(u_xxx + 2 u u_x)(x*, t), evaluated spectrally, so no time
     differencing enters.  Between march times f is the cubic Hermite
-    interpolant of these values and slopes, and fprime is its derivative, so
-    the pair is consistent by construction.  The step-0 spectrum and spectra
-    are restricted in one spectral_restriction call, one matrix block for all
-    rows, with the same bits as a call per spectrum.
+    interpolant of these values and slopes, and fprime, its complex step, is the
+    cubic's derivative to rounding.  The step-0 spectrum and spectra are
+    restricted in one spectral_restriction call, one matrix block for all rows,
+    with the same bits as a call per spectrum.
     """
     fvals, d1, d3 = probe.traces.T
     inflow = _Hermite(traj.times, fvals, -(d3 + 2.0 * fvals * d1))
     stack = np.vstack([probe.spectra[0], spectra])
     restr = spectral_restriction(stack, probe.grid, probe.x_star + probe.window.nodes)
-    bd = BoundaryData(f=lambda t: float(inflow(t)), fprime=lambda t: float(inflow(t, 1)))
+    bd = BoundaryData(f=inflow)
     return Field(probe.window, restr[0], 0.0), bd, restr[1:]
 
 
@@ -315,10 +315,7 @@ class ManufacturedSolution:
         return self.u_t(x, t) + self.u_xxx(x, t) + 2.0 * self.u(x, t) * self.u_x(x, t)
 
     def boundary(self) -> BoundaryData:
-        return BoundaryData(
-            f=lambda t: float(self.u(np.array(0.0), t)),
-            fprime=lambda t: float(self.u_t(np.array(0.0), t)),
-        )
+        return BoundaryData(f=lambda t: self.u(np.array(0.0), t))
 
     def initial(self, grid: Grid1D) -> Field:
         return Field(grid, self.u(grid.nodes, 0.0), 0.0)

@@ -101,6 +101,37 @@ def test_boundary_pulse_consistency(kind, params):
     bd.validate(2.0)
 
 
+def _gaussian_pulse_slope(t, A=0.5, t_c=0.6, w=0.25):
+    z = (t - t_c) / w
+    return A * (2.0 * t - 2.0 * t * t * z / w) * np.exp(-z * z)
+
+
+def _ramped_cosine_slope(t, A=0.4, om=3.0, r=0.5):
+    d = t * t + r * r
+    return A * (2.0 * t * r * r / (d * d) * np.cos(om * t) - t * t / d * om * np.sin(om * t))
+
+
+def _soliton_slope(t, c=1.0, x_c=8.0):
+    # d/dt (3c/2) sech^2(z) with z = sqrt(c)/2 (-c t - x_c), dz/dt = -c^(3/2)/2
+    z = 0.5 * np.sqrt(c) * (-c * t - x_c)
+    return 1.5 * c * np.tanh(z) * c * np.sqrt(c) / np.cosh(z) ** 2
+
+
+@pytest.mark.parametrize("bd,slope", [
+    (boundary_pulse("zero"), lambda t: 0.0 * t),
+    (boundary_pulse("gaussian-pulse", A=0.5, t_c=0.6, w=0.25), _gaussian_pulse_slope),
+    (boundary_pulse("ramped-cosine", A=0.4, omega=3.0, ramp=0.5), _ramped_cosine_slope),
+    (soliton_boundary(1.0, 8.0), _soliton_slope),
+], ids=["zero", "gaussian-pulse", "ramped-cosine", "soliton"])
+def test_fprime_is_the_exact_derivative(bd, slope):
+    # the complex step of f against the closed-form derivative at 401 times, to a
+    # few ulps of the series' largest slope; the zero family's is exactly 0
+    ts = np.linspace(0.0, 2.0, 401)
+    fp = np.array([bd.fprime(t) for t in ts])
+    ref = slope(ts)
+    assert np.max(np.abs(fp - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
 def test_boundary_pulse_unknown_kind():
     with pytest.raises(ValueError):
         boundary_pulse("sawtooth")

@@ -238,7 +238,7 @@ def test_band_restriction_matches_full_grid_weights(x0, at0, atL):
     grid = Grid1D(16.0, 161)
     x = grid.nodes
     ws = WeightSpec(cutoff=CutoffSpec(0.4, 2.0), v=1.0, x0=x0)
-    bd = BoundaryData(f=lambda t: 0.1 + 0.2 * t, fprime=lambda t: 0.2)
+    bd = BoundaryData(f=lambda t: 0.1 + 0.2 * t)
 
     def forcing(xs, t):
         return 0.1 * np.sin(np.asarray(xs) - t)
@@ -507,7 +507,7 @@ def test_blocked_observer_matches_per_state_reference(x0, count):
     ws = WeightSpec(cutoff=CutoffSpec(0.4, 2.0), v=1.0, x0=x0)
     # dJ/dt needs two states, so a single state is observed without identities
     levels = (1, 2) if count > 1 else ()
-    bd = BoundaryData(f=lambda t: 0.1 + 0.2 * t, fprime=lambda t: 0.2)
+    bd = BoundaryData(f=lambda t: 0.1 + 0.2 * t)
 
     def forcing(xs, t):
         return 0.1 * np.sin(np.asarray(xs) - t)

@@ -111,6 +111,16 @@ def test_forcing_is_equation_residual():
         assert np.max(np.abs(F(xs, tv) - F_lam(xs, tv))) <= 1e-11
 
 
+def test_manufactured_boundary_slope_is_u_t():
+    # the complex step of f(t) = u_e(0, t) against the closed-form u_t at x = 0
+    ms = decaying_hump(1.3, 8.0, 2.0)
+    bd = ms.boundary()
+    ts = np.linspace(0.0, 2.0, 401)
+    fp = np.array([bd.fprime(t) for t in ts])
+    ref = ms.u_t(np.zeros(1), ts)
+    assert np.max(np.abs(fp - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
+
+
 def test_manufactured_cross_check_catches_bad_derivative():
     ms = decaying_hump()
     with pytest.raises(ValueError, match="u_x"):
@@ -260,6 +270,25 @@ def test_extracted_data_consistent(soliton_run):
     # the restriction itself at t=0
     exact = soliton_solution(1.0, 8.0)(12.0 + grid.nodes, 0.0)
     assert np.max(np.abs(u0.values - exact)) <= 1e-8
+
+
+def test_inflow_slope_is_the_hermite_cubics_derivative(soliton_run):
+    # the complex step of the inflow against the derivative of the cubic Hermite
+    # piece through the probed values and equation slopes at the two march times
+    # around each t, written out in the Hermite basis
+    per, traj, seen, probe = soliton_run
+    _, bd, _ = extract_halfline_data(traj, probe, np.array(seen.spectra[-1:]))
+    knots = np.asarray(traj.times)
+    fvals, d1, d3 = np.array(probe.traces).T
+    slopes = -(d3 + 2.0 * fvals * d1)
+    ts = np.concatenate([np.linspace(0.0, knots[-1], 997), knots])
+    i = np.clip(np.searchsorted(knots, ts, side="right") - 1, 0, len(knots) - 2)
+    h = knots[i + 1] - knots[i]
+    s = (ts - knots[i]) / h
+    ref = ((6.0 * s * s - 6.0 * s) * (fvals[i] - fvals[i + 1]) / h
+           + (3.0 * s * s - 4.0 * s + 1.0) * slopes[i] + (3.0 * s * s - 2.0 * s) * slopes[i + 1])
+    fp = np.array([bd.fprime(t) for t in ts])
+    assert np.max(np.abs(fp - ref)) <= 8 * np.finfo(float).eps * np.max(np.abs(ref))
 
 
 def test_stacked_restriction_matches_separate_calls(soliton_run):
