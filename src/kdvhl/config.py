@@ -25,6 +25,7 @@ __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config", "du
 _EXPERIMENTS = ("simulate", "converge", "propagation", "traces", "identity", "oracle-compare")
 _DATA_KINDS = ("zero", "kink", "soliton", "bump", "mms")
 _BOUNDARY_KINDS = ("auto", "zero", "gaussian-pulse", "ramped-cosine")
+_ORACLE_KINDS = ("soliton", "bump")
 
 
 class ConfigError(ValueError):
@@ -259,6 +260,8 @@ def _validate_oracle(cfg: ExperimentConfig):
     # period ends as compactly supported, so a peak below it is no data at all
     from .oracle import _SUPPORT_TOL
 
+    if cfg.oracle_kind not in _ORACLE_KINDS:
+        raise ConfigError(f"key 'oracle.kind': {cfg.oracle_kind!r} not one of {_ORACLE_KINDS}")
     period = (cfg.oracle_x_left, cfg.oracle_x_left + cfg.oracle_P)
     if not period[0] < cfg.oracle_center < period[1]:
         raise ConfigError(f"key 'oracle.center' = {cfg.oracle_center} must lie inside the "

@@ -26,7 +26,6 @@ __all__ = [
     "boundary_pulse",
     "soliton_solution",
     "soliton_data",
-    "soliton_boundary",
 ]
 
 
@@ -160,9 +159,3 @@ def soliton_data(c: float, x_c: float, grid: Grid1D) -> Field:
             ResolutionWarning,
         )
     return Field(grid, vals, 0.0)
-
-
-def soliton_boundary(c: float, x_c: float) -> BoundaryData:
-    """Boundary data matching the exact soliton at x = 0."""
-    u = soliton_solution(c, x_c)
-    return BoundaryData(f=lambda t: u(0.0, t))

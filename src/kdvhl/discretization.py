@@ -90,7 +90,7 @@ def fd_weights(xs, x0: float, k: int):
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform grid on [0, L] with n nodes, h = L/(n-1)."""
+    """Uniform grid on [0, L] with n nodes, h = L/(n-1), refused where its wall probes fail."""
 
     L: float
     n: int
@@ -100,7 +100,7 @@ class Grid1D:
             raise ValueError(f"grid length must be positive, got {self.L}")
         if self.n < 8:
             raise ValueError(f"grid needs at least 8 nodes, got {self.n}")
-        _check_wall_probes(self.h)
+        _trace_weights(self.h)  # builds the x = 0 probe rows, refusing a bad h
 
     @property
     def h(self) -> float:
@@ -185,36 +185,28 @@ def deriv_matrix(grid: Grid1D, k: int) -> _CSR:
     return _deriv_matrix_cached(grid.n, grid.h, k)
 
 
-def _probe_rows(h: float):
-    # one-sided probes at x=0: 3 nodes for u_x, 4 for u_xx, 5 for u_xxx, 6 for
-    # u_xxxx, each accuracy order 2; quiet, as in _deriv_matrix_cached, where at a
-    # huge h the recurrence's running product of node gaps overflows
-    with np.errstate(all="ignore"):
-        return tuple(
-            fd_weights(np.arange(k + 2, dtype=float) * h, 0.0, k) for k in (1, 2, 3, 4)
-        )
-
-
-# what trace_derivs looks up once per state; _check_wall_probes builds its own rows
-_trace_weights = lru_cache(maxsize=16)(_probe_rows)
-
-
 @lru_cache(maxsize=16)
-def _check_wall_probes(h: float) -> None:
-    """Refuse an h whose order-k wall probe is not finite or misses its moment
-    condition sum_j w_j (jh)^k = k!: past h ~ 2e61 the running product of node
-    gaps overflows and the u_xxxx row loses its last weight, and near 1e-79 the
-    rows reach inf, while the operators' narrower stencils stay finite.  h^k is
-    applied one factor at a time, so no power of h leaves the float range."""
-    for k, w in enumerate(_probe_rows(h), 1):
-        scaled = w
-        with np.errstate(all="ignore"):
+def _trace_weights(h: float):
+    """The one-sided probe rows at x = 0 for spacing h: 3 nodes for u_x, 4 for u_xx,
+    5 for u_xxx, 6 for u_xxxx, each accuracy order 2, built once per h.
+
+    Refuses an h at which a row is not finite or misses its moment condition
+    sum_j w_j (jh)^k = k!: past h ~ 2e61 the recurrence's running product of node gaps
+    overflows and the u_xxxx row loses its last weight, and near 1e-79 the rows reach
+    inf, while the operators' narrower stencils stay finite.  h^k is applied one factor
+    at a time, so no power of h leaves the float range."""
+    with np.errstate(all="ignore"):  # a bad h is refused just below
+        rows = tuple(fd_weights(np.arange(k + 2, dtype=float) * h, 0.0, k)
+                     for k in (1, 2, 3, 4))
+        for k, w in enumerate(rows, 1):
+            scaled = w
             for _ in range(k):
                 scaled = scaled * h
             moment = scaled @ np.arange(len(w), dtype=float) ** k
-        if not (np.all(np.isfinite(w)) and abs(moment / math.factorial(k) - 1.0) <= 1e-10):
-            raise ConfigError(f"key 'grid.L' gives h = {h:.3g}, at which the order-{k} "
-                              f"one-sided wall probe is not finite or not exact on x^{k}")
+            if not (np.all(np.isfinite(w)) and abs(moment / math.factorial(k) - 1.0) <= 1e-10):
+                raise ConfigError(f"key 'grid.L' gives h = {h:.3g}, at which the order-{k} "
+                                  f"one-sided wall probe is not finite or not exact on x^{k}")
+    return rows
 
 
 def trace_derivs(field: Field):

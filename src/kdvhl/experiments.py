@@ -20,7 +20,6 @@ from .datagen import (
     boundary_pulse,
     gaussian_bump,
     kink_data,
-    soliton_boundary,
     soliton_data,
     soliton_solution,
 )
@@ -42,7 +41,7 @@ from .oracle import (
     wholeline_solve,
     wholeline_times,
 )
-from .solver import SolverConfig, solve
+from .solver import BoundaryData, SolverConfig, solve
 from .weights import CutoffSpec, WeightSpec
 
 SCHEMA = "kdvhl-report-v1"
@@ -68,7 +67,8 @@ def refine(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def scenario(cfg: ExperimentConfig):
-    """(grid, u0 field, boundary data, forcing or None, exact or None)."""
+    """(grid, u0 field, boundary data, forcing or None, exact or None); with an exact
+    solution (soliton, mms data) the auto boundary is f(t) = exact(0, t)."""
     grid = Grid1D(cfg.L, cfg.n)
     forcing = None
     exact = None
@@ -89,19 +89,17 @@ def scenario(cfg: ExperimentConfig):
     elif cfg.data_kind == "soliton":
         u0 = soliton_data(cfg.data_c, cfg.data_center, grid)
         exact = soliton_solution(cfg.data_c, cfg.data_center)
+        exact_keys = ("data.c", "data.center")
     elif cfg.data_kind == "mms":
         ms = decaying_hump(cfg.data_amplitude, cfg.data_center, cfg.data_width)
-        u0 = ms.initial(grid)
-        forcing = ms.forcing
         exact = ms.u
+        exact_keys = ("data.amplitude", "data.center", "data.width")
+        u0 = Field(grid, exact(grid.nodes, 0.0), 0.0)
+        forcing = ms.forcing
 
     # keys: what sets f, for BoundaryData.validate's refusals to name
-    if cfg.boundary_kind == "auto" and cfg.data_kind == "soliton":
-        bd = soliton_boundary(cfg.data_c, cfg.data_center)
-        bd.keys = ("data.c", "data.center")
-    elif cfg.boundary_kind == "auto" and cfg.data_kind == "mms":
-        bd = ms.boundary()
-        bd.keys = ("data.amplitude", "data.center", "data.width")
+    if cfg.boundary_kind == "auto" and exact is not None:
+        bd = BoundaryData(f=lambda t: exact(0.0, t), keys=exact_keys)
     elif cfg.boundary_kind in ("auto", "zero"):
         bd = boundary_pulse("zero")
     elif cfg.boundary_kind == "gaussian-pulse":
@@ -384,11 +382,9 @@ def run_oracle_compare(cfg: ExperimentConfig):
     per = PeriodicGrid(cfg.oracle_P, cfg.oracle_m, cfg.oracle_x_left)
     if cfg.oracle_kind == "soliton":
         u0w = soliton_solution(cfg.oracle_c, cfg.oracle_center)(per.nodes, 0.0)
-    elif cfg.oracle_kind == "bump":
+    else:  # "bump", the one other kind config allows
         u0w = gaussian_bump(cfg.oracle_amplitude, cfg.oracle_center,
                             cfg.oracle_width)(per.nodes)
-    else:
-        raise ConfigError(f"key 'oracle.kind': unknown kind {cfg.oracle_kind!r}")
     grid = Grid1D(cfg.L, cfg.n)
 
     # the half-line steps compared, and for each the 4 whole-line steps whose

@@ -282,6 +282,7 @@ def extract_halfline_data(traj: WholelineTrajectory, probe: WindowProbe,
 class ManufacturedSolution:
     """Closed-form u_e with the derivatives the forcing construction needs.
 
+    A run's initial data u_e(x, 0) and boundary value u_e(0, t) are read from u.
     Cross-differencing at construction guards the hand-derived callables: u_x
     and u_xxx against centered differences of u, u_t against a time difference.
     """
@@ -313,12 +314,6 @@ class ManufacturedSolution:
     def forcing(self, x, t: float):
         """Residual forcing F = u_t + u_xxx + 2 u u_x that freezes u_e in."""
         return self.u_t(x, t) + self.u_xxx(x, t) + 2.0 * self.u(x, t) * self.u_x(x, t)
-
-    def boundary(self) -> BoundaryData:
-        return BoundaryData(f=lambda t: self.u(np.array(0.0), t))
-
-    def initial(self, grid: Grid1D) -> Field:
-        return Field(grid, self.u(grid.nodes, 0.0), 0.0)
 
 
 def decaying_hump(amplitude: float = 1.0, center: float = 8.0,

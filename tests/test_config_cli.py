@@ -261,6 +261,7 @@ oracle.center = 12.0
     ({"oracle.m": "100"}, 2, "power of two"),
     ({"oracle.kind": "bump", "oracle.amplitude": "50", "oracle.center": "10",
       "oracle.cfl": "100"}, 3, "non-finite"),
+    ({"oracle.kind": "sawtooth"}, 2, "oracle.kind"),
 ])
 def test_cli_oracle_failure_exit_codes(tmp_path, capsys, overrides, code, phrase):
     lines = [ln for ln in ORACLE_MINI.splitlines() if ln.split(" =")[0] not in overrides]

@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
+from kdvhl.cli import resolve_config
 from kdvhl.datagen import (
     KinkSpec,
     ResolutionWarning,
     boundary_pulse,
     gaussian_bump,
     kink_data,
-    soliton_boundary,
     soliton_data,
     soliton_solution,
 )
 from kdvhl.discretization import Grid1D, deriv_matrix, integrate
+from kdvhl.experiments import scenario
+from kdvhl.solver import BoundaryData
 
 
 def test_kink_spec_validation():
@@ -121,7 +123,7 @@ def _soliton_slope(t, c=1.0, x_c=8.0):
     (boundary_pulse("zero"), lambda t: 0.0 * t),
     (boundary_pulse("gaussian-pulse", A=0.5, t_c=0.6, w=0.25), _gaussian_pulse_slope),
     (boundary_pulse("ramped-cosine", A=0.4, omega=3.0, ramp=0.5), _ramped_cosine_slope),
-    (soliton_boundary(1.0, 8.0), _soliton_slope),
+    (BoundaryData(f=lambda t: soliton_solution(1.0, 8.0)(0.0, t)), _soliton_slope),
 ], ids=["zero", "gaussian-pulse", "ramped-cosine", "soliton"])
 def test_fprime_is_the_exact_derivative(bd, slope):
     # the complex step of f against the closed-form derivative at 401 times, to a
@@ -163,10 +165,17 @@ def test_soliton_data_quiet_when_localized():
         soliton_data(1.0, 30.0, Grid1D(60.0, 601))
 
 
-def test_soliton_boundary_matches_solution():
-    c, xc = 1.0, 25.0
-    bd = soliton_boundary(c, xc)
-    u = soliton_solution(c, xc)
-    for t in (0.0, 2.0, 7.0):
-        assert bd.f(t) == pytest.approx(float(u(np.array(0.0), t)), rel=1e-12)
-    bd.validate(10.0)
+@pytest.mark.parametrize("recipe,keys", [
+    ("soliton", ("data.c", "data.center")),
+    ("mms", ("data.amplitude", "data.center", "data.width")),
+])
+def test_scenario_auto_boundary_is_the_exact_solution_at_the_wall(recipe, keys):
+    # f(t) = exact(0, t) and f' its complex step, bit for bit at 9 times in [0, T],
+    # with the data keys that set them named for validate's refusals
+    cfg = resolve_config(recipe)
+    _, _, bd, _, exact = scenario(cfg)
+    for t in np.linspace(0.0, cfg.T, 9):
+        assert bd.f(t) == exact(0.0, t)
+        assert bd.fprime(t) == float(np.imag(exact(0.0, t + 1e-30j))) / 1e-30
+    assert bd.keys == keys
+    bd.validate(cfg.T)

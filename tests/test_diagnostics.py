@@ -11,8 +11,8 @@ import sympy as sp
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from kdvhl.datagen import (ResolutionWarning, boundary_pulse, gaussian_bump, soliton_boundary,
-                           soliton_data)
+from kdvhl.datagen import (ResolutionWarning, boundary_pulse, gaussian_bump, soliton_data,
+                           soliton_solution)
 from kdvhl.diagnostics import (
     RunningDiagnostics,
     TraceSeries,
@@ -339,7 +339,7 @@ def soliton_runs():
         # the tail at x = 0 is 7.4e-4; the boundary data carries it exactly
         with pytest.warns(ResolutionWarning):
             u0 = soliton_data(c, x_c, grid)
-        bd = soliton_boundary(c, x_c)
+        bd = BoundaryData(f=lambda t: soliton_solution(c, x_c)(0.0, t))
         rd = RunningDiagnostics(grid, bd, ws)
         solve(u0, SolverConfig(dt=dt, T=T), bd, observers=[rd])
         fins.append(rd.finish())
@@ -560,18 +560,18 @@ def test_wall_traces_computed_once_per_state(monkeypatch):
     # the wall record is the only code that computes wall values: a converge level
     # and the oracle-compare half-line solve read no trace and compute none, and a
     # simulate run computes each state's traces once, inside its observer
-    from kdvhl import diagnostics, discretization, experiments
+    from kdvhl import diagnostics, experiments
     from kdvhl.cli import resolve_config
 
-    # every trace_derivs call, whichever module imported it, looks up its weights once
+    # trace_derivs runs only in diagnostics, which imported it; every Grid1D also
+    # looks up discretization._trace_weights, so counting those would count grids
     calls = {"trace_derivs": 0, "_wall_traces": 0}
-    for mod, name, key in ((discretization, "_trace_weights", "trace_derivs"),
-                           (diagnostics, "_wall_traces", "_wall_traces")):
-        def spy(*args, _real=getattr(mod, name), _key=key):
+    for name in calls:
+        def spy(*args, _real=getattr(diagnostics, name), _key=name):
             calls[_key] += 1
             return _real(*args)
 
-        monkeypatch.setattr(mod, name, spy)
+        monkeypatch.setattr(diagnostics, name, spy)
 
     conv = resolve_config("mms")
     conv.n, conv.T, conv.levels = 201, 0.2, 1
@@ -603,10 +603,10 @@ def test_trace_record_matches_post_hoc_equation_route():
 
     ms = decaying_hump(1.0, 2.0, 1.0)
     grid = Grid1D(20.0, 201)
-    bd = ms.boundary()
+    bd = BoundaryData(f=lambda t: ms.u(0.0, t))
     traces = TraceSeries(bd, ms.forcing)
-    traj = solve(ms.initial(grid), SolverConfig(dt=0.02, T=0.6, forcing=ms.forcing), bd,
-                 observers=[traces])
+    traj = solve(Field(grid, ms.u(grid.nodes, 0.0), 0.0),
+                 SolverConfig(dt=0.02, T=0.6, forcing=ms.forcing), bd, observers=[traces])
     assert len(traj.snapshots) == len(traj.times) == 31
     assert np.min(np.abs([bd.f(t) for t in traj.times])) > 0.01
     times, d3e = traj.times, _equation_d3_post_hoc(traj, bd, ms.forcing)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csc_matrix, csr_matrix, diags as sp_diags, identity as sp_identity
 
+from kdvhl.config import ConfigError
 from kdvhl.discretization import (
     Field,
     Grid1D,
@@ -181,10 +182,9 @@ def test_trace_derivs_on_polynomials():
 @pytest.mark.filterwarnings("error")
 def test_trace_weights_quiet_at_huge_h():
     # the recurrence's running product of node gaps overflows at h = 5e72; the
-    # probe rows are built without a numpy warning and come out finite
-    rows = _trace_weights.__wrapped__(5e72)
-    assert [len(w) for w in rows] == [3, 4, 5, 6]
-    assert all(np.all(np.isfinite(w)) for w in rows)
+    # probe rows are refused without a numpy warning
+    with pytest.raises(ConfigError, match="grid.L"):
+        _trace_weights.__wrapped__(5e72)
 
 
 def test_integrate_exact_on_linear():

@@ -19,6 +19,7 @@ from kdvhl.oracle import (
     spectral_restriction,
     wholeline_solve,
 )
+from kdvhl.solver import BoundaryData
 
 
 def _reference_march(u0, grid, T, cfl):
@@ -114,7 +115,7 @@ def test_forcing_is_equation_residual():
 def test_manufactured_boundary_slope_is_u_t():
     # the complex step of f(t) = u_e(0, t) against the closed-form u_t at x = 0
     ms = decaying_hump(1.3, 8.0, 2.0)
-    bd = ms.boundary()
+    bd = BoundaryData(f=lambda t: ms.u(0.0, t))
     ts = np.linspace(0.0, 2.0, 401)
     fp = np.array([bd.fprime(t) for t in ts])
     ref = ms.u_t(np.zeros(1), ts)

@@ -436,15 +436,34 @@ def test_forcing_is_reused_across_steps_bit_for_bit():
     g = Grid1D(30.0, 201)
     dt, nsteps = 0.0125, 40
     cfg = SolverConfig(dt=dt, T=nsteps * dt, forcing=forcing)
-    traj = solve(ms.initial(g), cfg, ms.boundary())
+    bd = BoundaryData(f=lambda t: ms.u(0.0, t))
+    traj = solve(Field(g, ms.u(g.nodes, 0.0), 0.0), cfg, bd)
     misses = sum((k - 1) * dt != (k - 2) * dt + dt for k in range(2, nsteps + 1))
     assert 0 < misses < nsteps // 2  # both branches of the reuse run
     assert len(calls) == nsteps + 1 + misses
 
     sys_ = _System(g, dt, 0.5)
-    state, history = ms.initial(g), ()
+    state, history = Field(g, ms.u(g.nodes, 0.0), 0.0), ()
     for k in range(1, nsteps + 1):
         un = state.values
-        state = solver._advance(state, cfg, ms.boundary(), sys_, history)[0]
+        state = solver._advance(state, cfg, bd, sys_, history)[0]
         state.t, history = k * dt, (un,) + history[:2]
         assert np.array_equal(state.values, traj.snapshots[k].values)
+
+
+def test_kdv_scaling_covariance_bit_for_bit():
+    # v(x, t) = 4 u(2x, 8t) solves u_t + u_xxx + (u^2)_x = 0 when u does, and half
+    # the h with dt/8 maps the scheme onto itself by powers of two, so the scaled
+    # run is 4x the first to the last bit; the Picard cap is pinned, because the
+    # stop rule's tolerance does not scale with the solution
+    bump = gaussian_bump(1.0, 10.0, 1.5)
+    g = Grid1D(40.0, 801)
+    u = solve(Field(g, bump(g.nodes), 0.0),
+              SolverConfig(dt=0.0125, T=1.0, picard_tol=1e-300, picard_max=3),
+              boundary_pulse("zero"))
+    g = Grid1D(20.0, 801)
+    v = solve(Field(g, 4.0 * bump(2.0 * g.nodes), 0.0),
+              SolverConfig(dt=0.0125 / 8, T=1.0 / 8, picard_tol=1e-300, picard_max=3),
+              boundary_pulse("zero"))
+    assert np.array_equal(v.final.values, 4.0 * u.final.values)
+    assert np.array_equal(v.picard_sweeps, u.picard_sweeps)
