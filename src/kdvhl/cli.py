@@ -42,7 +42,7 @@ def available_recipes() -> list[str]:
 
 def resolve_config(spec: str):
     p = Path(spec)
-    if p.exists():
+    if p.exists() and not p.is_dir():  # a pipe such as <(...) is read as a file too
         return load_config(p)
     name = spec[:-4] if spec.endswith(".cfg") else spec
     if "/" not in spec and "\\" not in spec:

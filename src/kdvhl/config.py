@@ -183,8 +183,12 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {str(path)!r} cannot be read: {exc}") from exc
+    return parse_config(text)
 
 
 def _validate(cfg: ExperimentConfig):
@@ -235,8 +239,10 @@ def _validate(cfg: ExperimentConfig):
     for attr in ("l", "trace_branch"):
         if getattr(cfg, attr) not in (1, 2, 3):
             raise ConfigError(f"key {_REVMAP[attr]!r} must be 1, 2 or 3")
-    if not set(cfg.identity_levels) <= {1, 2}:
-        raise ConfigError("key 'diagnostics.identity_levels' may hold only levels 1 and 2")
+    levels = cfg.identity_levels
+    if not set(levels) <= {1, 2} or len(set(levels)) < len(levels):
+        raise ConfigError("key 'diagnostics.identity_levels' may hold only levels 1 and 2, "
+                          "each at most once")
     x1, lo, hi = cfg.kink_geometry()
     if cfg.data_kind == "kink" and not (lo < x1 < hi):
         raise ConfigError(f"key 'data.x1' = {x1} must lie inside the envelope "

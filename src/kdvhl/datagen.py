@@ -10,20 +10,18 @@ matching well-resolved scenarios.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .discretization import Field, Grid1D
-from .solver import BoundaryData
 
 __all__ = [
     "ResolutionWarning",
-    "KinkSpec",
     "kink_data",
     "gaussian_bump",
-    "boundary_pulse",
+    "gaussian_pulse",
+    "ramped_cosine",
     "soliton_solution",
     "soliton_data",
 ]
@@ -46,46 +44,33 @@ def _envelope(x, lo: float, hi: float):
     return out
 
 
-@dataclass(frozen=True)
-class KinkSpec:
-    """Rough-left / smooth-right initial profile.
+def kink_data(m: int, x1: float, amplitude: float, env_lo: float, env_hi: float,
+              grid: Grid1D, base: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> Field:
+    """Rough-left / smooth-right initial profile, sampled on a grid.
 
     u0(x) = base(x) + amplitude * (x - x1)_+^m * envelope(x), with the envelope
     supported on (env_lo, env_hi).  m = 1 puts a corner in u0' at x1, so the
     global second-derivative energy diverges ~ 1/h under refinement while the
-    profile stays smooth right of env_hi.
+    profile stays smooth right of env_hi.  Warns if the envelope is unresolved.
     """
-
-    m: int
-    x1: float
-    amplitude: float
-    env_lo: float
-    env_hi: float
-    base: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"kink power m must be >= 1, got {self.m}")
-        if not (self.env_lo < self.x1 < self.env_hi):
-            raise ValueError(
-                f"kink point x1={self.x1} must sit inside the envelope "
-                f"support ({self.env_lo}, {self.env_hi})"
-            )
-
-
-def kink_data(spec: KinkSpec, grid: Grid1D) -> Field:
-    """Sample the kink profile on a grid; warns if the envelope is unresolved."""
-    if (spec.env_hi - spec.env_lo) / grid.h < 16:
+    if m < 1:
+        raise ValueError(f"kink power m must be >= 1, got {m}")
+    if not (env_lo < x1 < env_hi):
+        raise ValueError(
+            f"kink point x1={x1} must sit inside the envelope "
+            f"support ({env_lo}, {env_hi})"
+        )
+    if (env_hi - env_lo) / grid.h < 16:
         warnings.warn(
-            f"envelope support ({spec.env_lo}, {spec.env_hi}) spans fewer than "
+            f"envelope support ({env_lo}, {env_hi}) spans fewer than "
             f"16 grid cells at h={grid.h:.4g}",
             ResolutionWarning,
         )
     x = grid.nodes
-    ramp = np.where(x > spec.x1, (x - spec.x1) ** spec.m, 0.0)
-    vals = spec.amplitude * ramp * _envelope(x, spec.env_lo, spec.env_hi)
-    if spec.base is not None:
-        vals = vals + np.asarray(spec.base(x), dtype=float)
+    ramp = np.where(x > x1, (x - x1) ** m, 0.0)
+    vals = amplitude * ramp * _envelope(x, env_lo, env_hi)
+    if base is not None:
+        vals = vals + np.asarray(base(x), dtype=float)
     return Field(grid, vals, 0.0)
 
 
@@ -99,36 +84,21 @@ def gaussian_bump(amplitude: float, center: float, width: float):
     return profile
 
 
-def boundary_pulse(kind: str, **params) -> BoundaryData:
-    """Closed-form boundary data families (f analytic, fprime its complex step).
+def gaussian_pulse(A: float, t_c: float, w: float):
+    """Boundary data f(t) = A t^2 exp(-((t-t_c)/w)^2), with f(0) = 0; f takes a complex t."""
+    def f(t):
+        z = (t - t_c) / w
+        return A * t * t * np.exp(-z * z)
+    return f
 
-    kinds: "zero"; "gaussian-pulse" with A, t_c, w giving f = A t^2
-    exp(-((t-t_c)/w)^2); "ramped-cosine" with A, omega, ramp giving
-    f = A t^2/(t^2+ramp^2) cos(omega t).  All satisfy f(0) = 0.
-    """
-    if kind == "zero":
-        return BoundaryData(f=lambda t: 0.0)
-    if kind == "gaussian-pulse":
-        A = float(params["A"])
-        t_c = float(params["t_c"])
-        w = float(params["w"])
 
-        def f(t):
-            z = (t - t_c) / w
-            return A * t * t * np.exp(-z * z)
-
-        return BoundaryData(f=f)
-    if kind == "ramped-cosine":
-        A = float(params["A"])
-        om = float(params["omega"])
-        r = float(params["ramp"])
-
-        def f(t):
-            s = t * t / (t * t + r * r)
-            return A * s * np.cos(om * t)
-
-        return BoundaryData(f=f)
-    raise ValueError(f"unknown boundary pulse kind {kind!r}")
+def ramped_cosine(A: float, omega: float, ramp: float):
+    """Boundary data f(t) = A t^2/(t^2+ramp^2) cos(omega t), with f(0) = 0; f takes a
+    complex t."""
+    def f(t):
+        s = t * t / (t * t + ramp * ramp)
+        return A * s * np.cos(omega * t)
+    return f
 
 
 def soliton_solution(c: float, x_c: float):

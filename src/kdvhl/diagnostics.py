@@ -373,6 +373,8 @@ class RunningDiagnostics:
                  nstates: Optional[int] = None):
         if not set(identity_levels) <= {1, 2}:
             raise ValueError("identity bookkeeping is available for levels 1 and 2 only")
+        if len(set(identity_levels)) < len(identity_levels):
+            raise ValueError(f"identity level repeated in {tuple(identity_levels)}")
         if R is not None and R <= wspec.cutoff.epsilon:
             raise ValueError(
                 f"hard-window width R={R} must exceed epsilon={wspec.cutoff.epsilon}"

@@ -16,10 +16,10 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, dump_config
 from .datagen import (
-    KinkSpec,
-    boundary_pulse,
     gaussian_bump,
+    gaussian_pulse,
     kink_data,
+    ramped_cosine,
     soliton_data,
     soliton_solution,
 )
@@ -83,9 +83,7 @@ def scenario(cfg: ExperimentConfig):
             base = gaussian_bump(cfg.data_base_amplitude, cfg.data_base_center,
                                  cfg.data_base_width)
         x1, env_lo, env_hi = cfg.kink_geometry()
-        spec = KinkSpec(m=cfg.data_m, x1=x1, amplitude=cfg.data_amplitude,
-                        env_lo=env_lo, env_hi=env_hi, base=base)
-        u0 = kink_data(spec, grid)
+        u0 = kink_data(cfg.data_m, x1, cfg.data_amplitude, env_lo, env_hi, grid, base)
     elif cfg.data_kind == "soliton":
         u0 = soliton_data(cfg.data_c, cfg.data_center, grid)
         exact = soliton_solution(cfg.data_c, cfg.data_center)
@@ -99,17 +97,16 @@ def scenario(cfg: ExperimentConfig):
 
     # keys: what sets f, for BoundaryData.validate's refusals to name
     if cfg.boundary_kind == "auto" and exact is not None:
-        bd = BoundaryData(f=lambda t: exact(0.0, t), keys=exact_keys)
+        f, keys = (lambda t: exact(0.0, t)), exact_keys
     elif cfg.boundary_kind in ("auto", "zero"):
-        bd = boundary_pulse("zero")
+        f, keys = BoundaryData.f, ()  # the default, f = 0
     elif cfg.boundary_kind == "gaussian-pulse":
-        bd = boundary_pulse("gaussian-pulse", A=cfg.boundary_A, t_c=cfg.boundary_t_c,
-                            w=cfg.boundary_w)
-        bd.keys = ("boundary.A", "boundary.t_c", "boundary.w")
+        f = gaussian_pulse(cfg.boundary_A, cfg.boundary_t_c, cfg.boundary_w)
+        keys = ("boundary.A", "boundary.t_c", "boundary.w")
     else:
-        bd = boundary_pulse("ramped-cosine", A=cfg.boundary_A, omega=cfg.boundary_omega,
-                            ramp=cfg.boundary_ramp)
-        bd.keys = ("boundary.A", "boundary.omega", "boundary.ramp")
+        f = ramped_cosine(cfg.boundary_A, cfg.boundary_omega, cfg.boundary_ramp)
+        keys = ("boundary.A", "boundary.omega", "boundary.ramp")
+    bd = BoundaryData(f=f, keys=keys)
     return grid, u0, bd, forcing, exact
 
 
@@ -414,14 +411,20 @@ def run_oracle_compare(cfg: ExperimentConfig):
                         for idx, lag in windows])
 
     u0, bd, restr = extract_halfline_data(wtraj, probe, spectra)
-    stride = max(1, int(np.gcd.reduce(ksamples)))  # store only the sampled steps
-    traj = solve(u0, solver_config(cfg, None, snapshot_stride=stride), bd)
-    snaps = dict(zip(traj.snapshot_steps, traj.snapshots))
+    sampled, snaps = set(ksamples), {}
+
+    def keep(state):  # store only the sampled steps; state.t is pinned to k*dt
+        k = int(round(state.t / cfg.dt))
+        if k in sampled:
+            snaps[k] = state.values.copy()
+
+    nsteps = int(round(cfg.T / cfg.dt))
+    traj = solve(u0, solver_config(cfg, None, snapshot_stride=nsteps), bd, observers=[keep])
 
     norms = []
     rows = []
     for kh, ref in zip(ksamples, restr):
-        uh = snaps[kh].values
+        uh = snaps[kh]
         dnorm = float(np.sqrt(integrate((uh - ref) ** 2, grid)))
         rnorm = float(np.sqrt(integrate(ref**2, grid)))
         norms.append(rnorm)

@@ -64,10 +64,11 @@ class BoundaryData:
     cancellation error (Squire & Trapp, SIAM Rev. 40, 1998).  f must therefore
     take a complex t through numpy: no float(), abs or np.real inside.  fprime
     closes the trace diagnostics' third-derivative trace through the equation.
-    keys names the config keys that set f, for validate's refusals.
+    f defaults to the zero boundary f = 0.  keys names the config keys that set
+    f, for validate's refusals.
     """
 
-    f: Callable[[float], float]
+    f: Callable[[float], float] = lambda t: 0.0
     keys: tuple = ()
 
     def fprime(self, t: float) -> float:
@@ -127,7 +128,6 @@ class Trajectory:
     grid: Grid1D
     times: np.ndarray
     snapshots: list
-    snapshot_steps: list
     picard_updates: np.ndarray
     picard_distances: np.ndarray  # per step: estimated distance left to the fixed point
     picard_sweeps: np.ndarray     # per step; entry 0 (the initial state) is 0
@@ -310,7 +310,6 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
     converged = np.ones(nsteps + 1, dtype=bool)
     state = Field(u0.grid, u0.values.copy(), 0.0)
     snapshots = [Field(u0.grid, state.values.copy(), 0.0)]
-    snapshot_steps = [0]
     # huge data overflows the observers before the first step can fail; the
     # stepper's non-finite check reports it once, not numpy's overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -327,14 +326,12 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
             state.t = k * cfg.dt
             if k % cfg.snapshot_stride == 0 or k == nsteps:
                 snapshots.append(Field(state.grid, state.values.copy(), state.t))
-                snapshot_steps.append(k)
             for obs in observers:
                 obs(state)
     return Trajectory(
         grid=u0.grid,
         times=np.arange(nsteps + 1) * cfg.dt,  # each state's pinned clock k*dt
         snapshots=snapshots,
-        snapshot_steps=snapshot_steps,
         picard_updates=updates,
         picard_distances=distances,
         picard_sweeps=sweeps,

@@ -1,6 +1,8 @@
 """Config parsing, recipe resolution, CLI exit codes and artifacts."""
 
 import json
+import os
+import threading
 import warnings
 from importlib import resources
 
@@ -183,6 +185,7 @@ _INVALID_CONTEXT = {"boundary.w": {"boundary.kind": "gaussian-pulse"},
                                        ("oracle.samples", "0"), ("oracle.cfl", "0"),
                                        ("diagnostics.l", "4"),
                                        ("diagnostics.identity_levels", "3"),
+                                       ("diagnostics.identity_levels", "1, 1"),
                                        ("diagnostics.R", "0.1"), ("data.m", "0"),
                                        ("data.c", "-1"), ("oracle.c", "-1"),
                                        ("time.snapshot_stride", "0"),
@@ -403,6 +406,37 @@ def test_cli_unwritable_out_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: --out") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_cli_unreadable_config_exits_2(tmp_path, capsys, kind):
+    # a directory, or a file holding one byte that is not UTF-8: one config error
+    # line naming the path, not an IsADirectoryError or UnicodeDecodeError traceback
+    cfgpath = tmp_path / "bad.cfg"
+    if kind == "directory":
+        cfgpath.mkdir()
+    else:
+        cfgpath.write_bytes(b"\xff")
+    rc = main(["simulate", "--config", str(cfgpath), "--out", str(tmp_path / "o"), "--quiet"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and repr(str(cfgpath)) in err, err
+    assert err.count("\n") == 1, err
+
+
+def test_cli_reads_config_from_a_pipe(tmp_path):
+    # a named pipe, as a shell's <(...) gives, is read like a file
+    fifo = tmp_path / "pipe.cfg"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(MINI_SIMULATE,))
+    writer.start()
+    try:
+        rc = main(["simulate", "--config", str(fifo), "--out", str(tmp_path / "o"), "--quiet"])
+    finally:
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # frees the writer if main never read
+        writer.join()
+        os.close(fd)
+    assert rc == 0
 
 
 def test_cli_levels_override(tmp_path):

@@ -11,8 +11,7 @@ import sympy as sp
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from kdvhl.datagen import (ResolutionWarning, boundary_pulse, gaussian_bump, soliton_data,
-                           soliton_solution)
+from kdvhl.datagen import ResolutionWarning, gaussian_bump, soliton_data, soliton_solution
 from kdvhl.diagnostics import (
     RunningDiagnostics,
     TraceSeries,
@@ -36,9 +35,9 @@ def _bump_run(n, dt):
     """Short nonlinear bump run on [0, 16] with the online accumulator attached."""
     grid = Grid1D(16.0, n)
     u0 = Field(grid, gaussian_bump(0.8, 6.0, 1.0)(grid.nodes), 0.0)
-    rd = RunningDiagnostics(grid, boundary_pulse("zero"), WS, identity_levels=(1, 2))
+    rd = RunningDiagnostics(grid, BoundaryData(), WS, identity_levels=(1, 2))
     cfg = SolverConfig(dt=dt, T=0.4, snapshot_stride=1)
-    traj = solve(u0, cfg, boundary_pulse("zero"), observers=[rd])
+    traj = solve(u0, cfg, BoundaryData(), observers=[rd])
     return traj, rd.finish(), rd
 
 
@@ -58,7 +57,7 @@ def test_stopping_time_branches():
 
 def test_running_diagnostics_input_checks():
     # the Young-split delta is report-only: test_config_cli covers young.delta
-    grid, bd = Grid1D(16.0, 161), boundary_pulse("zero")
+    grid, bd = Grid1D(16.0, 161), BoundaryData()
     with pytest.raises(ValueError, match="levels 1 and 2"):
         RunningDiagnostics(grid, bd, WS, identity_levels=(3,))
     with pytest.raises(ValueError, match="must exceed epsilon"):
@@ -115,9 +114,9 @@ def test_trace_integral_equation_route_zero_for_quiet_boundary(diag_run):
 
 def test_trace_identity_residual_zero_run():
     grid = Grid1D(16.0, 161)
-    traces = TraceSeries(boundary_pulse("zero"))
+    traces = TraceSeries(BoundaryData())
     solve(Field(grid, np.zeros(grid.n), 0.0), SolverConfig(dt=0.01, T=0.1),
-          boundary_pulse("zero"), observers=[traces])
+          BoundaryData(), observers=[traces])
     _, r, rms = trace_identity_residual(traces)
     assert rms == 0.0 and np.all(r == 0.0)
 
@@ -529,7 +528,7 @@ def test_identity_bookkeeping_needs_two_states():
     # dJ/dt is a difference of two states: one observed state is refused with one
     # line, not an IndexError from np.gradient
     grid = Grid1D(16.0, 161)
-    rd = RunningDiagnostics(grid, boundary_pulse("zero"), WS, (1, 2))
+    rd = RunningDiagnostics(grid, BoundaryData(), WS, (1, 2))
     rd(Field(grid, gaussian_bump(0.8, 6.0, 1.0)(grid.nodes), 0.0))
     with pytest.raises(ValueError, match="at least two observed states") as err:
         rd.finish()

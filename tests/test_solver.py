@@ -7,7 +7,7 @@ from scipy.sparse.linalg import splu as superlu
 
 from kdvhl.cli import _LEVELED, available_recipes, resolve_config
 from kdvhl.config import ConfigError
-from kdvhl.datagen import boundary_pulse, gaussian_bump
+from kdvhl.datagen import gaussian_bump, gaussian_pulse
 from kdvhl.diagnostics import TraceSeries
 from kdvhl.discretization import Field, Grid1D, deriv_matrix, integrate
 from kdvhl.experiments import refine, scenario
@@ -52,16 +52,16 @@ def test_nsteps_requires_integer_multiple():
 
 def test_zero_data_stays_zero():
     g = Grid1D(20.0, 201)
-    traces = TraceSeries(boundary_pulse("zero"))
+    traces = TraceSeries(BoundaryData())
     traj = solve(Field(g, np.zeros(g.n), 0.0), SolverConfig(dt=0.05, T=0.5),
-                 boundary_pulse("zero"), observers=[traces])
+                 BoundaryData(), observers=[traces])
     assert all(np.all(s.values == 0.0) for s in traj.snapshots)
     assert np.all(traces.d3 == 0.0)
 
 
 def test_dirichlet_row_exact():
     g = Grid1D(20.0, 401)
-    bd = boundary_pulse("gaussian-pulse", A=0.5, t_c=0.4, w=0.2)
+    bd = BoundaryData(f=gaussian_pulse(A=0.5, t_c=0.4, w=0.2))
     traj = solve(Field(g, np.zeros(g.n), 0.0), SolverConfig(dt=0.01, T=1.0), bd)
     fvals = np.array([bd.f(t) for t in traj.times])
     # snapshot_stride = 1 keeps every state
@@ -70,7 +70,7 @@ def test_dirichlet_row_exact():
 
 def test_right_wall_rows_pinned():
     g = Grid1D(20.0, 401)
-    traj = solve(bump_field(g), SolverConfig(dt=0.01, T=0.5), boundary_pulse("zero"))
+    traj = solve(bump_field(g), SolverConfig(dt=0.01, T=0.5), BoundaryData())
     # every computed step pins the far wall exactly; the stored initial
     # field keeps whatever tail the data carries
     for s in traj.snapshots[1:]:
@@ -83,16 +83,16 @@ def test_incompatible_corner_raises():
     g = Grid1D(20.0, 201)
     u0 = Field(g, np.full(g.n, 0.1), 0.0)
     with pytest.raises(ConfigError, match="incompatible") as err:
-        solve(u0, SolverConfig(dt=0.1, T=0.5), boundary_pulse("zero"))
+        solve(u0, SolverConfig(dt=0.1, T=0.5), BoundaryData())
     msg = str(err.value)
     assert "corner" in msg and "1.000e-01" in msg and "1e-10" in msg and "\n" not in msg
     u0.values[0] = 1e-11  # within the tolerance
-    solve(u0, SolverConfig(dt=0.1, T=0.5), boundary_pulse("zero"))
+    solve(u0, SolverConfig(dt=0.1, T=0.5), BoundaryData())
 
 
 def test_trace_sampling_every_step():
     g = Grid1D(20.0, 201)
-    traj = solve(bump_field(g), SolverConfig(dt=0.05, T=0.15), boundary_pulse("zero"))
+    traj = solve(bump_field(g), SolverConfig(dt=0.05, T=0.15), BoundaryData())
     assert len(traj.times) == 4
     assert traj.times == pytest.approx([0.0, 0.05, 0.1, 0.15], abs=1e-15)
 
@@ -100,21 +100,21 @@ def test_trace_sampling_every_step():
 def test_snapshot_stride_keeps_endpoints():
     g = Grid1D(20.0, 201)
     cfg = SolverConfig(dt=0.05, T=0.5, snapshot_stride=7)
-    traj = solve(bump_field(g), cfg, boundary_pulse("zero"))
-    assert traj.snapshot_steps == [0, 7, 10]
-    assert traj.snapshots[-1].t == pytest.approx(0.5)
+    traj = solve(bump_field(g), cfg, BoundaryData())
+    # each snapshot carries its step's pinned clock k*dt: steps 0, 7 and the last, 10
+    assert [s.t for s in traj.snapshots] == [0.0, 7 * 0.05, 10 * 0.05]
 
 
 def test_picard_divergence_raises():
     g = Grid1D(20.0, 201)
     u0 = Field(g, gaussian_bump(40.0, 10.0, 1.5)(g.nodes), 0.0)
     with pytest.raises(SolverError, match="diverging"):
-        solve(u0, SolverConfig(dt=0.2, T=0.4, picard_max=6), boundary_pulse("zero"))
+        solve(u0, SolverConfig(dt=0.2, T=0.4, picard_max=6), BoundaryData())
 
 
 def test_picard_converges_fast_at_operating_point():
     g = Grid1D(20.0, 401)
-    traj = solve(bump_field(g), SolverConfig(dt=0.01, T=0.5), boundary_pulse("zero"))
+    traj = solve(bump_field(g), SolverConfig(dt=0.01, T=0.5), BoundaryData())
     assert float(np.max(traj.picard_updates)) <= 1e-6
 
 
@@ -124,8 +124,8 @@ def test_linear_step_is_energy_neutral_while_boundary_quiet():
     g = Grid1D(40.0, 801)
     u0 = Field(g, gaussian_bump(1.0, 30.0, 2.0)(g.nodes), 0.0)
     cfg = SolverConfig(dt=0.05, T=0.5, nonlinear=False)
-    traces = TraceSeries(boundary_pulse("zero"))
-    traj = solve(u0, cfg, boundary_pulse("zero"), observers=[traces])
+    traces = TraceSeries(BoundaryData())
+    traj = solve(u0, cfg, BoundaryData(), observers=[traces])
     assert np.max(np.abs(traces.d1)) <= 1e-10  # boundary actually quiet
     E = np.array([integrate(s.values**2, g) for s in traj.snapshots])
     assert np.max(E[1:] / E[:-1]) <= 1.0 + 1e-10
@@ -139,7 +139,7 @@ def test_linear_growth_excess_vanishes_under_refinement():
     for n, dt in ((401, 0.1), (801, 0.05)):
         g = Grid1D(40.0, n)
         u0 = Field(g, gaussian_bump(1.0, 10.0, 2.0)(g.nodes), 0.0)
-        traj = solve(u0, SolverConfig(dt=dt, T=3.0, nonlinear=False), boundary_pulse("zero"))
+        traj = solve(u0, SolverConfig(dt=dt, T=3.0, nonlinear=False), BoundaryData())
         E = np.array([integrate(s.values**2, g) for s in traj.snapshots])
         excess.append(max(np.max(E[1:] / E[:-1]) - 1.0, 1e-16))
     assert excess[1] <= excess[0] / 4.0
@@ -149,7 +149,7 @@ def test_backward_euler_decays():
     g = Grid1D(40.0, 401)
     u0 = Field(g, gaussian_bump(1.0, 20.0, 2.0)(g.nodes), 0.0)
     traj = solve(u0, SolverConfig(dt=0.05, T=0.5, theta=1.0, nonlinear=False),
-                 boundary_pulse("zero"))
+                 BoundaryData())
     E = np.array([integrate(s.values**2, g) for s in traj.snapshots])
     assert np.all(E[1:] <= E[:-1] * (1.0 + 1e-14))
 
@@ -162,9 +162,9 @@ def test_boundary_drain_dominates_unforced_energy_loss():
 
     g = Grid1D(40.0, 801)
     u0 = Field(g, gaussian_bump(1.0, 3.0, 0.6)(g.nodes), 0.0)
-    rd = RunningDiagnostics(g, boundary_pulse("zero"), WeightSpec(CutoffSpec(0.4, 2.0), 1.0, 4.0))
+    rd = RunningDiagnostics(g, BoundaryData(), WeightSpec(CutoffSpec(0.4, 2.0), 1.0, 4.0))
     solve(u0, SolverConfig(dt=0.0125, T=2.0, snapshot_stride=160),
-          boundary_pulse("zero"), observers=[rd])
+          BoundaryData(), observers=[rd])
     aud = dissipation_audit(rd.finish())
     assert aud["dissipated"] < 0.0
     assert aud["relative"] <= 3e-2
@@ -178,7 +178,7 @@ def test_nonfinite_state_raises():
         u0 = bump_field(g)
         u0.values[g.n // 2] = bad
         with pytest.raises(SolverError, match="non-finite"), np.errstate(invalid="ignore"):
-            solve(u0, SolverConfig(dt=0.05, T=0.5), boundary_pulse("zero"))
+            solve(u0, SolverConfig(dt=0.05, T=0.5), BoundaryData())
 
 
 def _advance_reference(field, cfg, bd, sys_, prev=()):
@@ -240,7 +240,7 @@ def test_picard_stop_bound_keeps_every_decision(amplitude, dt, picard_max):
     # match the reference bit for bit. At amplitude 50 max|u| sets the tolerance
     g = Grid1D(20.0, 401)
     cfg = SolverConfig(dt=dt, T=20 * dt, picard_max=picard_max)
-    u0, bd = bump_field(g, amplitude, center=8.0), boundary_pulse("zero")
+    u0, bd = bump_field(g, amplitude, center=8.0), BoundaryData()
     traj = solve(u0, cfg, bd)
     _, steps = _march_reference(u0, cfg, bd)
     for k, (upd, dist, nsw, ok, values) in enumerate(steps, start=1):
@@ -259,7 +259,7 @@ def test_picard_stop_bound_keeps_every_decision(amplitude, dt, picard_max):
 def test_capped_steps_are_recorded():
     g = Grid1D(20.0, 401)
     cfg = SolverConfig(dt=0.01, T=0.2, picard_max=2)
-    traj = solve(bump_field(g), cfg, boundary_pulse("zero"))
+    traj = solve(bump_field(g), cfg, BoundaryData())
     assert traj.picard_sweeps[0] == 0 and np.all(traj.picard_sweeps[1:] == 2)
     assert not traj.picard_converged[1:].any()
     assert float(np.max(traj.picard_updates)) > cfg.picard_tol
@@ -270,7 +270,7 @@ def test_rate_test_never_stops_on_a_single_update():
     # estimate needs a second update before it may stop the iteration
     g = Grid1D(20.0, 401)
     traj = solve(bump_field(g, center=8.0), SolverConfig(dt=0.01, T=0.3, picard_max=12),
-                 boundary_pulse("zero"))
+                 BoundaryData())
     assert traj.picard_converged.all()
     assert np.all(traj.picard_sweeps[1:] >= 2)
 
@@ -299,7 +299,7 @@ def test_start_is_the_cubic_through_the_last_four_states(monkeypatch):
     advance = solver._advance
     monkeypatch.setattr(solver, "_advance", spy)
     g = Grid1D(20.0, 201)
-    solve(bump_field(g), SolverConfig(dt=0.01, T=0.06), boundary_pulse("zero"))
+    solve(bump_field(g), SolverConfig(dt=0.01, T=0.06), BoundaryData())
     assert orders == [0, 1, 2, 3, 3, 3]
 
 
@@ -460,10 +460,10 @@ def test_kdv_scaling_covariance_bit_for_bit():
     g = Grid1D(40.0, 801)
     u = solve(Field(g, bump(g.nodes), 0.0),
               SolverConfig(dt=0.0125, T=1.0, picard_tol=1e-300, picard_max=3),
-              boundary_pulse("zero"))
+              BoundaryData())
     g = Grid1D(20.0, 801)
     v = solve(Field(g, 4.0 * bump(2.0 * g.nodes), 0.0),
               SolverConfig(dt=0.0125 / 8, T=1.0 / 8, picard_tol=1e-300, picard_max=3),
-              boundary_pulse("zero"))
+              BoundaryData())
     assert np.array_equal(v.final.values, 4.0 * u.final.values)
     assert np.array_equal(v.picard_sweeps, u.picard_sweeps)
