@@ -20,9 +20,10 @@ one-sided probe, read only once chi0 > 0.
 A run's wall values are computed once per state, by the TraceSeries observer;
 RunningDiagnostics owns one and returns it from finish(), and every trace reader
 takes it.  trace_integral, interpolation_check and dissipation_audit return their
-report.json blocks as plain dicts; the audit reads E = 1/2 int u^2 at both ends
-of the run from the observer's int u^2 series, so each state's energy is
-integrated once.
+report.json blocks as plain dicts, interpolation_check from the
+interpolation_terms measured on each sampled state as the solve passed it; the
+audit reads E = 1/2 int u^2 at both ends of the run from the observer's int u^2
+series, so each state's energy is integrated once.
 
 The observer evaluates states in blocks: RunningDiagnostics buffers each
 observed state, and a block of at most max(1, 2**15 // n) states (a budget of
@@ -64,6 +65,7 @@ __all__ = [
     "TraceSeries",
     "trace_integral",
     "trace_identity_residual",
+    "interpolation_terms",
     "interpolation_check",
     "dissipation_audit",
     "RunningDiagnostics",
@@ -308,35 +310,33 @@ def _identity_breakdown(l: int, times, J, terms: dict) -> dict:
             "normalized": resid_int / scale if scale > 0.0 else 0.0, "scale": scale}
 
 
-def interpolation_check(states, wspec: WeightSpec) -> dict:
-    """Compare sup (u_xx)^2 chi' with the integrals that dominate it on each stored
-    state; returns the report's {max_ratio, n_samples, any_degenerate} block.
-
-    The integrals: int (u_xx)^2 chi', int (u_xxx)^2 chi', and int (u_xx)^2 chi'
-    for the widened companion cutoff (eps/3, b+eps) whose derivative dominates
-    |chi''|.  The ratio sup/sum should stay O(1) under refinement; a state is
-    degenerate when its sum is zero, where the ratio is 0 (zero sup) or inf.
-    max_ratio is the largest finite ratio, 0 if there is none.
-    """
+def interpolation_terms(field: Field, wspec: WeightSpec) -> tuple:
+    """One state's terms of the weighted interpolation bound: sup (u_xx)^2 chi' and
+    the integrals that dominate it, int (u_xx)^2 chi', int (u_xxx)^2 chi' and
+    int (u_xx)^2 chi' for the widened companion cutoff (eps/3, b+eps) whose
+    derivative dominates |chi''|."""
     cut = wspec.cutoff
     wide = _aux_cutoff(cut.epsilon / 3.0, cut.b + cut.epsilon)
-    ratios, degenerate = [], False  # the ratio of each state whose sum is nonzero
-    for field in states:
-        grid = field.grid
-        x = grid.nodes
-        q = deriv_matrix(grid, 2) @ field.values
-        qx = deriv_matrix(grid, 3) @ field.values
-        c1 = moving_weight(wspec, x, field.t, 1)
-        c1w = chi(wide, x + wspec.v * field.t - wspec.x0, 1)
-        lhs = float(np.max(q * q * c1))
-        s = _weighted_sq(grid, q, c1) + _weighted_sq(grid, qx, c1) + _weighted_sq(grid, q, c1w)
-        if s <= 0.0:  # its ratio, 0 or inf, cannot set max_ratio
-            degenerate = True
-        else:
-            ratios.append(lhs / s)
-    finite = [r for r in ratios if np.isfinite(r)]
-    return {"max_ratio": max(finite, default=0.0), "n_samples": len(states),
-            "any_degenerate": degenerate}
+    grid = field.grid
+    x = grid.nodes
+    q = deriv_matrix(grid, 2) @ field.values
+    qx = deriv_matrix(grid, 3) @ field.values
+    c1 = moving_weight(wspec, x, field.t, 1)
+    c1w = chi(wide, x + wspec.v * field.t - wspec.x0, 1)
+    return (float(np.max(q * q * c1)), _weighted_sq(grid, q, c1), _weighted_sq(grid, qx, c1),
+            _weighted_sq(grid, q, c1w))
+
+
+def interpolation_check(terms) -> dict:
+    """The report's {max_ratio, n_samples, any_degenerate} block from the
+    interpolation_terms of each sampled state.  The ratio sup/sum of the integrals
+    should stay O(1) under refinement; a state is degenerate when its sum is zero,
+    where the ratio is 0 (zero sup) or inf.  max_ratio is the largest finite
+    ratio, 0 if there is none."""
+    sums = [(lhs, a + b + c) for lhs, a, b, c in terms]
+    finite = [r for r in (lhs / s for lhs, s in sums if s > 0.0) if np.isfinite(r)]
+    return {"max_ratio": max(finite, default=0.0), "n_samples": len(terms),
+            "any_degenerate": any(s <= 0.0 for _, s in sums)}
 
 
 def dissipation_audit(fin: dict) -> dict:

@@ -11,6 +11,7 @@ the computation itself.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import count
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .diagnostics import (
     TraceSeries,
     dissipation_audit,
     interpolation_check,
+    interpolation_terms,
     stopping_time,
     trace_identity_residual,
     trace_integral,
@@ -110,17 +112,22 @@ def scenario(cfg: ExperimentConfig):
     return grid, u0, bd, forcing, exact
 
 
-def solver_config(cfg: ExperimentConfig, forcing, snapshot_stride=None) -> SolverConfig:
-    return SolverConfig(
-        dt=cfg.dt,
-        T=cfg.T,
-        theta=cfg.theta,
-        picard_max=cfg.picard_max,
-        picard_tol=cfg.picard_tol,
-        nonlinear=cfg.nonlinear,
-        forcing=forcing,
-        snapshot_stride=snapshot_stride if snapshot_stride is not None else cfg.snapshot_stride,
-    )
+def solver_config(cfg: ExperimentConfig, forcing) -> SolverConfig:
+    return SolverConfig(dt=cfg.dt, T=cfg.T, theta=cfg.theta, picard_max=cfg.picard_max,
+                        picard_tol=cfg.picard_tol, nonlinear=cfg.nonlinear, forcing=forcing)
+
+
+def _sampler(pick, measure):
+    """An observer that calls measure(k, state) on the k-th state solve passes (step
+    k, at its pinned clock k*dt) whenever pick(k) holds; it stores no state."""
+    steps = count()
+
+    def observe(state):
+        k = next(steps)
+        if pick(k):
+            measure(k, state)
+
+    return observe
 
 
 def _series_table(fin: dict) -> np.ndarray:
@@ -167,13 +174,11 @@ def _last_variation(rows, key) -> float:
 
 
 def _plain_solve(c: ExperimentConfig, traced: bool = False):
-    """Solve c's scenario keeping only the first and last states and, if traced, a
-    wall record; returns the trajectory, the exact solution and the record (or None)."""
+    """Solve c's scenario with, if traced, a wall record; returns the trajectory, the
+    exact solution and the record (or None)."""
     _, u0, bd, forcing, exact = scenario(c)
-    nsteps = int(round(c.T / c.dt))
     traces = TraceSeries(bd, forcing) if traced else None
-    traj = solve(u0, solver_config(c, forcing, snapshot_stride=nsteps), bd,
-                 observers=[traces] if traced else ())
+    traj = solve(u0, solver_config(c, forcing), bd, observers=[traces] if traced else ())
     return traj, exact, traces
 
 
@@ -190,14 +195,22 @@ def _exact_error(traj, exact):
     return float(np.max(np.abs(diff))), float(np.sqrt(integrate(diff**2, traj.grid)) / ref_l2)
 
 
-def _run_with_diagnostics(cfg: ExperimentConfig, snapshot_stride=None):
+def _run_with_diagnostics(cfg: ExperimentConfig, stride=None):
+    """Solve cfg's scenario under RunningDiagnostics, measuring, given a stride, the
+    interpolation_terms of every stride-th state and the last as the solve passes them;
+    returns u0, the trajectory, finish()'s dict, the weight spec, exact (or None), terms."""
     grid, u0, bd, forcing, exact = scenario(cfg)
     ws = weight_spec(cfg)
-    scfg = solver_config(cfg, forcing, snapshot_stride)
+    scfg = solver_config(cfg, forcing)
+    nsteps = scfg.nsteps
     rd = RunningDiagnostics(grid, bd, ws, identity_levels=cfg.identity_levels, R=cfg.R,
-                            forcing=forcing, nstates=scfg.nsteps + 1)
-    traj = solve(u0, scfg, bd, observers=[rd])
-    return traj, rd.finish(), ws, exact
+                            forcing=forcing, nstates=nsteps + 1)
+    observers, terms = [rd], []
+    if stride is not None:
+        observers.append(_sampler(lambda k: k % stride == 0 or k == nsteps,
+                                  lambda k, state: terms.append(interpolation_terms(state, ws))))
+    traj = solve(u0, scfg, bd, observers=observers)
+    return u0, traj, rd.finish(), ws, exact, terms
 
 
 def _sup_before(times, vals, tstar) -> float:
@@ -206,7 +219,7 @@ def _sup_before(times, vals, tstar) -> float:
 
 
 def run_simulate(cfg: ExperimentConfig):
-    traj, fin, ws, exact = _run_with_diagnostics(cfg)
+    _, traj, fin, ws, exact, terms = _run_with_diagnostics(cfg, cfg.snapshot_stride)
     times = fin["times"]
     tstars = {j: stopping_time(cfg.T, ws, j) for j in range(1, cfg.l + 1)}
     traces = fin["traces"]
@@ -230,7 +243,7 @@ def run_simulate(cfg: ExperimentConfig):
             "accumulated_d3": float(fin["trace3_acc"][-1]),
             "identity_rms": rms,
         },
-        interpolation=interpolation_check(traj.snapshots, ws),
+        interpolation=interpolation_check(terms),
         identity={},
         flags={"picard_max_update": float(np.max(traj.picard_updates)),
                "picard_max_distance": float(np.max(traj.picard_distances)),
@@ -286,19 +299,18 @@ def run_converge(cfg: ExperimentConfig):
 def run_propagation(cfg: ExperimentConfig):
     def measure(c):
         nsteps = int(round(c.T / c.dt))
-        traj, fin, ws, _ = _run_with_diagnostics(c, snapshot_stride=max(1, nsteps // 40))
+        u0, _, fin, ws, _, terms = _run_with_diagnostics(c, max(1, nsteps // 40))
         times = fin["times"]
         t1 = stopping_time(c.T, ws, 1)
         t2 = stopping_time(c.T, ws, 2)
-        u0 = traj.snapshots[0]
-        rough = integrate((deriv_matrix(traj.grid, 2) @ u0.values) ** 2, traj.grid)
+        rough = integrate((deriv_matrix(u0.grid, 2) @ u0.values) ** 2, u0.grid)
         row = {
             "sup_J1": _sup_before(times, fin["J1"], t1),
             "sup_J2": _sup_before(times, fin["J2"], t2),
             "K1_chiprime": float(fin["K1_chiprime"][-1]),
             "K1_window": float(fin["K1_window"][-1]),
             "rough_global": float(rough),
-            "interp_max_ratio": interpolation_check(traj.snapshots, ws)["max_ratio"],
+            "interp_max_ratio": interpolation_check(terms)["max_ratio"],
             "T_star_1": t1, "T_star_2": t2,
         }
         return row, _series_table(fin)
@@ -353,8 +365,7 @@ def run_identity(cfg: ExperimentConfig):
         raise ConfigError("identity study needs diagnostics.identity_levels (e.g. 1,2)")
 
     def measure(c):
-        # only finish() is read: keep the first and last states, as _plain_solve does
-        fin = _run_with_diagnostics(c, snapshot_stride=int(round(c.T / c.dt)))[1]
+        fin = _run_with_diagnostics(c)[2]
         row = {}
         for ilv, br in fin["identity"].items():
             row[f"normalized_l{ilv}"] = br["normalized"]
@@ -411,25 +422,22 @@ def run_oracle_compare(cfg: ExperimentConfig):
                         for idx, lag in windows])
 
     u0, bd, restr = extract_halfline_data(wtraj, probe, spectra)
-    sampled, snaps = set(ksamples), {}
+    # each sample's state is compared with its restriction as the solve passes it
+    samples_at, diffs = {}, np.empty(len(ksamples))  # a step may be sampled twice
+    for i, kh in enumerate(ksamples):
+        samples_at.setdefault(kh, []).append(i)
 
-    def keep(state):  # store only the sampled steps; state.t is pinned to k*dt
-        k = int(round(state.t / cfg.dt))
-        if k in sampled:
-            snaps[k] = state.values.copy()
+    def compare(k, state):
+        for i in samples_at[k]:
+            diffs[i] = np.sqrt(integrate((state.values - restr[i]) ** 2, grid))
 
-    nsteps = int(round(cfg.T / cfg.dt))
-    traj = solve(u0, solver_config(cfg, None, snapshot_stride=nsteps), bd, observers=[keep])
+    traj = solve(u0, solver_config(cfg, None), bd,
+                 observers=[_sampler(samples_at.__contains__, compare)])
 
-    norms = []
-    rows = []
-    for kh, ref in zip(ksamples, restr):
-        uh = snaps[kh]
-        dnorm = float(np.sqrt(integrate((uh - ref) ** 2, grid)))
-        rnorm = float(np.sqrt(integrate(ref**2, grid)))
-        norms.append(rnorm)
-        rows.append({"t": float(traj.times[kh]), "diff_l2": dnorm, "restriction_l2": rnorm})
-    scale = max(norms)
+    rows = [{"t": float(traj.times[kh]), "diff_l2": float(diff),
+             "restriction_l2": float(np.sqrt(integrate(ref**2, grid)))}
+            for kh, ref, diff in zip(ksamples, restr, diffs)]
+    scale = max(r["restriction_l2"] for r in rows)
     for r in rows:
         r["rel"] = r["diff_l2"] / scale if scale > 0 else 0.0
     max_rel = max(r["rel"] for r in rows)

@@ -19,7 +19,8 @@ iterates until the last update, or the estimated distance to the fixed point (Ha
 Wanner IV.8), is within picard_tol*(1 + max|u^n|), for at most picard_max sweeps, and
 records its sweep count and that estimate.  A forced step reuses the last step's
 F(x, t^{n+1}) as its F(x, t^n) whenever the two times agree bit for bit.  solve
-computes no wall traces: an observer (diagnostics.TraceSeries) records them.
+keeps only the final state and computes no wall traces: observers, such as
+diagnostics.TraceSeries, measure every other state as the march passes it.
 Before the first step solve checks, once per run, the corner condition
 u0(0) = f(0) to 1e-10 and (BoundaryData.validate) that f and its complex-step
 fprime are finite; either failure is a ConfigError, the CLI's exit 2.
@@ -97,7 +98,6 @@ class SolverConfig:
     picard_tol: float = 1e-12
     nonlinear: bool = True
     forcing: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    snapshot_stride: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.dt <= self.T):
@@ -108,8 +108,6 @@ class SolverConfig:
             raise ValueError("picard_max must be >= 1")
         if not (0.0 < self.picard_tol < np.inf):
             raise ValueError(f"picard_tol must be positive and finite, got {self.picard_tol}")
-        if self.snapshot_stride < 1:
-            raise ValueError("snapshot_stride must be >= 1")
 
     @property
     def nsteps(self) -> int:
@@ -123,19 +121,15 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Output of one solve: stored snapshots and per-step Picard bookkeeping."""
+    """Output of one solve: the final state and per-step Picard bookkeeping."""
 
     grid: Grid1D
     times: np.ndarray
-    snapshots: list
+    final: Field
     picard_updates: np.ndarray
     picard_distances: np.ndarray  # per step: estimated distance left to the fixed point
     picard_sweeps: np.ndarray     # per step; entry 0 (the initial state) is 0
     picard_converged: np.ndarray  # per step: the stop test passed within picard_max
-
-    @property
-    def final(self) -> Field:
-        return self.snapshots[-1]
 
 
 class _BandLU(namedtuple("_BandLU", "kl L ku U")):
@@ -293,9 +287,8 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
     """March nsteps = T/dt steps from u0.
 
     Observers are called with the state at t=0 and after every step; they are
-    how diagnostics, the wall traces among them, accumulate without storing dense
-    history.  Snapshots keep every snapshot_stride-th state (endpoints always
-    included).
+    how diagnostics, the wall traces among them, accumulate and how a caller
+    measures any state but the last, which is the only one solve keeps.
     """
     nsteps = cfg.nsteps
     mismatch = abs(float(u0.values[0]) - float(bd.f(0.0)))
@@ -309,7 +302,6 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
     sweeps = np.zeros(nsteps + 1, dtype=int)
     converged = np.ones(nsteps + 1, dtype=bool)
     state = Field(u0.grid, u0.values.copy(), 0.0)
-    snapshots = [Field(u0.grid, state.values.copy(), 0.0)]
     # huge data overflows the observers before the first step can fail; the
     # stepper's non-finite check reports it once, not numpy's overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -324,14 +316,12 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
             history = (un,) + history[:_HISTORY - 1]
             # pin the step clock to k*dt so long runs do not accumulate drift
             state.t = k * cfg.dt
-            if k % cfg.snapshot_stride == 0 or k == nsteps:
-                snapshots.append(Field(state.grid, state.values.copy(), state.t))
             for obs in observers:
                 obs(state)
     return Trajectory(
         grid=u0.grid,
         times=np.arange(nsteps + 1) * cfg.dt,  # each state's pinned clock k*dt
-        snapshots=snapshots,
+        final=state,
         picard_updates=updates,
         picard_distances=distances,
         picard_sweeps=sweeps,

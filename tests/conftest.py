@@ -1,18 +1,20 @@
-import numpy as np
 import pytest
 
-from kdvhl import BoundaryData, Field, Grid1D, SolverConfig, gaussian_bump, solve
+from kdvhl import Field
+
+
+class Kept(list):
+    """Test-side observer: a copy of every state solve passes, in order, since
+    solve itself keeps only its final state."""
+
+    def __call__(self, field):
+        self.append(Field(field.grid, field.values.copy(), field.t))
 
 
 @pytest.fixture(scope="session")
-def small_run():
-    """One short unforced nonlinear run, far from the boundary; shared by the
-    diagnostics consistency tests."""
-    grid = Grid1D(16.0, 161)
-    u0 = Field(grid, gaussian_bump(0.8, 6.0, 1.0)(grid.nodes), 0.0)
-    cfg = SolverConfig(dt=0.01, T=0.4, snapshot_stride=1)
-    traj = solve(u0, cfg, BoundaryData())
-    return traj
+def kept():
+    """The Kept observer class; each call makes an empty record."""
+    return Kept
 
 
 def rel_err(a, b):

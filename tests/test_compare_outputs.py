@@ -2,6 +2,9 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -93,3 +96,27 @@ def test_malformed_moved_line_exits_2(tmp_path, capsys):
         _run(tmp_path, _tree(tmp_path / "head"), ["rec/report.json"])
     assert err.value.code == 2
     assert "not a 'MOVED: <file> <= <bound>' line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("differ", [False, True], ids=["identical", "one-leaf"])
+def test_closed_reader_ends_quietly(tmp_path, unbuffered, differ):
+    # stdout is a pipe whose reader has already gone: a buffered run meets it at
+    # the final flush, an unbuffered one at its first line; either way no
+    # traceback, and the status is the comparison's own, 0 or 1
+    _tree(tmp_path / "base")
+    report = json.loads(json.dumps(REPORT))
+    if differ:
+        report["levels"][1]["rms"] = 0.5
+    head = _tree(tmp_path / "head", report=report)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(Path(compare_outputs.__file__)), str(tmp_path / "base"),
+             str(head)], stdout=write, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered})
+    finally:
+        os.close(write)
+    assert proc.stderr == ""
+    assert proc.returncode == (1 if differ else 0)

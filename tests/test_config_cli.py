@@ -3,14 +3,17 @@
 import json
 import os
 import threading
+import tracemalloc
 import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kdvhl.cli import available_recipes, main, resolve_config
-from kdvhl.config import (_KEYMAP, ConfigError, ExperimentConfig, dump_config, load_config,
+from kdvhl.config import (_BOUNDARY_KINDS, _DATA_KINDS, _EXPERIMENTS, _KEYMAP, _ORACLE_KINDS,
+                          ConfigError, ExperimentConfig, dump_config, load_config,
                           parse_config)
 
 MINI_SIMULATE = """
@@ -49,6 +52,65 @@ def _as_text(cfg):
             val = ",".join(str(v) for v in val)
         lines.append(f"{key} = {val}")
     return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _valid_configs(draw):
+    """An ExperimentConfig that config._validate accepts, with every key drawn: the
+    keys it ties together drawn jointly, the free floats from the whole finite range."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    positive = st.floats(1e-6, 1e6)
+
+    def optional(strategy):
+        return st.none() | strategy
+
+    dt, eps = draw(st.floats(1e-6, 1e2)), draw(st.floats(0.05, 100.0))
+    kind = draw(st.sampled_from(_DATA_KINDS))
+    if kind == "kink":  # env_lo < x1 < env_hi inside [0, grid.L]
+        lo, x1, hi = sorted(draw(st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3,
+                                          unique=True)))
+    else:
+        lo, x1, hi = (draw(optional(finite)) for _ in range(3))
+    x_left, P = draw(st.floats(-1e6, 1e6)), draw(st.floats(1.0, 1e3))
+    return ExperimentConfig(
+        experiment=draw(st.sampled_from(_EXPERIMENTS)),
+        L=draw(st.floats(10.0, 1e300)), n=draw(st.integers(8, 2**40)),
+        dt=dt, T=dt * draw(st.integers(1, 10**4)), theta=draw(st.floats(0.0, 1.0)),
+        snapshot_stride=draw(st.integers(1, 2**62)),
+        picard_max=draw(st.integers(1, 100)), picard_tol=draw(positive),
+        nonlinear=draw(st.booleans()),
+        epsilon=eps, b=eps * draw(st.floats(5.0, 1e3)), v=draw(st.floats(0.0, 1e300)),
+        x0=draw(finite),
+        data_kind=kind, data_m=draw(st.integers(1, 50)), data_x1=x1,
+        data_amplitude=draw(finite), data_env_lo=lo, data_env_hi=hi,
+        data_base_amplitude=draw(finite), data_base_center=draw(finite),
+        data_base_width=draw(positive), data_c=draw(positive),
+        data_center=draw(st.floats(0.0, 10.0)), data_width=draw(st.floats(1e-3, 10.0)),
+        boundary_kind=draw(st.sampled_from(_BOUNDARY_KINDS)), boundary_A=draw(finite),
+        boundary_t_c=draw(finite), boundary_w=draw(positive), boundary_omega=draw(finite),
+        boundary_ramp=draw(positive),
+        l=draw(st.integers(1, 3)),
+        identity_levels=draw(st.sampled_from([(), (1,), (2,), (1, 2), (2, 1)])),
+        R=draw(optional(st.floats(1e-3, 1e3).map(lambda r: eps * (1.0 + r)))),
+        delta=draw(optional(positive)), trace_branch=draw(st.integers(1, 3)),
+        levels=draw(st.integers(1, 10)), stability_tol=draw(finite),
+        order_tol=draw(finite), residual_decay=draw(finite), interp_tol=draw(finite),
+        rough_growth=draw(finite),
+        oracle_P=P, oracle_m=draw(st.integers(2, 4096)), oracle_x_left=x_left,
+        oracle_x_star=draw(finite), oracle_cfl=draw(st.floats(0.01, 1.0)),
+        oracle_kind=draw(st.sampled_from(_ORACLE_KINDS)), oracle_c=draw(st.floats(1e-3, 1e3)),
+        oracle_center=x_left + P * draw(st.floats(0.01, 0.99)),
+        oracle_width=draw(positive),
+        oracle_amplitude=draw(st.floats(1e-3, 1e3)) * draw(st.sampled_from([1.0, -1.0])),
+        oracle_samples=draw(st.integers(1, 100)), oracle_tol=draw(finite),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_valid_configs())
+def test_dump_parse_round_trip_on_drawn_configs(cfg):
+    # every key written as `key = value` text by dump_config and read back
+    assert parse_config(_as_text(cfg)) == cfg
 
 
 @pytest.mark.parametrize("name", ["defaults"] + available_recipes())
@@ -497,22 +559,48 @@ def _mini_report(tmp_path, extra=()):
     return json.loads((tmp_path / "r" / "report.json").read_text())
 
 
-def test_simulate_dissipation_energies_are_the_snapshot_integrals(tmp_path, monkeypatch):
+def test_simulate_dissipation_energies_are_the_snapshot_integrals(tmp_path, monkeypatch,
+                                                                  kept):
     from kdvhl import experiments
     from kdvhl.discretization import integrate
 
-    trajs = []
+    runs = []
 
-    def keep(*args, solve=experiments.solve, **kwargs):
-        trajs.append(solve(*args, **kwargs))
-        return trajs[-1]
+    def keep(u0, cfg, bd, observers=(), solve=experiments.solve):
+        states = kept()
+        runs.append((solve(u0, cfg, bd, observers=[*observers, states]), states))
+        return runs[-1][0]
 
     monkeypatch.setattr(experiments, "solve", keep)
     block = _mini_report(tmp_path)["dissipation"]
-    (traj,) = trajs
+    ((traj, states),) = runs
     # E = 1/2 int u^2 of the first and last states, bit for bit through report.json
-    for key, snap in (("e_initial", traj.snapshots[0]), ("e_final", traj.final)):
+    for key, snap in (("e_initial", states[0]), ("e_final", traj.final)):
         assert block[key] == 0.5 * integrate(snap.values ** 2, traj.grid)
+
+
+def test_simulate_memory_does_not_grow_with_sampled_states():
+    # time.snapshot_stride = 1 samples every state for the interpolation check, and
+    # each is measured as the solve passes it: 4x the steps adds only the per-step
+    # scalar series, where a stored state would add 16 kB per step on n = 2001
+    from kdvhl.experiments import run_simulate
+
+    def cfg(T):
+        text = MINI_SIMULATE.replace("grid.n = 161", "grid.n = 2001")
+        return parse_config(text.replace("time.T = 0.2", f"time.T = {T}")
+                            + "time.snapshot_stride = 1\n")
+
+    run_simulate(cfg(0.4))  # warm the operator caches and lazy imports
+    peaks = []
+    for T, samples in ((0.4, 21), (1.6, 81)):
+        tracemalloc.start()
+        try:
+            report, _ = run_simulate(cfg(T))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert report["interpolation"]["n_samples"] == samples
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("delta", [None, 0.01])

@@ -20,6 +20,7 @@ from kdvhl.diagnostics import (
     _wall_traces,
     dissipation_audit,
     interpolation_check,
+    interpolation_terms,
     stopping_time,
     trace_identity_residual,
     trace_integral,
@@ -31,19 +32,20 @@ from kdvhl.weights import CutoffSpec, WeightSpec, chi, moving_weight
 WS = WeightSpec(cutoff=CutoffSpec(0.4, 2.0), v=1.0, x0=4.0)
 
 
-def _bump_run(n, dt):
-    """Short nonlinear bump run on [0, 16] with the online accumulator attached."""
+def _bump_run(n, dt, kept):
+    """Short nonlinear bump run on [0, 16] with the online accumulator and a Kept
+    record of every state attached; returns the states, finish() and the observer."""
     grid = Grid1D(16.0, n)
     u0 = Field(grid, gaussian_bump(0.8, 6.0, 1.0)(grid.nodes), 0.0)
     rd = RunningDiagnostics(grid, BoundaryData(), WS, identity_levels=(1, 2))
-    cfg = SolverConfig(dt=dt, T=0.4, snapshot_stride=1)
-    traj = solve(u0, cfg, BoundaryData(), observers=[rd])
-    return traj, rd.finish(), rd
+    states = kept()
+    solve(u0, SolverConfig(dt=dt, T=0.4), BoundaryData(), observers=[rd, states])
+    return states, rd.finish(), rd
 
 
 @pytest.fixture(scope="module")
-def diag_run():
-    return _bump_run(161, 0.01)
+def diag_run(kept):
+    return _bump_run(161, 0.01, kept)
 
 
 def test_stopping_time_branches():
@@ -73,10 +75,10 @@ def test_smoothing_chiprime_bounded_by_window(diag_run):
     assert fin["K1_chiprime"][-1] <= bound * (1.0 + 1e-12)
 
 
-def test_identity_residual_decays_under_refinement(diag_run):
+def test_identity_residual_decays_under_refinement(diag_run, kept):
     # joint halving of h and dt; the bound is the acceptance gate's (test 07)
     _, coarse, _ = diag_run
-    _, fine, _ = _bump_run(321, 0.005)
+    _, fine, _ = _bump_run(321, 0.005, kept)
     for lv in (1, 2):
         ratio = coarse["identity"][lv]["normalized"] / fine["identity"][lv]["normalized"]
         assert ratio >= 2.5, (lv, ratio)
@@ -122,21 +124,24 @@ def test_trace_identity_residual_zero_run():
 
 
 def test_interpolation_check_paths(diag_run):
-    traj, _, _ = diag_run
-    check = interpolation_check([traj.final], WS)
-    assert check == {"max_ratio": check["max_ratio"], "n_samples": 1, "any_degenerate": False}
-    assert 0.0 < check["max_ratio"] < 10.0
+    states, _, _ = diag_run
+    grid = states[-1].grid
+
+    def check(fields):
+        return interpolation_check([interpolation_terms(f, WS) for f in fields])
+
+    final = check([states[-1]])
+    assert final == {"max_ratio": final["max_ratio"], "n_samples": 1, "any_degenerate": False}
+    assert 0.0 < final["max_ratio"] < 10.0
     # a zero state is degenerate, with ratio 0
-    zero = Field(traj.grid, np.zeros(traj.grid.n), 0.0)
-    assert interpolation_check([zero], WS) == {"max_ratio": 0.0, "n_samples": 1,
-                                               "any_degenerate": True}
+    zero = Field(grid, np.zeros(grid.n), 0.0)
+    assert check([zero]) == {"max_ratio": 0.0, "n_samples": 1, "any_degenerate": True}
     # the largest finite ratio over the states, and 0 for no states
-    states = traj.snapshots[::10]
-    want = max(interpolation_check([s], WS)["max_ratio"] for s in states)
-    assert interpolation_check(states + [zero], WS) == {
-        "max_ratio": want, "n_samples": len(states) + 1, "any_degenerate": True}
-    assert interpolation_check([], WS) == {"max_ratio": 0.0, "n_samples": 0,
-                                           "any_degenerate": False}
+    sampled = states[::10]
+    want = max(check([s])["max_ratio"] for s in sampled)
+    assert check(sampled + [zero]) == {
+        "max_ratio": want, "n_samples": len(sampled) + 1, "any_degenerate": True}
+    assert check([]) == {"max_ratio": 0.0, "n_samples": 0, "any_degenerate": False}
 
 
 def test_dissipation_audit_consistency(diag_run):
@@ -153,8 +158,8 @@ def test_dissipation_audit_consistency(diag_run):
 
 
 def test_maximal_dominates_initial_mass(diag_run):
-    traj, fin, _ = diag_run
-    e0 = np.sqrt(integrate(traj.snapshots[0].values ** 2, traj.grid))
+    states, fin, _ = diag_run
+    e0 = np.sqrt(integrate(states[0].values ** 2, states[0].grid))
     assert fin["maximal"] >= e0 * (1.0 - 1e-12)
 
 
@@ -537,22 +542,26 @@ def test_identity_bookkeeping_needs_two_states():
 
 def test_identity_study_keeps_no_snapshots(monkeypatch):
     # the identity study reads only the observer's finish(): each level's solve
-    # keeps its first and last states, not one per step
+    # runs under the RunningDiagnostics alone, which measures no sampled state,
+    # and its trajectory holds no state but the final one
+    from dataclasses import fields
+
     from kdvhl import experiments
     from kdvhl.cli import resolve_config
 
-    kept, solve_ = [], experiments.solve
+    seen, solve_ = [], experiments.solve
 
-    def spy(*args, **kwargs):
-        traj = solve_(*args, **kwargs)
-        kept.append(len(traj.snapshots))
+    def spy(u0, cfg, bd, observers=()):
+        traj = solve_(u0, cfg, bd, observers=observers)
+        held = [f.name for f in fields(traj) if isinstance(getattr(traj, f.name), Field)]
+        seen.append(([type(o).__name__ for o in observers], held))
         return traj
 
     monkeypatch.setattr(experiments, "solve", spy)
     cfg = resolve_config("identity_l2")
     cfg.n, cfg.T, cfg.levels = 201, 0.25, 2
     experiments.run_identity(cfg)
-    assert kept == [2, 2]
+    assert seen == [(["RunningDiagnostics"], ["final"])] * 2
 
 
 def test_wall_traces_computed_once_per_state(monkeypatch):
@@ -587,14 +596,14 @@ def test_wall_traces_computed_once_per_state(monkeypatch):
     assert report["dissipation"]["predicted"] < 0.0
 
 
-def _equation_d3_post_hoc(traj, bd, forcing):
-    """The equation-route u_xxx(0) recomputed after the run from every stored
+def _equation_d3_post_hoc(traj, states, bd, forcing):
+    """The equation-route u_xxx(0) recomputed after the run from every kept
     state: the reference the wall record must reproduce."""
-    d1 = [trace_derivs(s)[1] for s in traj.snapshots]
+    d1 = [trace_derivs(s)[1] for s in states]
     return np.array([_wall_traces(bd, forcing, t, d)[1] for t, d in zip(traj.times, d1)])
 
 
-def test_trace_record_matches_post_hoc_equation_route():
+def test_trace_record_matches_post_hoc_equation_route(kept):
     # a forced run with a moving boundary value (the decaying_hump manufactured
     # solution): the record's k = 3 window integral and identity residual equal,
     # bit for bit, the route that recomputed the traces from the stored states
@@ -603,13 +612,14 @@ def test_trace_record_matches_post_hoc_equation_route():
     ms = decaying_hump(1.0, 2.0, 1.0)
     grid = Grid1D(20.0, 201)
     bd = BoundaryData(f=lambda t: ms.u(0.0, t))
-    traces = TraceSeries(bd, ms.forcing)
+    traces, states = TraceSeries(bd, ms.forcing), kept()
     traj = solve(Field(grid, ms.u(grid.nodes, 0.0), 0.0),
-                 SolverConfig(dt=0.02, T=0.6, forcing=ms.forcing), bd, observers=[traces])
-    assert len(traj.snapshots) == len(traj.times) == 31
+                 SolverConfig(dt=0.02, T=0.6, forcing=ms.forcing), bd,
+                 observers=[traces, states])
+    assert len(states) == len(traj.times) == 31
     assert np.min(np.abs([bd.f(t) for t in traj.times])) > 0.01
-    times, d3e = traj.times, _equation_d3_post_hoc(traj, bd, ms.forcing)
-    d3 = np.array([trace_derivs(s)[3] for s in traj.snapshots])
+    times, d3e = traj.times, _equation_d3_post_hoc(traj, states, bd, ms.forcing)
+    d3 = np.array([trace_derivs(s)[3] for s in states])
 
     # the gain window [(b + x0)/v, T] = [0.1, 0.6]
     t0, t1 = 0.1, 0.6

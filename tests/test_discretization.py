@@ -1,7 +1,10 @@
 """Finite-difference operators: stencil exactness, traces, quadrature, interpolation."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse import csc_matrix, csr_matrix, diags as sp_diags, identity as sp_identity
 
 from kdvhl.config import ConfigError
@@ -39,6 +42,26 @@ def test_fd_weights_polynomial_exactness():
                 coef = np.prod(np.arange(deg, deg - k, -1))
                 exact = coef * 0.9 ** (deg - k)
             assert val == pytest.approx(exact, abs=1e-10)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_fd_weights_exact_on_drawn_polynomials(data):
+    # 1 to 8 distinct nodes on a lattice of spacing h, in any order, x0 anywhere
+    # near them, k < len(xs): p(x) = sum_j c_j ((x - x0)/h)^j has degree < len(xs)
+    # and p^(k)(x0) = k! c_k / h^k, up to the rounding of the terms the weights sum
+    n = data.draw(st.integers(1, 8), label="nodes")
+    k = data.draw(st.integers(0, n - 1), label="k")
+    h = data.draw(st.floats(1e-3, 1e3), label="h")
+    xs = h * np.array(data.draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n,
+                                         unique=True), label="lattice"), dtype=float)
+    x0 = h * data.draw(st.floats(-20.0, 20.0), label="x0/h")
+    c = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n), label="c")
+    s = (xs - x0) / h
+    vals = sum(cj * s**j for j, cj in enumerate(c))
+    w = fd_weights(xs, x0, k)
+    want = math.factorial(k) * c[k] / h**k
+    assert abs(w @ vals - want) <= 1e-12 * (np.abs(w) @ np.abs(vals))
 
 
 def test_fd_weights_needs_enough_nodes():

@@ -40,8 +40,9 @@ def test_config_validation():
     for tol in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="picard_tol"):
             SolverConfig(dt=0.1, T=1.0, picard_tol=tol)
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.1, T=1.0, snapshot_stride=0)
+    # solve keeps only its final state, so it takes no stride of stored states
+    with pytest.raises(TypeError, match="snapshot_stride"):
+        SolverConfig(dt=0.1, T=1.0, snapshot_stride=1)
 
 
 def test_nsteps_requires_integer_multiple():
@@ -50,30 +51,33 @@ def test_nsteps_requires_integer_multiple():
     assert SolverConfig(dt=0.25, T=1.0).nsteps == 4
 
 
-def test_zero_data_stays_zero():
+def test_zero_data_stays_zero(kept):
     g = Grid1D(20.0, 201)
-    traces = TraceSeries(BoundaryData())
-    traj = solve(Field(g, np.zeros(g.n), 0.0), SolverConfig(dt=0.05, T=0.5),
-                 BoundaryData(), observers=[traces])
-    assert all(np.all(s.values == 0.0) for s in traj.snapshots)
+    traces, states = TraceSeries(BoundaryData()), kept()
+    solve(Field(g, np.zeros(g.n), 0.0), SolverConfig(dt=0.05, T=0.5),
+          BoundaryData(), observers=[traces, states])
+    assert all(np.all(s.values == 0.0) for s in states)
     assert np.all(traces.d3 == 0.0)
 
 
-def test_dirichlet_row_exact():
+def test_dirichlet_row_exact(kept):
     g = Grid1D(20.0, 401)
     bd = BoundaryData(f=gaussian_pulse(A=0.5, t_c=0.4, w=0.2))
-    traj = solve(Field(g, np.zeros(g.n), 0.0), SolverConfig(dt=0.01, T=1.0), bd)
+    states = kept()
+    traj = solve(Field(g, np.zeros(g.n), 0.0), SolverConfig(dt=0.01, T=1.0), bd,
+                 observers=[states])
     fvals = np.array([bd.f(t) for t in traj.times])
-    # snapshot_stride = 1 keeps every state
-    assert np.max(np.abs(np.array([s.values[0] for s in traj.snapshots]) - fvals)) <= 1e-12
+    # the observer sees every state
+    assert np.max(np.abs(np.array([s.values[0] for s in states]) - fvals)) <= 1e-12
 
 
-def test_right_wall_rows_pinned():
+def test_right_wall_rows_pinned(kept):
     g = Grid1D(20.0, 401)
-    traj = solve(bump_field(g), SolverConfig(dt=0.01, T=0.5), BoundaryData())
-    # every computed step pins the far wall exactly; the stored initial
+    states = kept()
+    solve(bump_field(g), SolverConfig(dt=0.01, T=0.5), BoundaryData(), observers=[states])
+    # every computed step pins the far wall exactly; the observed initial
     # field keeps whatever tail the data carries
-    for s in traj.snapshots[1:]:
+    for s in states[1:]:
         assert s.values[-1] == 0.0
         assert s.values[-2] == 0.0
 
@@ -97,12 +101,26 @@ def test_trace_sampling_every_step():
     assert traj.times == pytest.approx([0.0, 0.05, 0.1, 0.15], abs=1e-15)
 
 
-def test_snapshot_stride_keeps_endpoints():
-    g = Grid1D(20.0, 201)
-    cfg = SolverConfig(dt=0.05, T=0.5, snapshot_stride=7)
-    traj = solve(bump_field(g), cfg, BoundaryData())
-    # each snapshot carries its step's pinned clock k*dt: steps 0, 7 and the last, 10
-    assert [s.t for s in traj.snapshots] == [0.0, 7 * 0.05, 10 * 0.05]
+@pytest.mark.parametrize("stride", [1, 3, 7, 10, 11, 10**18])
+def test_simulate_samples_every_stride_th_step_and_the_last(monkeypatch, stride):
+    # time.snapshot_stride = s: simulate's interpolation check measures steps 0, s,
+    # 2s, ... and the last, each at its pinned clock k*dt, as the solve passes it;
+    # a stride >= nsteps measures the first and last states only
+    from kdvhl import experiments
+
+    measured, terms = [], experiments.interpolation_terms
+
+    def spy(state, ws):
+        measured.append(state.t)
+        return terms(state, ws)
+
+    monkeypatch.setattr(experiments, "interpolation_terms", spy)
+    cfg = resolve_config("dissipation")
+    cfg.n, cfg.dt, cfg.T, cfg.snapshot_stride = 201, 0.05, 0.5, stride
+    report, _ = experiments.run_simulate(cfg)
+    steps = list(range(0, 10, stride)) + [10]  # nsteps = 10; [0, 10] for stride >= 10
+    assert measured == [k * 0.05 for k in steps]
+    assert report["interpolation"]["n_samples"] == len(steps)
 
 
 def test_picard_divergence_raises():
@@ -118,20 +136,20 @@ def test_picard_converges_fast_at_operating_point():
     assert float(np.max(traj.picard_updates)) <= 1e-6
 
 
-def test_linear_step_is_energy_neutral_while_boundary_quiet():
+def test_linear_step_is_energy_neutral_while_boundary_quiet(kept):
     # theta = 1/2 with all three wall rows homogeneous: the discrete L2 norm
     # must not grow while nothing has reached the left boundary
     g = Grid1D(40.0, 801)
     u0 = Field(g, gaussian_bump(1.0, 30.0, 2.0)(g.nodes), 0.0)
     cfg = SolverConfig(dt=0.05, T=0.5, nonlinear=False)
-    traces = TraceSeries(BoundaryData())
-    traj = solve(u0, cfg, BoundaryData(), observers=[traces])
+    traces, states = TraceSeries(BoundaryData()), kept()
+    solve(u0, cfg, BoundaryData(), observers=[traces, states])
     assert np.max(np.abs(traces.d1)) <= 1e-10  # boundary actually quiet
-    E = np.array([integrate(s.values**2, g) for s in traj.snapshots])
+    E = np.array([integrate(s.values**2, g) for s in states])
     assert np.max(E[1:] / E[:-1]) <= 1.0 + 1e-10
 
 
-def test_linear_growth_excess_vanishes_under_refinement():
+def test_linear_growth_excess_vanishes_under_refinement(kept):
     # once radiation reaches x = 0 the scheme sheds energy through the
     # boundary; any step-local excess above 1 must die out at least
     # quadratically under joint halving
@@ -139,18 +157,21 @@ def test_linear_growth_excess_vanishes_under_refinement():
     for n, dt in ((401, 0.1), (801, 0.05)):
         g = Grid1D(40.0, n)
         u0 = Field(g, gaussian_bump(1.0, 10.0, 2.0)(g.nodes), 0.0)
-        traj = solve(u0, SolverConfig(dt=dt, T=3.0, nonlinear=False), BoundaryData())
-        E = np.array([integrate(s.values**2, g) for s in traj.snapshots])
+        states = kept()
+        solve(u0, SolverConfig(dt=dt, T=3.0, nonlinear=False), BoundaryData(),
+              observers=[states])
+        E = np.array([integrate(s.values**2, g) for s in states])
         excess.append(max(np.max(E[1:] / E[:-1]) - 1.0, 1e-16))
     assert excess[1] <= excess[0] / 4.0
 
 
-def test_backward_euler_decays():
+def test_backward_euler_decays(kept):
     g = Grid1D(40.0, 401)
     u0 = Field(g, gaussian_bump(1.0, 20.0, 2.0)(g.nodes), 0.0)
-    traj = solve(u0, SolverConfig(dt=0.05, T=0.5, theta=1.0, nonlinear=False),
-                 BoundaryData())
-    E = np.array([integrate(s.values**2, g) for s in traj.snapshots])
+    states = kept()
+    solve(u0, SolverConfig(dt=0.05, T=0.5, theta=1.0, nonlinear=False), BoundaryData(),
+          observers=[states])
+    E = np.array([integrate(s.values**2, g) for s in states])
     assert np.all(E[1:] <= E[:-1] * (1.0 + 1e-14))
 
 
@@ -163,8 +184,7 @@ def test_boundary_drain_dominates_unforced_energy_loss():
     g = Grid1D(40.0, 801)
     u0 = Field(g, gaussian_bump(1.0, 3.0, 0.6)(g.nodes), 0.0)
     rd = RunningDiagnostics(g, BoundaryData(), WeightSpec(CutoffSpec(0.4, 2.0), 1.0, 4.0))
-    solve(u0, SolverConfig(dt=0.0125, T=2.0, snapshot_stride=160),
-          BoundaryData(), observers=[rd])
+    solve(u0, SolverConfig(dt=0.0125, T=2.0), BoundaryData(), observers=[rd])
     aud = dissipation_audit(rd.finish())
     assert aud["dissipated"] < 0.0
     assert aud["relative"] <= 3e-2
@@ -233,22 +253,22 @@ def _march_reference(u0, cfg, bd, extrapolate=True):
 
 @pytest.mark.parametrize("amplitude,dt,picard_max", [(50.0, 1e-4, 12), (0.8, 0.02, 4)],
                          ids=["converges", "capped"])
-def test_picard_stop_bound_keeps_every_decision(amplitude, dt, picard_max):
+def test_picard_stop_bound_keeps_every_decision(amplitude, dt, picard_max, kept):
     # the stepper folds the flux's 0.5 and dt into one dt/4, starts from the cubic
     # through the last four states and stops on the estimated distance to the fixed
     # point; every state, final update, distance, sweep count and stop flag must
     # match the reference bit for bit. At amplitude 50 max|u| sets the tolerance
     g = Grid1D(20.0, 401)
     cfg = SolverConfig(dt=dt, T=20 * dt, picard_max=picard_max)
-    u0, bd = bump_field(g, amplitude, center=8.0), BoundaryData()
-    traj = solve(u0, cfg, bd)
+    u0, bd, states = bump_field(g, amplitude, center=8.0), BoundaryData(), kept()
+    traj = solve(u0, cfg, bd, observers=[states])
     _, steps = _march_reference(u0, cfg, bd)
     for k, (upd, dist, nsw, ok, values) in enumerate(steps, start=1):
         assert upd == traj.picard_updates[k]
         assert dist == traj.picard_distances[k]
         assert nsw == traj.picard_sweeps[k]
         assert ok == traj.picard_converged[k]
-        assert np.array_equal(values, traj.snapshots[k].values)
+        assert np.array_equal(values, states[k].values)
     # the first case stops before the cap on every step, the second at it
     sweeps = set(traj.picard_sweeps[1:].tolist())
     assert max(sweeps) < picard_max if amplitude > 1.0 else sweeps == {picard_max}
@@ -420,7 +440,7 @@ def test_nonfinite_boundary_data_rejected(which):
         solve(Field(Grid1D(20.0, 201), np.zeros(201), 0.0), SolverConfig(dt=0.05, T=0.5), bd)
 
 
-def test_forcing_is_reused_across_steps_bit_for_bit():
+def test_forcing_is_reused_across_steps_bit_for_bit(kept):
     # one step's F(x, t^{n+1}) serves the next step as F(x, t^n) when the pinned
     # clock n*dt equals t^{n-1} + dt exactly; the states equal a march that
     # evaluates the forcing twice on every step
@@ -437,7 +457,8 @@ def test_forcing_is_reused_across_steps_bit_for_bit():
     dt, nsteps = 0.0125, 40
     cfg = SolverConfig(dt=dt, T=nsteps * dt, forcing=forcing)
     bd = BoundaryData(f=lambda t: ms.u(0.0, t))
-    traj = solve(Field(g, ms.u(g.nodes, 0.0), 0.0), cfg, bd)
+    states = kept()
+    solve(Field(g, ms.u(g.nodes, 0.0), 0.0), cfg, bd, observers=[states])
     misses = sum((k - 1) * dt != (k - 2) * dt + dt for k in range(2, nsteps + 1))
     assert 0 < misses < nsteps // 2  # both branches of the reuse run
     assert len(calls) == nsteps + 1 + misses
@@ -448,7 +469,7 @@ def test_forcing_is_reused_across_steps_bit_for_bit():
         un = state.values
         state = solver._advance(state, cfg, bd, sys_, history)[0]
         state.t, history = k * dt, (un,) + history[:2]
-        assert np.array_equal(state.values, traj.snapshots[k].values)
+        assert np.array_equal(state.values, states[k].values)
 
 
 def test_kdv_scaling_covariance_bit_for_bit():

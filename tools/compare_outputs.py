@@ -14,7 +14,8 @@ FILE holds lines "MOVED: <file> <= <bound>", <file> relative to the trees.  The
 exit status is 1 when a file differs and no such line names it, or its change
 exceeds the line's bound; only a bound of inf admits an unbounded change.
 Without --moved every differing file fails.  A malformed MOVED line, like a
-bad argument, exits 2.
+bad argument, exits 2.  When the reader of the output goes away early (a pipe
+into `head`), printing stops and the comparison still finishes with its status.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -130,6 +132,19 @@ def read_moved(path: Path) -> dict:
     return moved
 
 
+def _to_null() -> None:
+    """Send stdout to the null device once its reader has closed the pipe, so the
+    later writes and the exit's flush pass quietly."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _say(line: str) -> None:
+    try:
+        print(line)
+    except BrokenPipeError:
+        _to_null()
+
+
 def compare(base: Path, head: Path, moved=None) -> bool:
     """Print the comparison of the two trees; True when every difference is
     admitted by moved ({file: bound}; None admits none and prints no verdicts)."""
@@ -139,7 +154,7 @@ def compare(base: Path, head: Path, moved=None) -> bool:
     for name in names:
         a, b = base / name, head / name
         if a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes():
-            print(f"identical {name}")
+            _say(f"identical {name}")
             continue
         detail = {}
         try:
@@ -158,10 +173,10 @@ def compare(base: Path, head: Path, moved=None) -> bool:
         else:
             verdict = f" (within its MOVED bound {bound:.3g})"
         ok = ok and bound is not None and largest <= bound
-        print(f"moved {name}: {what}{verdict}")
+        _say(f"moved {name}: {what}{verdict}")
         for key, r in detail.items():
             if r > 0.0:
-                print(f"    {key} {r:.3g}")
+                _say(f"    {key} {r:.3g}")
     return ok
 
 
@@ -178,7 +193,12 @@ def main(argv=None) -> int:
         moved = read_moved(args.moved) if args.moved else None
     except ValueError as e:
         ap.error(str(e))
-    return 0 if compare(args.base, args.head, moved) else 1
+    ok = compare(args.base, args.head, moved)
+    try:
+        sys.stdout.flush()  # lines still buffered meet a closed pipe here
+    except BrokenPipeError:
+        _to_null()
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
