@@ -19,11 +19,12 @@ one-sided probe, read only once chi0 > 0.
 
 A run's wall values are computed once per state, by the TraceSeries observer;
 RunningDiagnostics owns one and returns it from finish(), and every trace reader
-takes it.  trace_integral, interpolation_check and dissipation_audit return their
-report.json blocks as plain dicts, interpolation_check from the
-interpolation_terms measured on each sampled state as the solve passed it; the
-audit reads E = 1/2 int u^2 at both ends of the run from the observer's int u^2
-series, so each state's energy is integrated once.
+takes it.  Given a stride, the observer also records the terms of the weighted
+interpolation bound on every stride-th state and the last, from the block that
+holds the state.  trace_integral, interpolation_check and dissipation_audit
+return their report.json blocks as plain dicts, interpolation_check from those
+recorded terms; the audit reads E = 1/2 int u^2 at both ends of the run from the
+observer's int u^2 series, so each state's energy is integrated once.
 
 The observer evaluates states in blocks: RunningDiagnostics buffers each
 observed state, and a block of at most max(1, 2**15 // n) states (a budget of
@@ -33,8 +34,10 @@ value equals the one-state-at-a-time form bit for bit: each state's row of
 D_k U^T is D_k u, a row sum of a C-ordered block sums in the order of the 1-D
 sum, chi is evaluated pointwise, the Kato accumulators are still added one
 state at a time, and the running time integrals are cumulative sums, which add
-in time order as a state-by-state recurrence would.  finish() evaluates what
-is left in the buffer and is the only way to read the results.
+in time order as a state-by-state recurrence would.  A full block waits for
+the next state, so the block that ends the run is always known as the last:
+it is evaluated on the nstates-th state or, without nstates, by finish(),
+which is the only way to read the results.
 
 The chi work follows the weight's transition band eps < a < b of the
 argument a = x + v t - x0, found by binary search since a grows with x: off
@@ -45,13 +48,15 @@ trapezoid end weight at x = 0.  A chi' or chi''' term is a dot product over the
 band.  A chi term weights the full grid, 0 left of the band and 1 right of it,
 and is summed in the full-grid order, so J_l keeps every bit (dJ/dt divides
 ulps by dt); a finite product times the zero weight is the exact zero the
-left of the band needs.
+left of the band needs.  A sampled state's interpolation terms reuse the
+block's u_xx^2, chi' band and int u_xx^2 chi'; only the companion cutoff's
+chi' (one moving_weight call on its own band) and, when the block holds no
+u_xxx, D_3 u of the sampled states are computed for them.
 """
 
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -65,7 +70,6 @@ __all__ = [
     "TraceSeries",
     "trace_integral",
     "trace_identity_residual",
-    "interpolation_terms",
     "interpolation_check",
     "dissipation_audit",
     "RunningDiagnostics",
@@ -96,10 +100,6 @@ def stopping_time(T: float, wspec: WeightSpec, j: int) -> float:
     if j <= 1 or wspec.v == 0.0:
         return T
     return min(T, (wspec.x0 + wspec.cutoff.epsilon) / wspec.v)
-
-
-def _weighted_sq(grid: Grid1D, vals, w) -> float:
-    return integrate(vals * vals * w, grid)
 
 
 def _hard_window_indices(grid: Grid1D, wspec: WeightSpec, R: float, t: float):
@@ -174,20 +174,15 @@ def trace_integral(traces: TraceSeries, k: int, wspec: WeightSpec, j: int = 1) -
     return {"value": val, "t_start": t0, "t_end": t1, "empty": False}
 
 
-def trace_identity_residual(traces: TraceSeries):
-    """r(t) = u_xxx(0,t)|_stencil + f' + 2 f u_x(0,t) - F(0,t) and its RMS.
+def trace_identity_residual(traces: TraceSeries) -> float:
+    """The RMS over the observed states of r(t) = u_xxx(0,t)|_stencil + f' + 2 f u_x(0,t)
+    - F(0,t), the record's d3 - d3_equation.
 
     Measures how well the one-sided third-derivative probe satisfies the
     boundary identity the equation forces; shrinks at discretization order.
     """
     r = traces.d3 - traces.d3_equation
-    rms = float(np.sqrt(np.mean(r * r)))
-    return traces.times, r, rms
-
-
-@lru_cache(maxsize=64)
-def _aux_cutoff(eps: float, b: float) -> CutoffSpec:
-    return CutoffSpec(eps, b)
+    return float(np.sqrt(np.mean(r * r)))
 
 
 # doubles of state values one observer block holds: a block is max(1, 2**15 // n)
@@ -211,6 +206,13 @@ def _deriv_rows(Dk, XT) -> np.ndarray:
     """D_k applied to every row of X, given XT = X.T C-ordered: one sparse times
     dense product, returned with one row per state, C-ordered."""
     return np.ascontiguousarray((Dk @ XT).T)
+
+
+def _band_trapezoid(h: float, row, c0, cb, lo: int, hi: int):
+    """The trapezoid over the grid of row times a weight that is c0 at x = 0, cb on
+    the nodes lo <= j < hi and 0 elsewhere: a dot product over that band."""
+    last = row[-1] * cb[-1] if hi == len(row) and lo < hi else 0.0  # band reaches x = L
+    return h * (row[lo:hi] @ cb - 0.5 * (row[0] * c0 + last))
 
 
 class _Block:
@@ -249,14 +251,16 @@ class _Block:
         (the module docstring gives the summation order)."""
         return _trapezoid_rows(np.multiply(prod, self.weight, order="C"), self.h)
 
-    def band(self, k: int, prod) -> np.ndarray:
+    def band(self, k: int, prod, states=None) -> np.ndarray:
         """Per state, the trapezoid of prod times chi^(k)(x + v t - x0), k >= 1,
-        summed over the band only."""
-        c, n, out = self.chi[k], self.n, np.empty(self.B)
-        for i, (lo, hi, s) in enumerate(self.rows):
-            g, cb = prod[i, lo:hi], c[s:s + hi - lo]
-            last = g[-1] * cb[-1] if hi == n and lo < n else 0.0  # band reaches x = L
-            out[i] = self.h * (g @ cb - 0.5 * (prod[i, 0] * c[i] + last))
+        summed over the band only; given states (indices into the block), prod holds
+        one row per listed state and only those are summed."""
+        c = self.chi[k]
+        states = range(self.B) if states is None else states
+        out = np.empty(len(states))
+        for j, i in enumerate(states):
+            lo, hi, s = self.rows[i]
+            out[j] = _band_trapezoid(self.h, prod[j], c[i], c[s:s + hi - lo], lo, hi)
         return out
 
 
@@ -310,32 +314,16 @@ def _identity_breakdown(l: int, times, J, terms: dict) -> dict:
             "normalized": resid_int / scale if scale > 0.0 else 0.0, "scale": scale}
 
 
-def interpolation_terms(field: Field, wspec: WeightSpec) -> tuple:
-    """One state's terms of the weighted interpolation bound: sup (u_xx)^2 chi' and
-    the integrals that dominate it, int (u_xx)^2 chi', int (u_xxx)^2 chi' and
-    int (u_xx)^2 chi' for the widened companion cutoff (eps/3, b+eps) whose
-    derivative dominates |chi''|."""
-    cut = wspec.cutoff
-    wide = _aux_cutoff(cut.epsilon / 3.0, cut.b + cut.epsilon)
-    grid = field.grid
-    x = grid.nodes
-    q = deriv_matrix(grid, 2) @ field.values
-    qx = deriv_matrix(grid, 3) @ field.values
-    c1 = moving_weight(wspec, x, field.t, 1)
-    c1w = chi(wide, x + wspec.v * field.t - wspec.x0, 1)
-    return (float(np.max(q * q * c1)), _weighted_sq(grid, q, c1), _weighted_sq(grid, qx, c1),
-            _weighted_sq(grid, q, c1w))
-
-
 def interpolation_check(terms) -> dict:
     """The report's {max_ratio, n_samples, any_degenerate} block from the
-    interpolation_terms of each sampled state.  The ratio sup/sum of the integrals
-    should stay O(1) under refinement; a state is degenerate when its sum is zero,
-    where the ratio is 0 (zero sup) or inf.  max_ratio is the largest finite
-    ratio, 0 if there is none."""
-    sums = [(lhs, a + b + c) for lhs, a, b, c in terms]
+    interpolation terms RunningDiagnostics.finish() recorded, one row per sampled
+    state: sup (u_xx)^2 chi' and the three integrals that dominate it.  The ratio
+    sup/sum of the integrals should stay O(1) under refinement; a state is
+    degenerate when its sum is zero, where the ratio is 0 (zero sup) or inf.
+    max_ratio is the largest finite ratio, 0 if there is none."""
+    sums = [(lhs, a + b + c) for lhs, a, b, c in np.asarray(terms).tolist()]
     finite = [r for r in (lhs / s for lhs, s in sums if s > 0.0) if np.isfinite(r)]
-    return {"max_ratio": max(finite, default=0.0), "n_samples": len(terms),
+    return {"max_ratio": max(finite, default=0.0), "n_samples": len(sums),
             "any_degenerate": any(s <= 0.0 for _, s in sums)}
 
 
@@ -361,16 +349,20 @@ class RunningDiagnostics:
     reads), identity terms for the levels in identity_levels (a subset of
     {1, 2}), and per-node accumulators for the sup-type functionals.  R is the
     hard-window width, defaulting to b so the hard window contains the chi'
-    support.  Attach to solve(..., observers=[rd]); call finish() afterwards, the
-    only way to read what was recorded.  Each call buffers the state and records
-    its wall values (finish()'s "traces"); a block of buffered states is evaluated
-    when it is full and, given nstates (the number of states the run will
-    observe), on the last state.
+    support.  Given a stride, it also records the terms of the weighted
+    interpolation bound (finish()'s "interpolation", which interpolation_check
+    reduces; empty without a stride) on every stride-th observed state and the
+    last.  Attach to
+    solve(..., observers=[rd]); call finish() afterwards, the only way to read
+    what was recorded.  Each call buffers the state and records its wall values
+    (finish()'s "traces"); a full block of buffered states is evaluated when the
+    next state arrives, and the last block on the last state, given nstates (the
+    number of states the run will observe), or else in finish().
     """
 
     def __init__(self, grid: Grid1D, bd: BoundaryData, wspec: WeightSpec,
                  identity_levels: tuple = (), R: Optional[float] = None, forcing=None,
-                 nstates: Optional[int] = None):
+                 nstates: Optional[int] = None, stride: Optional[int] = None):
         if not set(identity_levels) <= {1, 2}:
             raise ValueError("identity bookkeeping is available for levels 1 and 2 only")
         if len(set(identity_levels)) < len(identity_levels):
@@ -397,14 +389,23 @@ class RunningDiagnostics:
         self._orders = (0, 1, 2, 3) if identity else (0, 1)
         third = 2 in identity_levels
         self._D = {k: deriv_matrix(grid, k) for k in ((1, 2, 3) if third else (1, 2))}
+        self._stride = stride
+        if stride is not None:
+            cut = wspec.cutoff
+            # the companion cutoff, whose chi' dominates |chi''|
+            self._wide = WeightSpec(CutoffSpec(cut.epsilon / 3.0, cut.b + cut.epsilon),
+                                    wspec.v, wspec.x0)
+            self._D3 = deriv_matrix(grid, 3)
         self._series = {name: [] for name in (
-            "times", "J1", "J2", "mass", "kcp", "kwin", "stri4")}
+            "times", "J1", "J2", "mass", "kcp", "kwin", "stri4", "interpolation")}
         self._identity = {lv: {} for lv in identity_levels}
         self._prev = None  # the last evaluated state: t, u_x^2 and u_xx^2
         self._kato = {j: np.zeros(grid.n) for j in _KATO_ORDERS}
         self._peak = np.zeros(grid.n)
 
     def __call__(self, field: Field):
+        if self._rows == len(self._U):
+            self._evaluate()
         r = self._rows
         self._U[r] = field.values
         self.traces(field)
@@ -412,11 +413,12 @@ class RunningDiagnostics:
             self._F[r] = self.forcing(self.grid.nodes, field.t)
         self._rows = r + 1
         self._seen += 1
-        if self._rows == len(self._U) or self._seen == self._nstates:
-            self._evaluate()
+        if self._seen == self._nstates:
+            self._evaluate(last=True)
 
-    def _evaluate(self):
-        """Evaluate the buffered states as one block and append their series."""
+    def _evaluate(self, last: bool = False):
+        """Evaluate the buffered states as one block and append their series; last
+        when the block ends with the run's last state."""
         B, self._rows = self._rows, 0
         g, ws = self.grid, self.wspec
         traces = self.traces.table(self._seen - B).T
@@ -458,9 +460,38 @@ class RunningDiagnostics:
         # a numpy scalar power gives inf, not OverflowError
         series["stri4"].append(np.array([float(m ** 4) for m in np.max(np.abs(w), axis=1)]))
 
+        if self._stride is not None:
+            k0 = self._seen - B  # the block's first state's index in the run
+            picks = [i for i in range(B) if (k0 + i) % self._stride == 0 or (last and i == B - 1)]
+            if picks:
+                series["interpolation"].append(self._interpolation_terms(blk, picks, kcp, t))
+
+    def _interpolation_terms(self, blk: _Block, picks: list, kcp, t) -> np.ndarray:
+        """The terms of the weighted interpolation bound on the block's states picks,
+        one row per state: sup (u_xx)^2 chi', int (u_xx)^2 chi' (the observer's kcp),
+        int (u_xxx)^2 chi' and int (u_xx)^2 chi' for the companion cutoff (eps/3,
+        b + eps), each chi' only on its band."""
+        qq, c1, d3 = blk.sq[1], blk.chi[1], blk.derivs[3]
+        d3 = d3[picks] if d3 is not None else _deriv_rows(
+            self._D3, np.ascontiguousarray(blk.derivs[0][picks].T))
+        wide, x = self._wide, self.grid.nodes
+        out = np.empty((len(picks), 4))
+        out[:, 1] = kcp[picks]
+        out[:, 2] = blk.band(1, d3 * d3, picks)
+        for terms, i in zip(out, picks):
+            lo, hi, s = blk.rows[i]
+            terms[0] = np.max(qq[i, lo:hi] * c1[s:s + hi - lo], initial=0.0)
+            # the companion's band; node 0 rides along for the trapezoid's end weight
+            a = x + wide.v * t[i] - wide.x0
+            lo = int(a.searchsorted(wide.cutoff.epsilon, "right"))
+            hi = int(a.searchsorted(wide.cutoff.b, "left"))
+            cw = moving_weight(wide, np.concatenate((x[:1], x[lo:hi])), t[i], 1)
+            terms[3] = _band_trapezoid(blk.h, qq[i], cw[0], cw[1:], lo, hi)
+        return out
+
     def finish(self) -> dict:
         if self._rows:
-            self._evaluate()
+            self._evaluate(last=True)
         out = {name: np.concatenate(parts) if parts else np.zeros(0)
                for name, parts in self._series.items()}
         times = out["times"]

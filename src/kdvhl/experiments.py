@@ -29,7 +29,6 @@ from .diagnostics import (
     TraceSeries,
     dissipation_audit,
     interpolation_check,
-    interpolation_terms,
     stopping_time,
     trace_identity_residual,
     trace_integral,
@@ -91,11 +90,9 @@ def scenario(cfg: ExperimentConfig):
         exact = soliton_solution(cfg.data_c, cfg.data_center)
         exact_keys = ("data.c", "data.center")
     elif cfg.data_kind == "mms":
-        ms = decaying_hump(cfg.data_amplitude, cfg.data_center, cfg.data_width)
-        exact = ms.u
+        exact, forcing = decaying_hump(cfg.data_amplitude, cfg.data_center, cfg.data_width)
         exact_keys = ("data.amplitude", "data.center", "data.width")
         u0 = Field(grid, exact(grid.nodes, 0.0), 0.0)
-        forcing = ms.forcing
 
     # keys: what sets f, for BoundaryData.validate's refusals to name
     if cfg.boundary_kind == "auto" and exact is not None:
@@ -196,21 +193,16 @@ def _exact_error(traj, exact):
 
 
 def _run_with_diagnostics(cfg: ExperimentConfig, stride=None):
-    """Solve cfg's scenario under RunningDiagnostics, measuring, given a stride, the
-    interpolation_terms of every stride-th state and the last as the solve passes them;
-    returns u0, the trajectory, finish()'s dict, the weight spec, exact (or None), terms."""
+    """Solve cfg's scenario under RunningDiagnostics, which, given a stride, records
+    the interpolation terms of every stride-th state and the last; returns u0, the
+    trajectory, finish()'s dict, the weight spec and exact (or None)."""
     grid, u0, bd, forcing, exact = scenario(cfg)
     ws = weight_spec(cfg)
     scfg = solver_config(cfg, forcing)
-    nsteps = scfg.nsteps
     rd = RunningDiagnostics(grid, bd, ws, identity_levels=cfg.identity_levels, R=cfg.R,
-                            forcing=forcing, nstates=nsteps + 1)
-    observers, terms = [rd], []
-    if stride is not None:
-        observers.append(_sampler(lambda k: k % stride == 0 or k == nsteps,
-                                  lambda k, state: terms.append(interpolation_terms(state, ws))))
-    traj = solve(u0, scfg, bd, observers=observers)
-    return u0, traj, rd.finish(), ws, exact, terms
+                            forcing=forcing, nstates=scfg.nsteps + 1, stride=stride)
+    traj = solve(u0, scfg, bd, observers=[rd])
+    return u0, traj, rd.finish(), ws, exact
 
 
 def _sup_before(times, vals, tstar) -> float:
@@ -219,11 +211,10 @@ def _sup_before(times, vals, tstar) -> float:
 
 
 def run_simulate(cfg: ExperimentConfig):
-    _, traj, fin, ws, exact, terms = _run_with_diagnostics(cfg, cfg.snapshot_stride)
+    _, traj, fin, ws, exact = _run_with_diagnostics(cfg, cfg.snapshot_stride)
     times = fin["times"]
     tstars = {j: stopping_time(cfg.T, ws, j) for j in range(1, cfg.l + 1)}
     traces = fin["traces"]
-    _, _, rms = trace_identity_residual(traces)
     report = _report(
         cfg, "simulate",
         stopping_times={str(j): tstars[j] for j in tstars},
@@ -241,9 +232,9 @@ def run_simulate(cfg: ExperimentConfig):
             "window_integral_d3": trace_integral(traces, 3, ws, j=cfg.trace_branch),
             "accumulated_d2": float(fin["trace2_acc"][-1]),
             "accumulated_d3": float(fin["trace3_acc"][-1]),
-            "identity_rms": rms,
+            "identity_rms": trace_identity_residual(traces),
         },
-        interpolation=interpolation_check(terms),
+        interpolation=interpolation_check(fin["interpolation"]),
         identity={},
         flags={"picard_max_update": float(np.max(traj.picard_updates)),
                "picard_max_distance": float(np.max(traj.picard_distances)),
@@ -299,7 +290,7 @@ def run_converge(cfg: ExperimentConfig):
 def run_propagation(cfg: ExperimentConfig):
     def measure(c):
         nsteps = int(round(c.T / c.dt))
-        u0, _, fin, ws, _, terms = _run_with_diagnostics(c, max(1, nsteps // 40))
+        u0, _, fin, ws, _ = _run_with_diagnostics(c, max(1, nsteps // 40))
         times = fin["times"]
         t1 = stopping_time(c.T, ws, 1)
         t2 = stopping_time(c.T, ws, 2)
@@ -310,7 +301,7 @@ def run_propagation(cfg: ExperimentConfig):
             "K1_chiprime": float(fin["K1_chiprime"][-1]),
             "K1_window": float(fin["K1_window"][-1]),
             "rough_global": float(rough),
-            "interp_max_ratio": interpolation_check(terms)["max_ratio"],
+            "interp_max_ratio": interpolation_check(fin["interpolation"])["max_ratio"],
             "T_star_1": t1, "T_star_2": t2,
         }
         return row, _series_table(fin)
@@ -340,9 +331,9 @@ def run_traces(cfg: ExperimentConfig):
     def measure(c):
         traces = _plain_solve(c, traced=True)[2]
         ti = trace_integral(traces, 2, weight_spec(c), j=c.trace_branch)
-        _, _, rms = trace_identity_residual(traces)
         return {"window_integral_d2": ti["value"], "window": [ti["t_start"], ti["t_end"]],
-                "empty_window": ti["empty"], "identity_rms": rms}, None
+                "empty_window": ti["empty"],
+                "identity_rms": trace_identity_residual(traces)}, None
 
     rows, _ = _study(cfg, measure)
     rms_ratios = _decay(rows, "identity_rms")

@@ -1,5 +1,5 @@
-"""Independent references: a whole-line pseudospectral solver and manufactured
-solutions.
+"""Independent references: a whole-line pseudospectral solver and a manufactured
+solution.
 
 The whole-line solver integrates u_t + u_xxx + (u^2)_x = 0 on a large periodic
 domain with an integrating-factor RK4 (the dispersive phase is exact, only the
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -42,7 +41,6 @@ __all__ = [
     "wholeline_solve",
     "spectral_restriction",
     "extract_halfline_data",
-    "ManufacturedSolution",
     "decaying_hump",
 ]
 
@@ -278,69 +276,25 @@ def extract_halfline_data(traj: WholelineTrajectory, probe: WindowProbe,
     return Field(probe.window, restr[0], 0.0), bd, restr[1:]
 
 
-@dataclass
-class ManufacturedSolution:
-    """Closed-form u_e with the derivatives the forcing construction needs.
-
-    A run's initial data u_e(x, 0) and boundary value u_e(0, t) are read from u.
-    Cross-differencing at construction guards the hand-derived callables: u_x
-    and u_xxx against centered differences of u, u_t against a time difference.
-    """
-
-    u: Callable[[np.ndarray, float], np.ndarray]
-    u_x: Callable[[np.ndarray, float], np.ndarray]
-    u_xxx: Callable[[np.ndarray, float], np.ndarray]
-    u_t: Callable[[np.ndarray, float], np.ndarray]
-
-    def __post_init__(self):
-        xs = np.linspace(0.7, 9.3, 7)
-        for t in (0.13, 0.77):
-            hx = 1e-3
-            du = (self.u(xs + hx, t) - self.u(xs - hx, t)) / (2 * hx)
-            d3 = (
-                -0.5 * self.u(xs - 2 * hx, t) + self.u(xs - hx, t)
-                - self.u(xs + hx, t) + 0.5 * self.u(xs + 2 * hx, t)
-            ) / hx**3
-            ht = 1e-5
-            dt_ = (self.u(xs, t + ht) - self.u(xs, t - ht)) / (2 * ht)
-            scale = max(1.0, float(np.max(np.abs(du))), float(np.max(np.abs(d3))))
-            if np.max(np.abs(du - self.u_x(xs, t))) > 1e-3 * scale:
-                raise ValueError("manufactured u_x disagrees with differencing of u")
-            if np.max(np.abs(d3 - self.u_xxx(xs, t))) > 1e-2 * scale:
-                raise ValueError("manufactured u_xxx disagrees with differencing of u")
-            if np.max(np.abs(dt_ - self.u_t(xs, t))) > 1e-3 * scale:
-                raise ValueError("manufactured u_t disagrees with differencing of u")
-
-    def forcing(self, x, t: float):
-        """Residual forcing F = u_t + u_xxx + 2 u u_x that freezes u_e in."""
-        return self.u_t(x, t) + self.u_xxx(x, t) + 2.0 * self.u(x, t) * self.u_x(x, t)
-
-
-def decaying_hump(amplitude: float = 1.0, center: float = 8.0,
-                  width: float = 2.0) -> ManufacturedSolution:
-    """u_e = a e^{-t} sech^2((x-c)/w): smooth, localized, all derivatives closed."""
+def decaying_hump(amplitude: float = 1.0, center: float = 8.0, width: float = 2.0):
+    """The manufactured solution u_e = a e^{-t} sech^2((x-c)/w), smooth, localized
+    and with every derivative closed, and the forcing F = u_t + u_xxx + 2 u u_x that
+    freezes it in: returns (u_e, F), each a callable of (x, t).  A run's initial
+    data u_e(x, 0) and boundary value u_e(0, t) are read from u_e."""
 
     def parts(x):
         z = (np.asarray(x, dtype=float) - center) / width
-        s2 = 1.0 / np.cosh(z) ** 2
-        tz = np.tanh(z)
-        return s2, tz
+        return 1.0 / np.cosh(z) ** 2, np.tanh(z)
 
     def u(x, t):
-        s2, _ = parts(x)
-        return amplitude * np.exp(-t) * s2
+        return amplitude * np.exp(-t) * parts(x)[0]
 
-    def u_x(x, t):
+    def forcing(x, t):
         s2, tz = parts(x)
-        return amplitude * np.exp(-t) * (-2.0 * s2 * tz) / width
+        a = amplitude * np.exp(-t)
+        u_e = a * s2
+        u_x = a * (-2.0 * s2 * tz) / width
+        u_xxx = a * (-8.0 * s2 * tz**3 + 16.0 * s2**2 * tz) / width**3
+        return -u_e + u_xxx + 2.0 * u_e * u_x  # u_t = -u_e
 
-    def u_xxx(x, t):
-        s2, tz = parts(x)
-        return amplitude * np.exp(-t) * (-8.0 * s2 * tz**3 + 16.0 * s2**2 * tz) / width**3
-
-    def u_t(x, t):
-        s2, _ = parts(x)
-        return -amplitude * np.exp(-t) * s2
-
-    return ManufacturedSolution(u=u, u_x=u_x, u_xxx=u_xxx, u_t=u_t)
-
+    return u, forcing

@@ -20,7 +20,6 @@ from kdvhl.diagnostics import (
     _wall_traces,
     dissipation_audit,
     interpolation_check,
-    interpolation_terms,
     stopping_time,
     trace_identity_residual,
     trace_integral,
@@ -119,29 +118,47 @@ def test_trace_identity_residual_zero_run():
     traces = TraceSeries(BoundaryData())
     solve(Field(grid, np.zeros(grid.n), 0.0), SolverConfig(dt=0.01, T=0.1),
           BoundaryData(), observers=[traces])
-    _, r, rms = trace_identity_residual(traces)
-    assert rms == 0.0 and np.all(r == 0.0)
+    assert trace_identity_residual(traces) == 0.0
+    assert np.all(traces.d3 == 0.0) and np.all(traces.d3_equation == 0.0)
 
 
-def test_interpolation_check_paths(diag_run):
-    states, _, _ = diag_run
+def test_interpolation_check_paths(diag_run, interpolation_reference, monkeypatch):
+    # the observer's recorded terms against the full-grid reference, on every
+    # tenth state of a run and a zero state after them; with three-state blocks and
+    # no nstates the last block is full at the last state and is evaluated in finish()
+    from kdvhl import diagnostics
+
+    states, fin, _ = diag_run
+    assert fin["interpolation"].size == 0  # no stride, nothing recorded
     grid = states[-1].grid
+    zero = Field(grid, np.zeros(grid.n), states[-1].t + 0.01)
+    fields = states[::10] + [zero]
+    assert len(fields) == 6
+    monkeypatch.setattr(diagnostics, "_BLOCK_DOUBLES", 3 * grid.n)
+    recorded = {}
+    for stride in (1, 10**18):
+        rd = RunningDiagnostics(grid, BoundaryData(), WS, stride=stride)
+        for f in fields:
+            rd(f)
+        recorded[stride] = rd.finish()["interpolation"]
+    terms = recorded[1]
+    want = np.array([interpolation_reference(f, WS) for f in fields])
+    assert terms[:, 0].tobytes() == want[:, 0].tobytes()
+    assert np.all(np.abs(terms[:, 1:] - want[:, 1:]) <= 1e-13 * np.abs(want[:, 1:]))
+    assert recorded[10**18].tobytes() == terms[[0, -1]].tobytes()  # the first and last
 
-    def check(fields):
-        return interpolation_check([interpolation_terms(f, WS) for f in fields])
-
-    final = check([states[-1]])
+    final = interpolation_check(terms[-2:-1])
     assert final == {"max_ratio": final["max_ratio"], "n_samples": 1, "any_degenerate": False}
     assert 0.0 < final["max_ratio"] < 10.0
     # a zero state is degenerate, with ratio 0
-    zero = Field(grid, np.zeros(grid.n), 0.0)
-    assert check([zero]) == {"max_ratio": 0.0, "n_samples": 1, "any_degenerate": True}
+    assert interpolation_check(terms[-1:]) == {
+        "max_ratio": 0.0, "n_samples": 1, "any_degenerate": True}
     # the largest finite ratio over the states, and 0 for no states
-    sampled = states[::10]
-    want = max(check([s])["max_ratio"] for s in sampled)
-    assert check(sampled + [zero]) == {
-        "max_ratio": want, "n_samples": len(sampled) + 1, "any_degenerate": True}
-    assert check([]) == {"max_ratio": 0.0, "n_samples": 0, "any_degenerate": False}
+    ratios = [interpolation_check(row[None])["max_ratio"] for row in terms[:-1]]
+    assert interpolation_check(terms) == {
+        "max_ratio": max(ratios), "n_samples": 6, "any_degenerate": True}
+    assert interpolation_check(np.zeros((0, 4))) == {
+        "max_ratio": 0.0, "n_samples": 0, "any_degenerate": False}
 
 
 def test_dissipation_audit_consistency(diag_run):
@@ -501,10 +518,13 @@ def _assert_same_bits(got, want, where):
 
 # a block holds 2**15 // n states: 40 at n = 801.  The weight origins put the
 # band across x = 0 late in the run (chi0 turns on, so the u_xxxx probe is read)
-# and across x = L early in it
+# and across x = L early in it.  The interpolation terms are recorded on every
+# tenth state, so states 40 and 80 are sampled first in their blocks, and the
+# last; their integrals sum over the band, not the full grid, so they match the
+# full-grid reference to rounding
 @pytest.mark.parametrize("x0", [1.0, 15.0])
 @pytest.mark.parametrize("count", [1, 39, 40, 41, 83])
-def test_blocked_observer_matches_per_state_reference(x0, count):
+def test_blocked_observer_matches_per_state_reference(x0, count, interpolation_reference):
     grid = Grid1D(16.0, 801)
     assert max(1, 2**15 // grid.n) == 40
     x = grid.nodes
@@ -519,14 +539,19 @@ def test_blocked_observer_matches_per_state_reference(x0, count):
     states = [Field(grid, 0.5 * np.cos(0.7 * x + t) + 0.3 * np.sin(1.3 * x - 2.0 * t) + 0.2, t)
               for t in 0.02 * np.arange(count)]
     want = _per_state_reference(states, grid, bd, ws, levels, forcing)
+    picks = sorted({*range(0, count, 10), count - 1})
+    interp = np.array([interpolation_reference(states[k], ws) for k in picks])
     for nstates in (None, count):
         rd = RunningDiagnostics(grid, bd, ws, identity_levels=levels, forcing=forcing,
-                                nstates=nstates)
+                                nstates=nstates, stride=10)
         for fld in states:
             rd(fld)
         got = rd.finish()
         got["traces"] = got["traces"].table()
+        terms = got.pop("interpolation")
         _assert_same_bits(got, want, nstates)
+        assert terms[:, 0].tobytes() == interp[:, 0].tobytes()
+        assert np.all(np.abs(terms[:, 1:] - interp[:, 1:]) <= 1e-13 * np.abs(interp[:, 1:]))
 
 
 def test_identity_bookkeeping_needs_two_states():
@@ -609,16 +634,16 @@ def test_trace_record_matches_post_hoc_equation_route(kept):
     # bit for bit, the route that recomputed the traces from the stored states
     from kdvhl.oracle import decaying_hump
 
-    ms = decaying_hump(1.0, 2.0, 1.0)
+    u_e, forcing = decaying_hump(1.0, 2.0, 1.0)
     grid = Grid1D(20.0, 201)
-    bd = BoundaryData(f=lambda t: ms.u(0.0, t))
-    traces, states = TraceSeries(bd, ms.forcing), kept()
-    traj = solve(Field(grid, ms.u(grid.nodes, 0.0), 0.0),
-                 SolverConfig(dt=0.02, T=0.6, forcing=ms.forcing), bd,
+    bd = BoundaryData(f=lambda t: u_e(0.0, t))
+    traces, states = TraceSeries(bd, forcing), kept()
+    traj = solve(Field(grid, u_e(grid.nodes, 0.0), 0.0),
+                 SolverConfig(dt=0.02, T=0.6, forcing=forcing), bd,
                  observers=[traces, states])
     assert len(states) == len(traj.times) == 31
     assert np.min(np.abs([bd.f(t) for t in traj.times])) > 0.01
-    times, d3e = traj.times, _equation_d3_post_hoc(traj, states, bd, ms.forcing)
+    times, d3e = traj.times, _equation_d3_post_hoc(traj, states, bd, forcing)
     d3 = np.array([trace_derivs(s)[3] for s in states])
 
     # the gain window [(b + x0)/v, T] = [0.1, 0.6]
@@ -630,6 +655,7 @@ def test_trace_record_matches_post_hoc_equation_route(kept):
     assert ti["value"] == float(np.trapezoid(d3e[m] ** 2, times[m]))
 
     r_want = d3 - d3e
-    t_got, r, rms = trace_identity_residual(traces)
-    assert t_got.tobytes() == times.tobytes() and r.tobytes() == r_want.tobytes()
+    r = traces.d3 - traces.d3_equation
+    assert traces.times.tobytes() == times.tobytes() and r.tobytes() == r_want.tobytes()
+    rms = trace_identity_residual(traces)
     assert rms == float(np.sqrt(np.mean(r_want * r_want))) and rms > 0.0

@@ -102,25 +102,37 @@ def test_trace_sampling_every_step():
 
 
 @pytest.mark.parametrize("stride", [1, 3, 7, 10, 11, 10**18])
-def test_simulate_samples_every_stride_th_step_and_the_last(monkeypatch, stride):
-    # time.snapshot_stride = s: simulate's interpolation check measures steps 0, s,
-    # 2s, ... and the last, each at its pinned clock k*dt, as the solve passes it;
-    # a stride >= nsteps measures the first and last states only
-    from kdvhl import experiments
+def test_simulate_samples_every_stride_th_step_and_the_last(monkeypatch, kept,
+                                                           interpolation_reference, stride):
+    # time.snapshot_stride = s: simulate's observer records the interpolation terms of
+    # steps 0, s, 2s, ... and the last, each at its pinned clock k*dt, from the block
+    # that holds the state; a stride >= nsteps records the first and last states only.
+    # Three-state blocks put steps 3, 6 and 9 first in theirs; without identity
+    # levels the block holds no u_xxx, with level 2 it does
+    from kdvhl import diagnostics, experiments
 
-    measured, terms = [], experiments.interpolation_terms
-
-    def spy(state, ws):
-        measured.append(state.t)
-        return terms(state, ws)
-
-    monkeypatch.setattr(experiments, "interpolation_terms", spy)
-    cfg = resolve_config("dissipation")
-    cfg.n, cfg.dt, cfg.T, cfg.snapshot_stride = 201, 0.05, 0.5, stride
-    report, _ = experiments.run_simulate(cfg)
+    states, recorded = kept(), []
+    solve_, check = experiments.solve, experiments.interpolation_check
+    monkeypatch.setattr(experiments, "solve", lambda u0, scfg, bd, observers=(): solve_(
+        u0, scfg, bd, observers=[*observers, states]))
+    monkeypatch.setattr(experiments, "interpolation_check",
+                        lambda terms: recorded.append(terms) or check(terms))
+    monkeypatch.setattr(diagnostics, "_BLOCK_DOUBLES", 3 * 201)
     steps = list(range(0, 10, stride)) + [10]  # nsteps = 10; [0, 10] for stride >= 10
-    assert measured == [k * 0.05 for k in steps]
-    assert report["interpolation"]["n_samples"] == len(steps)
+    for levels in ((), (1, 2)):
+        states.clear()
+        cfg = resolve_config("dissipation")
+        cfg.n, cfg.dt, cfg.T, cfg.snapshot_stride = 201, 0.05, 0.5, stride
+        cfg.identity_levels = levels
+        report, _ = experiments.run_simulate(cfg)
+        got = recorded.pop()
+        want = np.array([interpolation_reference(states[k], experiments.weight_spec(cfg))
+                         for k in steps])
+        assert [states[k].t for k in steps] == [k * 0.05 for k in steps]
+        assert got.shape == (len(steps), 4)
+        assert got[:, 0].tobytes() == want[:, 0].tobytes()
+        assert np.all(np.abs(got[:, 1:] - want[:, 1:]) <= 1e-13 * np.abs(want[:, 1:])), levels
+        assert report["interpolation"]["n_samples"] == len(steps)
 
 
 def test_picard_divergence_raises():
@@ -446,25 +458,25 @@ def test_forcing_is_reused_across_steps_bit_for_bit(kept):
     # evaluates the forcing twice on every step
     from kdvhl.oracle import decaying_hump
 
-    ms = decaying_hump(1.0, 8.0, 2.0)
+    u_e, forcing_e = decaying_hump(1.0, 8.0, 2.0)
     calls = []
 
     def forcing(x, t):
         calls.append(t)
-        return ms.forcing(x, t)
+        return forcing_e(x, t)
 
     g = Grid1D(30.0, 201)
     dt, nsteps = 0.0125, 40
     cfg = SolverConfig(dt=dt, T=nsteps * dt, forcing=forcing)
-    bd = BoundaryData(f=lambda t: ms.u(0.0, t))
+    bd = BoundaryData(f=lambda t: u_e(0.0, t))
     states = kept()
-    solve(Field(g, ms.u(g.nodes, 0.0), 0.0), cfg, bd, observers=[states])
+    solve(Field(g, u_e(g.nodes, 0.0), 0.0), cfg, bd, observers=[states])
     misses = sum((k - 1) * dt != (k - 2) * dt + dt for k in range(2, nsteps + 1))
     assert 0 < misses < nsteps // 2  # both branches of the reuse run
     assert len(calls) == nsteps + 1 + misses
 
     sys_ = _System(g, dt, 0.5)
-    state, history = Field(g, ms.u(g.nodes, 0.0), 0.0), ()
+    state, history = Field(g, u_e(g.nodes, 0.0), 0.0), ()
     for k in range(1, nsteps + 1):
         un = state.values
         state = solver._advance(state, cfg, bd, sys_, history)[0]
