@@ -90,6 +90,26 @@ def _hump_sympy(a, cen, w, modules="numpy"):
     return tuple(sp.lambdify((x, t), e, modules) for e in (u_sym, u_t, F_sym))
 
 
+def test_decaying_hump_derivatives_match_sympy():
+    # F = (u_t + u_xxx) + (u^2)_x is linear in the amplitude in its first part and
+    # quadratic in its second, so the humps at amplitudes a and 2a separate the two:
+    # each is held to sympy on its own, and a wrong u_x cannot offset a wrong u_xxx
+    a, cen, w = 1.3, 8.0, 2.0
+    x, t = sp.symbols("x t", real=True)
+    u_sym = a * sp.exp(-t) * sp.sech((x - cen) / w) ** 2
+    lin_lam = sp.lambdify((x, t), sp.diff(u_sym, t) + sp.diff(u_sym, x, 3), "numpy")
+    quad_lam = sp.lambdify((x, t), sp.diff(u_sym**2, x), "numpy")
+    u_lam = sp.lambdify((x, t), u_sym, "numpy")
+    u, F = decaying_hump(a, cen, w)
+    _, F2 = decaying_hump(2.0 * a, cen, w)
+    xs = np.linspace(1.0, 15.0, 41)
+    for tv in (0.0, 0.4, 1.7):
+        quad = 0.5 * (F2(xs, tv) - 2.0 * F(xs, tv))
+        assert np.max(np.abs(u(xs, tv) - u_lam(xs, tv))) <= 1e-12
+        assert np.max(np.abs(quad - quad_lam(xs, tv))) <= 1e-11
+        assert np.max(np.abs(F(xs, tv) - quad - lin_lam(xs, tv))) <= 1e-11
+
+
 def test_forcing_is_equation_residual():
     # decaying_hump's u_e and its closed-form forcing against sympy: a wrong
     # coefficient in any derivative the forcing is built from shows here
