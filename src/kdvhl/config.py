@@ -268,7 +268,13 @@ def _validate_oracle(cfg: ExperimentConfig):
 
     if cfg.oracle_kind not in _ORACLE_KINDS:
         raise ConfigError(f"key 'oracle.kind': {cfg.oracle_kind!r} not one of {_ORACLE_KINDS}")
+    if cfg.oracle_m < 16 or cfg.oracle_m & (cfg.oracle_m - 1):
+        raise ConfigError(f"key 'oracle.m' = {cfg.oracle_m} is not a power of two >= 16")
     period = (cfg.oracle_x_left, cfg.oracle_x_left + cfg.oracle_P)
+    # PeriodicGrid and WindowProbe refuse the same values, without naming the key
+    if not (period[0] <= cfg.oracle_x_star and cfg.oracle_x_star + cfg.L <= period[1]):
+        raise ConfigError(f"key 'oracle.x_star' = {cfg.oracle_x_star}: the window [x*, x* + "
+                          f"grid.L] is not contained in the period [{period[0]}, {period[1]}]")
     if not period[0] < cfg.oracle_center < period[1]:
         raise ConfigError(f"key 'oracle.center' = {cfg.oracle_center} must lie inside the "
                           f"period ({period[0]}, {period[1]})")

@@ -67,7 +67,8 @@ def kink_data(m: int, x1: float, amplitude: float, env_lo: float, env_hi: float,
             ResolutionWarning,
         )
     x = grid.nodes
-    ramp = np.where(x > x1, (x - x1) ** m, 0.0)
+    # 0 off (x1, env_hi): past env_hi (x - x1)**m may overflow, and inf * 0 is NaN
+    ramp = np.where((x > x1) & (x < env_hi), x - x1, 0.0) ** m
     vals = amplitude * ramp * _envelope(x, env_lo, env_hi)
     if base is not None:
         vals = vals + np.asarray(base(x), dtype=float)

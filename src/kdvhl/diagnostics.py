@@ -50,8 +50,8 @@ and is summed in the full-grid order, so J_l keeps every bit (dJ/dt divides
 ulps by dt); a finite product times the zero weight is the exact zero the
 left of the band needs.  A sampled state's interpolation terms reuse the
 block's u_xx^2, chi' band and int u_xx^2 chi'; only the companion cutoff's
-chi' (one moving_weight call on its own band) and, when the block holds no
-u_xxx, D_3 u of the sampled states are computed for them.
+chi' (one moving_weight call per block, x and t repeated per node) and, when
+the block holds no u_xxx, D_3 u of the sampled states are computed for them.
 """
 
 from __future__ import annotations
@@ -190,11 +190,6 @@ def trace_identity_residual(traces: TraceSeries) -> float:
 _BLOCK_DOUBLES = 2**15
 
 
-def _trapezoid_rows(vals, h: float) -> np.ndarray:
-    """integrate() of every row of a C-ordered block, in the same summation order."""
-    return h * (np.sum(vals, axis=1) - 0.5 * (vals[:, 0] + vals[:, -1]))
-
-
 def _running_trapezoid(x, t) -> np.ndarray:
     """The trapezoid integral of x from t[0] to every t[i], added in time order."""
     out = np.zeros(len(t))
@@ -208,39 +203,49 @@ def _deriv_rows(Dk, XT) -> np.ndarray:
     return np.ascontiguousarray((Dk @ XT).T)
 
 
-def _band_trapezoid(h: float, row, c0, cb, lo: int, hi: int):
-    """The trapezoid over the grid of row times a weight that is c0 at x = 0, cb on
-    the nodes lo <= j < hi and 0 elsewhere: a dot product over that band."""
+def _band_trapezoid(h: float, row, c, i: int, band):
+    """The trapezoid over the grid of row times a weight that is c[i] at x = 0, c[start:]
+    on band = (lo, hi, start), the nodes lo <= j < hi, and 0 elsewhere: a band dot product."""
+    lo, hi, s = band
+    cb = c[s:s + hi - lo]
     last = row[-1] * cb[-1] if hi == len(row) and lo < hi else 0.0  # band reaches x = L
-    return h * (row[lo:hi] @ cb - 0.5 * (row[0] * c0 + last))
+    return h * (row[lo:hi] @ cb - 0.5 * (row[0] * c[i] + last))
+
+
+def _bands(grid: Grid1D, wspec: WeightSpec, t):
+    """a = x + v t - x0, one row per time t, and each row's band eps < a_j < b, the
+    nodes lo <= j < hi by binary search (a grows with x): a, the rows' (lo, hi, start)
+    and the (row, node) index pair of a stack of all rows' node 0, then each band from start."""
+    a, cut = grid.nodes + wspec.v * t[:, None] - wspec.x0, wspec.cutoff
+    lo = [int(r.searchsorted(cut.epsilon, "right")) for r in a]
+    hi = [int(r.searchsorted(cut.b, "left")) for r in a]
+    size = np.subtract(hi, lo)
+    start = len(a) + np.cumsum(size) - size
+    i = np.arange(len(a))
+    j = np.arange(size.sum()) + np.repeat(len(a) - start + lo, size)  # each band's nodes
+    rows = list(zip(lo, hi, start.tolist()))
+    return a, rows, (np.append(i, np.repeat(i, size)), np.append(np.zeros_like(i), j))
 
 
 class _Block:
     """What the diagnostics read on a block of B states, evaluated once.
 
     derivs holds the rows u and D_k u for k = 1, 2 and, when asked for, 3 (else
-    None); sq holds u_x^2 and u_xx^2.  rows holds each state's (lo, hi, start):
-    its band is the node range lo <= j < hi where eps < x_j + v t - x0 < b.  chi
-    holds one row per order 0, 1 and, for identity bookkeeping, 2 and 3: column
-    i < B is state i's weight at x = 0 (its trace factor chi0), and state i's
-    band follows from column start on.  weight is chi on the full rows: 0 left
+    None); sq holds u_x^2 and u_xx^2; rows holds each state's (lo, hi, start) from
+    _bands.  chi holds one row per order 0, 1 and, for identity bookkeeping, 2 and
+    3: column i < B is state i's weight at x = 0 (its trace factor chi0), and state
+    i's band follows from column start on.  weight is chi on the full rows: 0 left
     of the band, 1 right of it.
     """
 
     def __init__(self, grid: Grid1D, U, t, D: dict, wspec: WeightSpec, orders):
-        self.h, self.n, self.B = grid.h, grid.n, len(t)
+        self.grid, self.B = grid, len(t)
         UT = np.ascontiguousarray(U.T)
         self.derivs = (U,) + tuple(_deriv_rows(D[k], UT) if k in D else None for k in (1, 2, 3))
         w, q = self.derivs[1:3]
         self.sq = (w * w, q * q)
-        cut = wspec.cutoff
-        a = grid.nodes + wspec.v * t[:, None] - wspec.x0
-        lo = [int(r.searchsorted(cut.epsilon, "right")) for r in a]
-        hi = [int(r.searchsorted(cut.b, "left")) for r in a]
-        start = self.B + np.cumsum([0] + [h - l for l, h in zip(lo, hi)])
-        self.rows = list(zip(lo, hi, start.tolist()))
-        self.chi = chi(cut, np.concatenate([a[:, 0]] + [r[l:h] for r, l, h in zip(a, lo, hi)]),
-                       orders)
+        a, self.rows, stack = _bands(grid, wspec, t)
+        self.chi = chi(wspec.cutoff, a[stack], orders)
         self.weight = np.zeros_like(a)
         for row, (l, h, s) in zip(self.weight, self.rows):
             row[l:h] = self.chi[0, s:s + h - l]
@@ -249,7 +254,7 @@ class _Block:
     def full(self, prod) -> np.ndarray:
         """Per state, the trapezoid of prod times chi(x + v t - x0) over the grid
         (the module docstring gives the summation order)."""
-        return _trapezoid_rows(np.multiply(prod, self.weight, order="C"), self.h)
+        return integrate(np.multiply(prod, self.weight, order="C"), self.grid)
 
     def band(self, k: int, prod, states=None) -> np.ndarray:
         """Per state, the trapezoid of prod times chi^(k)(x + v t - x0), k >= 1,
@@ -257,11 +262,8 @@ class _Block:
         one row per listed state and only those are summed."""
         c = self.chi[k]
         states = range(self.B) if states is None else states
-        out = np.empty(len(states))
-        for j, i in enumerate(states):
-            lo, hi, s = self.rows[i]
-            out[j] = _band_trapezoid(self.h, prod[j], c[i], c[s:s + hi - lo], lo, hi)
-        return out
+        return np.array([_band_trapezoid(self.grid.h, row, c, i, self.rows[i])
+                         for row, i in zip(prod, states)])
 
 
 def _identity_terms(blk: _Block, l: int, wspec: WeightSpec, D: dict, kcp, traces,
@@ -293,24 +295,23 @@ def _identity_terms(blk: _Block, l: int, wspec: WeightSpec, D: dict, kcp, traces
 
 
 def _identity_breakdown(l: int, times, J, terms: dict) -> dict:
-    """The level-l identity from its terms: {terms, residual, normalized, scale}.
+    """The level-l identity from its terms: {terms, residual, normalized, scale, term_integrals}.
 
-    terms gains the dJ/dt piece, 1/2 dJ_l/dt, last; residual is the sum of the
-    terms in _term_order(l), by definition; normalized is int |residual| dt
-    divided by scale, the largest single term's int |term| dt: the
-    refinement-study metric.
+    terms gains the dJ/dt piece, 1/2 dJ_l/dt, last; residual is their sum in
+    _term_order(l), by definition; term_integrals maps each term to int |term| dt;
+    normalized is int |residual| dt over scale, the largest of those integrals.
     """
     if times.size < 2:
         raise ValueError(f"identity bookkeeping needs at least two observed states for "
                          f"dJ/dt, got {times.size}")
     terms = {**terms, "time_derivative": 0.5 * np.gradient(J, times)}
-    order = _term_order(l)
     residual = np.zeros_like(times)
-    for name in order:
+    for name in _term_order(l):
         residual = residual + terms[name]
-    scale = max(float(np.trapezoid(np.abs(terms[n]), times)) for n in order)
-    resid_int = float(np.trapezoid(np.abs(residual), times))
-    return {"terms": terms, "residual": residual,
+    resid_int, *integrals = (float(np.trapezoid(np.abs(x), times))
+                             for x in (residual, *terms.values()))
+    scale = max(integrals)
+    return {"terms": terms, "residual": residual, "term_integrals": dict(zip(terms, integrals)),
             "normalized": resid_int / scale if scale > 0.0 else 0.0, "scale": scale}
 
 
@@ -371,6 +372,8 @@ class RunningDiagnostics:
             raise ValueError(
                 f"hard-window width R={R} must exceed epsilon={wspec.cutoff.epsilon}"
             )
+        if stride is not None and not (isinstance(stride, (int, np.integer)) and stride >= 1):
+            raise ValueError(f"stride must be None or an integer >= 1, got {stride!r}")
         self.grid = grid
         self.wspec = wspec
         self.identity_levels = tuple(identity_levels)
@@ -433,7 +436,7 @@ class RunningDiagnostics:
         series["times"].append(t)
         series["J1"].append(blk.full(ww))
         series["J2"].append(blk.full(qq))
-        series["mass"].append(_trapezoid_rows(u * u, g.h))
+        series["mass"].append(integrate(u * u, g))
         series["kcp"].append(kcp)
         series["kwin"].append(kwin)
 
@@ -470,23 +473,19 @@ class RunningDiagnostics:
         """The terms of the weighted interpolation bound on the block's states picks,
         one row per state: sup (u_xx)^2 chi', int (u_xx)^2 chi' (the observer's kcp),
         int (u_xxx)^2 chi' and int (u_xx)^2 chi' for the companion cutoff (eps/3,
-        b + eps), each chi' only on its band."""
+        b + eps), each chi' only on its band, the companion's from one moving_weight call."""
         qq, c1, d3 = blk.sq[1], blk.chi[1], blk.derivs[3]
         d3 = d3[picks] if d3 is not None else _deriv_rows(
             self._D3, np.ascontiguousarray(blk.derivs[0][picks].T))
-        wide, x = self._wide, self.grid.nodes
         out = np.empty((len(picks), 4))
         out[:, 1] = kcp[picks]
         out[:, 2] = blk.band(1, d3 * d3, picks)
-        for terms, i in zip(out, picks):
+        _, rows, (state, node) = _bands(self.grid, self._wide, t[picks])
+        cw = moving_weight(self._wide, self.grid.nodes[node], t[picks][state], 1)
+        for j, (terms, i) in enumerate(zip(out, picks)):
             lo, hi, s = blk.rows[i]
             terms[0] = np.max(qq[i, lo:hi] * c1[s:s + hi - lo], initial=0.0)
-            # the companion's band; node 0 rides along for the trapezoid's end weight
-            a = x + wide.v * t[i] - wide.x0
-            lo = int(a.searchsorted(wide.cutoff.epsilon, "right"))
-            hi = int(a.searchsorted(wide.cutoff.b, "left"))
-            cw = moving_weight(wide, np.concatenate((x[:1], x[lo:hi])), t[i], 1)
-            terms[3] = _band_trapezoid(blk.h, qq[i], cw[0], cw[1:], lo, hi)
+            terms[3] = _band_trapezoid(self.grid.h, qq[i], cw, j, rows[j])
         return out
 
     def finish(self) -> dict:

@@ -215,9 +215,9 @@ def trace_derivs(field: Field):
     return (u[0],) + tuple(float(w @ u[:len(w)]) for w in _trace_weights(field.grid.h))
 
 
-def integrate(values, grid: Grid1D, window=None) -> float:
-    """Composite trapezoid of nodal values; window is an (i0, i1) inclusive
-    index pair, full grid when None.  Empty or inverted windows give 0."""
+def integrate(values, grid: Grid1D, window=None) -> float | np.ndarray:
+    """Composite trapezoid of nodal values along the last axis, row by row as in 1-D, on
+    the inclusive index window (i0, i1) or the full grid; empty or inverted windows give 0."""
     values = np.asarray(values, dtype=float)
     if window is None:
         i0, i1 = 0, grid.n - 1
@@ -227,8 +227,8 @@ def integrate(values, grid: Grid1D, window=None) -> float:
         i1 = min(int(i1), grid.n - 1)
     if i1 <= i0:
         return 0.0
-    seg = values[i0 : i1 + 1]
-    return grid.h * (np.sum(seg) - 0.5 * (seg[0] + seg[-1]))
+    seg = values[..., i0 : i1 + 1]
+    return grid.h * (np.sum(seg, axis=-1) - 0.5 * (seg[..., 0] + seg[..., -1]))
 
 
 class _Hermite:

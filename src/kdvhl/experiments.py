@@ -114,19 +114,6 @@ def solver_config(cfg: ExperimentConfig, forcing) -> SolverConfig:
                         picard_tol=cfg.picard_tol, nonlinear=cfg.nonlinear, forcing=forcing)
 
 
-def _sampler(pick, measure):
-    """An observer that calls measure(k, state) on the k-th state solve passes (step
-    k, at its pinned clock k*dt) whenever pick(k) holds; it stores no state."""
-    steps = count()
-
-    def observe(state):
-        k = next(steps)
-        if pick(k):
-            measure(k, state)
-
-    return observe
-
-
 def _series_table(fin: dict) -> np.ndarray:
     n = len(fin["times"])
     cols = [fin["times"], fin["J1"], fin["J2"], fin["K1_chiprime"], fin["K1_window"],
@@ -252,8 +239,7 @@ def run_simulate(cfg: ExperimentConfig):
             "normalized_residual": br["normalized"],
             "scale": br["scale"],
             "young": young,
-            "term_integrals": {name: float(np.trapezoid(np.abs(arr), times))
-                               for name, arr in br["terms"].items()},
+            "term_integrals": br["term_integrals"],
         } for lv, br in fin["identity"].items()}
     if cfg.boundary_kind == "zero" and cfg.data_kind != "mms":
         report["dissipation"] = dissipation_audit(fin)
@@ -413,17 +399,14 @@ def run_oracle_compare(cfg: ExperimentConfig):
                         for idx, lag in windows])
 
     u0, bd, restr = extract_halfline_data(wtraj, probe, spectra)
-    # each sample's state is compared with its restriction as the solve passes it
-    samples_at, diffs = {}, np.empty(len(ksamples))  # a step may be sampled twice
-    for i, kh in enumerate(ksamples):
-        samples_at.setdefault(kh, []).append(i)
+    # the solve's k-th state is step k, compared with every restriction sampled there
+    diffs, steps = np.empty(len(ksamples)), count()
 
-    def compare(k, state):
-        for i in samples_at[k]:
+    def compare(state):
+        for i in np.flatnonzero(np.equal(ksamples, next(steps))):
             diffs[i] = np.sqrt(integrate((state.values - restr[i]) ** 2, grid))
 
-    traj = solve(u0, solver_config(cfg, None), bd,
-                 observers=[_sampler(samples_at.__contains__, compare)])
+    traj = solve(u0, solver_config(cfg, None), bd, observers=[compare])
 
     rows = [{"t": float(traj.times[kh]), "diff_l2": float(diff),
              "restriction_l2": float(np.sqrt(integrate(ref**2, grid)))}

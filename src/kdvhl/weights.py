@@ -46,7 +46,8 @@ def eta(theta):
     out[theta >= 1.0] = 1.0
     mid = (theta > 0.0) & (theta < 1.0)
     t = theta[mid]
-    a = np.exp(-1.0 / t)
+    with np.errstate(over="ignore"):  # -1/t is -inf at a subnormal t, and exp(-inf) = 0 is right
+        a = np.exp(-1.0 / t)
     bb = np.exp(-1.0 / (1.0 - t))
     out[mid] = a / (a + bb)
     return out[0] if scalar else out

@@ -15,6 +15,7 @@ from kdvhl.cli import available_recipes, main, resolve_config
 from kdvhl.config import (_BOUNDARY_KINDS, _DATA_KINDS, _EXPERIMENTS, _KEYMAP, _ORACLE_KINDS,
                           ConfigError, ExperimentConfig, dump_config, load_config,
                           parse_config)
+from kdvhl.datagen import ResolutionWarning
 
 MINI_SIMULATE = """
 experiment = simulate
@@ -71,10 +72,16 @@ def _valid_configs(draw):
                                           unique=True)))
     else:
         lo, x1, hi = (draw(optional(finite)) for _ in range(3))
-    x_left, P = draw(st.floats(-1e6, 1e6)), draw(st.floats(1.0, 1e3))
+    experiment = draw(st.sampled_from(_EXPERIMENTS))
+    x_left, P = draw(st.floats(-1e6, 1e6)), draw(st.floats(10.0, 1e3))
+    if experiment == "oracle-compare":  # the half-line window [x*, x* + L] inside the period
+        L = draw(st.floats(10.0, P))
+        x_star = draw(st.floats(0.0, P - L).map(lambda s: x_left + s)
+                      .filter(lambda xs: xs + L <= x_left + P))
+    else:
+        L, x_star = draw(st.floats(10.0, 1e300)), draw(finite)
     return ExperimentConfig(
-        experiment=draw(st.sampled_from(_EXPERIMENTS)),
-        L=draw(st.floats(10.0, 1e300)), n=draw(st.integers(8, 2**40)),
+        experiment=experiment, L=L, n=draw(st.integers(8, 2**40)),
         dt=dt, T=dt * draw(st.integers(1, 10**4)), theta=draw(st.floats(0.0, 1.0)),
         snapshot_stride=draw(st.integers(1, 2**62)),
         picard_max=draw(st.integers(1, 100)), picard_tol=draw(positive),
@@ -96,8 +103,8 @@ def _valid_configs(draw):
         levels=draw(st.integers(1, 10)), stability_tol=draw(finite),
         order_tol=draw(finite), residual_decay=draw(finite), interp_tol=draw(finite),
         rough_growth=draw(finite),
-        oracle_P=P, oracle_m=draw(st.integers(2, 4096)), oracle_x_left=x_left,
-        oracle_x_star=draw(finite), oracle_cfl=draw(st.floats(0.01, 1.0)),
+        oracle_P=P, oracle_m=2 ** draw(st.integers(4, 12)), oracle_x_left=x_left,
+        oracle_x_star=x_star, oracle_cfl=draw(st.floats(0.01, 1.0)),
         oracle_kind=draw(st.sampled_from(_ORACLE_KINDS)), oracle_c=draw(st.floats(1e-3, 1e3)),
         oracle_center=x_left + P * draw(st.floats(0.01, 0.99)),
         oracle_width=draw(positive),
@@ -419,11 +426,27 @@ def test_cli_degenerate_data_exits_2(tmp_path, capsys, recipe, overrides, phrase
     assert all(key in err for key in overrides), err
 
 
+def test_cli_kink_at_large_power_exits_0(tmp_path):
+    # u0 = (x - x1)^m under the envelope is at most 0.3^m there, but right of it
+    # (x - x1)^m overflows to inf and inf times the envelope's 0 is NaN: the power
+    # is taken inside the envelope only, so no numpy warning (an error under this
+    # filter) and no non-finite state; the shrunk grid leaves the envelope unresolved
+    cfgfile = _shrunk_recipe(tmp_path, "l1_full_time", {"data.m": "400"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", ResolutionWarning)
+        rc = main(["propagation", "--config", str(cfgfile), "--out", str(tmp_path / "k"),
+                   "--quiet", "--levels", "1"])
+    assert rc == 0
+
+
 # values refused before any solve, with one line naming the key at fault (the
 # last override); without the refusal each ends in a traceback from deep inside
-# the run (an index, a NaN cast or a float overflow), in a line blaming
-# another key (a data.center off the grid blames the corner or data.amplitude)
-# or, for a cutoff band too narrow to normalize, in exit 0 with a NaN report.
+# the run (an index, a NaN cast, a float overflow or, for oracle.m = 0, a
+# division by zero), in a line blaming another key (a data.center off the grid
+# blames the corner or data.amplitude), in a line naming no key (another bad
+# oracle.m or oracle.x_star, refused by the oracle's own classes) or, for a
+# cutoff band too narrow to normalize, in exit 0 with a NaN report.
 # The oracle recipe's time.dt = 0.008 needs time.T = 0.4
 @pytest.mark.parametrize("recipe,overrides", [
     ("oracle", {"time.T": "0.4", "oracle.c": "1e-300"}),
@@ -444,6 +467,10 @@ def test_cli_degenerate_data_exits_2(tmp_path, capsys, recipe, overrides, phrase
     ("soliton", {"data.center": "1e300"}),
     ("identity_l2", {"data.center": "-1"}),
     ("identity_l2", {"weight.epsilon": "0.01", "weight.b": "0.05"}),
+    ("oracle", {"time.T": "0.4", "oracle.m": "1000"}),
+    ("oracle", {"time.T": "0.4", "oracle.m": "8"}),
+    ("oracle", {"time.T": "0.4", "oracle.m": "0"}),
+    ("oracle", {"time.T": "0.4", "oracle.x_star": "80"}),
 ])
 def test_cli_out_of_range_key_exits_2(tmp_path, capsys, recipe, overrides):
     cfgfile = _shrunk_recipe(tmp_path, recipe, overrides)

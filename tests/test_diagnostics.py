@@ -65,6 +65,12 @@ def test_running_diagnostics_input_checks():
         RunningDiagnostics(grid, bd, WS, R=0.1)
     assert RunningDiagnostics(grid, bd, WS).R == WS.cutoff.b
     assert RunningDiagnostics(grid, bd, WS, R=3.0).R == 3.0
+    # a stride of 0 would end the solve in a modulo by zero at the first block, and
+    # -3 or 2.5 would silently sample other states: one line at construction
+    for stride in (0, -3, 2.5):
+        with pytest.raises(ValueError, match="stride must be None or an integer >= 1") as err:
+            RunningDiagnostics(grid, bd, WS, stride=stride)
+        assert "\n" not in str(err.value)
 
 
 def test_smoothing_chiprime_bounded_by_window(diag_run):
@@ -81,6 +87,19 @@ def test_identity_residual_decays_under_refinement(diag_run, kept):
     for lv in (1, 2):
         ratio = coarse["identity"][lv]["normalized"] / fine["identity"][lv]["normalized"]
         assert ratio >= 2.5, (lv, ratio)
+
+
+def test_identity_term_integrals_name_their_terms(diag_run):
+    # the breakdown's int |term| dt, which the report prints, sits under each term's
+    # own name, and scale and normalized are read off those integrals
+    fin = diag_run[1]
+    times = fin["times"]
+    for lv in (1, 2):
+        br = fin["identity"][lv]
+        want = {name: float(np.trapezoid(np.abs(x), times)) for name, x in br["terms"].items()}
+        assert br["term_integrals"] == want and list(br["term_integrals"]) == list(want)
+        assert br["scale"] == max(want.values())
+        assert br["normalized"] == float(np.trapezoid(np.abs(br["residual"]), times)) / br["scale"]
 
 
 # a weight whose gain window [(b+x0)/v, T] opens at t = 0: (2 - 2)/1
@@ -552,6 +571,37 @@ def test_blocked_observer_matches_per_state_reference(x0, count, interpolation_r
         _assert_same_bits(got, want, nstates)
         assert terms[:, 0].tobytes() == interp[:, 0].tobytes()
         assert np.all(np.abs(terms[:, 1:] - interp[:, 1:]) <= 1e-13 * np.abs(interp[:, 1:]))
+
+
+def test_companion_cutoff_is_one_call_per_sampled_block(monkeypatch, kept,
+                                                        interpolation_reference):
+    # l2_stopped records the interpolation terms of all its 161 states (stride 1) in
+    # 40-state blocks at n = 801: the companion cutoff's chi' is one moving_weight
+    # call per block that holds a sampled state, 5 in all, and the recorded terms
+    # still match the full-grid reference
+    from kdvhl import diagnostics, experiments
+    from kdvhl.cli import resolve_config
+
+    calls, states = [], kept()
+    moving_weight_, solve_ = diagnostics.moving_weight, experiments.solve
+
+    def spy_weight(*args):
+        calls.append(args)
+        return moving_weight_(*args)
+
+    def spy_solve(u0, cfg, bd, observers=()):
+        return solve_(u0, cfg, bd, observers=[*observers, states])
+
+    monkeypatch.setattr(diagnostics, "moving_weight", spy_weight)
+    monkeypatch.setattr(experiments, "solve", spy_solve)
+    cfg = resolve_config("l2_stopped")
+    fin, ws = experiments._run_with_diagnostics(cfg, cfg.snapshot_stride)[2:4]
+    assert cfg.snapshot_stride == 1 and len(states) == 161
+    assert len(calls) == 5
+    terms = fin["interpolation"]
+    want = np.array([interpolation_reference(f, ws) for f in states])
+    assert terms[:, 0].tobytes() == want[:, 0].tobytes()
+    assert np.all(np.abs(terms[:, 1:] - want[:, 1:]) <= 1e-13 * np.abs(want[:, 1:]))
 
 
 def test_identity_bookkeeping_needs_two_states():

@@ -1,9 +1,11 @@
 """Cutoff family: exact piecewise structure, sharp supports, normalization."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from kdvhl.weights import CutoffSpec, WeightSpec, chi, eta, moving_weight
@@ -51,6 +53,49 @@ def test_chi_piecewise_structure(eps, b):
     vals = chi(spec, mid)
     assert np.all(np.diff(vals) >= -1e-14)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+# property tests of the family over its parameters, eps in [0.05, 10] and b in
+# [5 eps, 50 eps], derandomized (about half a second for the three)
+_CUTOFFS = st.tuples(st.floats(0.05, 10.0), st.floats(5.0, 50.0)).map(
+    lambda p: CutoffSpec(p[0], p[0] * p[1]))
+_PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+
+@_PROPERTY
+@given(_CUTOFFS, st.lists(st.floats(0.0, 1e3), max_size=20), st.lists(st.floats(0.0, 1.0)))
+def test_chi_plateaus_exact_and_band_nondecreasing(spec, offsets, inside):
+    eps, b = spec.epsilon, spec.b
+    d = np.array([0.0] + offsets)
+    assert np.all(chi(spec, eps - d) == 0.0) and np.all(chi(spec, b + d) == 1.0)
+    # nondecreasing to within 2e-9: on the first panels past eps, where chi' grows by
+    # orders of magnitude across a panel, the Hermite cubic undershoots; the drop
+    # peaks at 1.1e-9 for b - eps near 20 and is below 1e-31 for bands up to 2 wide
+    s = np.sort(np.concatenate([np.linspace(eps, b, 2001),
+                                np.linspace(eps, eps + 0.01 * (b - eps), 2001),
+                                eps + (b - eps) * np.array(inside)]))
+    assert np.all(np.diff(chi(spec, s)) >= -2e-9)
+
+
+@_PROPERTY
+@given(st.floats(-1.0, 2.0))
+@example(5e-324)  # -1/theta overflows to -inf, and eta = 0 is right
+def test_eta_partition_property(theta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        total = eta(theta) + eta(1.0 - theta)
+    assert abs(total - 1.0) <= 1e-15
+
+
+@_PROPERTY
+@given(_CUTOFFS, st.lists(st.lists(st.floats(-0.2, 1.2), max_size=30), min_size=1, max_size=4))
+def test_chi_of_a_stack_is_the_stack_of_chi(spec, parts):
+    # chi is pointwise: the observer's stacked calls rely on this, bit for bit
+    xs = [spec.epsilon + (spec.b - spec.epsilon) * np.array(p, dtype=float) for p in parts]
+    orders = (0, 1, 2, 3)
+    whole = chi(spec, np.concatenate(xs), orders)
+    stacked = np.concatenate([chi(spec, x, orders) for x in xs], axis=1)
+    assert whole.shape == stacked.shape and whole.tobytes() == stacked.tobytes()
 
 
 @pytest.mark.parametrize("eps,b", [(0.4, 2.0), (0.2, 1.0), (0.5, 2.5)])
