@@ -39,19 +39,16 @@ the next state, so the block that ends the run is always known as the last:
 it is evaluated on the nstates-th state or, without nstates, by finish(),
 which is the only way to read the results.
 
-The chi work follows the weight's transition band eps < a < b of the
-argument a = x + v t - x0, found by binary search since a grows with x: off
-the band chi is exactly 0 or 1 and its derivatives vanish.  One stacked
-evaluation on every state's [a(0)] + a(band) gives every order the terms need;
-node 0 rides along because chi(v t - x0) is both the trace factor chi0 and the
-trapezoid end weight at x = 0.  A chi' or chi''' term is a dot product over the
-band.  A chi term weights the full grid, 0 left of the band and 1 right of it,
-and is summed in the full-grid order, so J_l keeps every bit (dJ/dt divides
-ulps by dt); a finite product times the zero weight is the exact zero the
-left of the band needs.  A sampled state's interpolation terms reuse the
-block's u_xx^2, chi' band and int u_xx^2 chi'; only the companion cutoff's
-chi' (one moving_weight call per block, x and t repeated per node) and, when
-the block holds no u_xxx, D_3 u of the sampled states are computed for them.
+The weight is one chi call per block on the full rows a = x + v t - x0, with
+every order the terms need; column 0 is each state's trace factor chi0 =
+chi(v t - x0).  Every cutoff term, against chi^(k) for any k, is the trapezoid
+of its product times that row over the whole grid.  Off the transition band
+eps < a < b chi is exactly 0 or 1 and its derivatives vanish, and a finite
+product times a zero weight is an exact zero.  A sampled state's interpolation
+terms reuse the block's u_xx^2, chi' rows and int u_xx^2 chi'; only the
+companion cutoff's chi' (one moving_weight call per block, on the sampled
+states' rows) and, when the block holds no u_xxx, D_3 u of the sampled states
+are computed for them.
 """
 
 from __future__ import annotations
@@ -203,67 +200,28 @@ def _deriv_rows(Dk, XT) -> np.ndarray:
     return np.ascontiguousarray((Dk @ XT).T)
 
 
-def _band_trapezoid(h: float, row, c, i: int, band):
-    """The trapezoid over the grid of row times a weight that is c[i] at x = 0, c[start:]
-    on band = (lo, hi, start), the nodes lo <= j < hi, and 0 elsewhere: a band dot product."""
-    lo, hi, s = band
-    cb = c[s:s + hi - lo]
-    last = row[-1] * cb[-1] if hi == len(row) and lo < hi else 0.0  # band reaches x = L
-    return h * (row[lo:hi] @ cb - 0.5 * (row[0] * c[i] + last))
-
-
-def _bands(grid: Grid1D, wspec: WeightSpec, t):
-    """a = x + v t - x0, one row per time t, and each row's band eps < a_j < b, the
-    nodes lo <= j < hi by binary search (a grows with x): a, the rows' (lo, hi, start)
-    and the (row, node) index pair of a stack of all rows' node 0, then each band from start."""
-    a, cut = grid.nodes + wspec.v * t[:, None] - wspec.x0, wspec.cutoff
-    lo = [int(r.searchsorted(cut.epsilon, "right")) for r in a]
-    hi = [int(r.searchsorted(cut.b, "left")) for r in a]
-    size = np.subtract(hi, lo)
-    start = len(a) + np.cumsum(size) - size
-    i = np.arange(len(a))
-    j = np.arange(size.sum()) + np.repeat(len(a) - start + lo, size)  # each band's nodes
-    rows = list(zip(lo, hi, start.tolist()))
-    return a, rows, (np.append(i, np.repeat(i, size)), np.append(np.zeros_like(i), j))
-
-
 class _Block:
     """What the diagnostics read on a block of B states, evaluated once.
 
     derivs holds the rows u and D_k u for k = 1, 2 and, when asked for, 3 (else
-    None); sq holds u_x^2 and u_xx^2; rows holds each state's (lo, hi, start) from
-    _bands.  chi holds one row per order 0, 1 and, for identity bookkeeping, 2 and
-    3: column i < B is state i's weight at x = 0 (its trace factor chi0), and state
-    i's band follows from column start on.  weight is chi on the full rows: 0 left
-    of the band, 1 right of it.
+    None); sq holds u_x^2 and u_xx^2.  chi holds, per order 0, 1 and, for identity
+    bookkeeping, 2 and 3, the weight chi^(k)(x + v t - x0) on the block's full
+    rows, from one chi call; column 0 is each state's trace factor chi0.
     """
 
     def __init__(self, grid: Grid1D, U, t, D: dict, wspec: WeightSpec, orders):
-        self.grid, self.B = grid, len(t)
+        self.grid = grid
         UT = np.ascontiguousarray(U.T)
         self.derivs = (U,) + tuple(_deriv_rows(D[k], UT) if k in D else None for k in (1, 2, 3))
         w, q = self.derivs[1:3]
         self.sq = (w * w, q * q)
-        a, self.rows, stack = _bands(grid, wspec, t)
-        self.chi = chi(wspec.cutoff, a[stack], orders)
-        self.weight = np.zeros_like(a)
-        for row, (l, h, s) in zip(self.weight, self.rows):
-            row[l:h] = self.chi[0, s:s + h - l]
-            row[h:] = 1.0
+        self.chi = chi(wspec.cutoff, grid.nodes + wspec.v * t[:, None] - wspec.x0, orders)
 
-    def full(self, prod) -> np.ndarray:
-        """Per state, the trapezoid of prod times chi(x + v t - x0) over the grid
-        (the module docstring gives the summation order)."""
-        return integrate(np.multiply(prod, self.weight, order="C"), self.grid)
-
-    def band(self, k: int, prod, states=None) -> np.ndarray:
-        """Per state, the trapezoid of prod times chi^(k)(x + v t - x0), k >= 1,
-        summed over the band only; given states (indices into the block), prod holds
-        one row per listed state and only those are summed."""
-        c = self.chi[k]
-        states = range(self.B) if states is None else states
-        return np.array([_band_trapezoid(self.grid.h, row, c, i, self.rows[i])
-                         for row, i in zip(prod, states)])
+    def integral(self, k: int, prod, states=None) -> np.ndarray:
+        """Per state, the trapezoid of prod times chi^(k)(x + v t - x0) over the grid;
+        given states (indices into the block), prod holds one row per listed state."""
+        c = self.chi[k] if states is None else self.chi[k][states]
+        return integrate(np.multiply(prod, c, order="C"), self.grid)
 
 
 def _identity_terms(blk: _Block, l: int, wspec: WeightSpec, D: dict, kcp, traces,
@@ -274,22 +232,22 @@ def _identity_terms(blk: _Block, l: int, wspec: WeightSpec, D: dict, kcp, traces
     u, w = blk.derivs[:2]
     ul, ul1 = blk.derivs[l:l + 2]  # d_x^l u and d_x^(l+1) u
     sq = blk.sq[l - 1]  # (d_x^l u)^2
-    b0, b1, b2 = blk.chi[:3, :blk.B]
+    b0, b1, b2 = blk.chi[:3, :, 0]
     _, f, d1t, d2t, _, d4t, d3t = traces
     # the wall value of each order at x = 0; the u_xxxx probe is noisy, so it is
     # read only once chi0 > 0
     wall = (None, d1t, d2t, d3t, np.where(b0 != 0.0, d4t, 0.0))
     tl, tl1, tl2 = wall[l:l + 3]
     # int (d_x^k u)^2 chi' for k = l and l + 1: the observer's kcp at order 2
-    chi1_l = kcp if l == 2 else blk.band(1, sq)
-    chi1_l1 = kcp if l + 1 == 2 else blk.band(1, ul1 * ul1)
+    chi1_l = kcp if l == 2 else blk.integral(1, sq)
+    chi1_l1 = kcp if l + 1 == 2 else blk.integral(1, ul1 * ul1)
     if F is not None:
-        forcing = -blk.full(_deriv_rows(D[l], np.ascontiguousarray(F.T)) * ul)
+        forcing = -blk.integral(0, _deriv_rows(D[l], np.ascontiguousarray(F.T)) * ul)
     else:
-        forcing = np.zeros(blk.B)
+        forcing = np.zeros(len(u))
     return dict(zip(_term_order(l)[1:], (
-        -0.5 * wspec.v * chi1_l, 1.5 * chi1_l1, -0.5 * blk.band(3, sq),
-        _LEVELS[l][1] * blk.full(sq * w), -blk.band(1, u * sq), forcing,
+        -0.5 * wspec.v * chi1_l, 1.5 * chi1_l1, -0.5 * blk.integral(3, sq),
+        _LEVELS[l][1] * blk.integral(0, sq * w), -blk.integral(1, u * sq), forcing,
         -tl2 * tl * b0, 0.5 * tl1 * tl1 * b0, tl1 * tl * b1, -0.5 * tl * tl * b2,
         -f * tl * tl * b0)))
 
@@ -429,13 +387,13 @@ class RunningDiagnostics:
         blk = _Block(g, self._U[:B], t, self._D, ws, self._orders)
         u, w, _, _ = blk.derivs
         ww, qq = blk.sq
-        kcp = blk.band(1, qq)
+        kcp = blk.integral(1, qq)
         kwin = np.array([integrate(row, g, window=_hard_window_indices(g, ws, self.R, ti))
                          for row, ti in zip(qq, t.tolist())])
         series = self._series
         series["times"].append(t)
-        series["J1"].append(blk.full(ww))
-        series["J2"].append(blk.full(qq))
+        series["J1"].append(blk.integral(0, ww))
+        series["J2"].append(blk.integral(0, qq))
         series["mass"].append(integrate(u * u, g))
         series["kcp"].append(kcp)
         series["kwin"].append(kwin)
@@ -473,20 +431,14 @@ class RunningDiagnostics:
         """The terms of the weighted interpolation bound on the block's states picks,
         one row per state: sup (u_xx)^2 chi', int (u_xx)^2 chi' (the observer's kcp),
         int (u_xxx)^2 chi' and int (u_xx)^2 chi' for the companion cutoff (eps/3,
-        b + eps), each chi' only on its band, the companion's from one moving_weight call."""
-        qq, c1, d3 = blk.sq[1], blk.chi[1], blk.derivs[3]
+        b + eps), whose chi' on the picked rows is one moving_weight call."""
+        qq, d3 = blk.sq[1][picks], blk.derivs[3]
         d3 = d3[picks] if d3 is not None else _deriv_rows(
             self._D3, np.ascontiguousarray(blk.derivs[0][picks].T))
-        out = np.empty((len(picks), 4))
-        out[:, 1] = kcp[picks]
-        out[:, 2] = blk.band(1, d3 * d3, picks)
-        _, rows, (state, node) = _bands(self.grid, self._wide, t[picks])
-        cw = moving_weight(self._wide, self.grid.nodes[node], t[picks][state], 1)
-        for j, (terms, i) in enumerate(zip(out, picks)):
-            lo, hi, s = blk.rows[i]
-            terms[0] = np.max(qq[i, lo:hi] * c1[s:s + hi - lo], initial=0.0)
-            terms[3] = _band_trapezoid(self.grid.h, qq[i], cw, j, rows[j])
-        return out
+        cw = moving_weight(self._wide, self.grid.nodes, t[picks][:, None], 1)
+        return np.column_stack((np.max(qq * blk.chi[1][picks], axis=1, initial=0.0),
+                                kcp[picks], blk.integral(1, d3 * d3, picks),
+                                integrate(qq * cw, self.grid)))
 
     def finish(self) -> dict:
         if self._rows:

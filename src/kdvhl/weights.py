@@ -78,8 +78,12 @@ class CutoffSpec:
     """Parameters of one cutoff chi_{eps,b}; normalization cached at construction.
 
     The profile is defined through its derivative: chi' is the bump
-    exp(-1/((s-eps)(b-s))) scaled to unit integral, so chi ramps monotonically
-    from 0 at eps to 1 at b.  The standing assumption b >= 5*eps is enforced.
+    exp(-1/((s-eps)(b-s))) scaled to unit integral, so chi ramps from 0 at eps
+    to 1 at b.  The ramp is the Hermite interpolant of a table, not exactly
+    monotone: on the first panels past eps, where chi' grows by orders of
+    magnitude across one panel, the cubic undershoots, and chi falls back by up
+    to 1.08e-9 absolute (b - eps near 20; 7e-21 at 4, 2e-32 at 2).  The standing
+    assumption b >= 5*eps is enforced.
     """
 
     epsilon: float

@@ -162,8 +162,7 @@ def test_interpolation_check_paths(diag_run, interpolation_reference, monkeypatc
         recorded[stride] = rd.finish()["interpolation"]
     terms = recorded[1]
     want = np.array([interpolation_reference(f, WS) for f in fields])
-    assert terms[:, 0].tobytes() == want[:, 0].tobytes()
-    assert np.all(np.abs(terms[:, 1:] - want[:, 1:]) <= 1e-13 * np.abs(want[:, 1:]))
+    assert terms.tobytes() == want.tobytes()
     assert recorded[10**18].tobytes() == terms[[0, -1]].tobytes()  # the first and last
 
     final = interpolation_check(terms[-2:-1])
@@ -433,10 +432,12 @@ def test_online_sup_functionals_match_offline(soliton_runs):
 
 def _per_state_reference(states, grid, bd, ws, levels, forcing):
     """finish() of the observer as it was before states were evaluated in blocks:
-    each state alone, its band integrals and chi0 from one chi call, every
-    functional and identity term appended one state at a time.  "traces" holds the
+    each state alone, every order's weight on its full row from one chi call (chi0
+    at node 0), J_l's weight written over the band, each chi^(k) term for k >= 1 the
+    full-row trapezoid, every functional and identity term appended one state at a
+    time.  "traces" holds the
     wall record's rows: t, f, u_x, u_xx, u_xxx, u_xxxx and the equation-route u_xxx."""
-    cut, h, n, x = ws.cutoff, grid.h, grid.n, grid.nodes
+    cut, n, x = ws.cutoff, grid.n, grid.nodes
     D = {k: deriv_matrix(grid, k) for k in (1, 2, 3)}
     series = {k: [] for k in ("t", "J1", "J2", "mass", "stri4")}
     acc = {k: [0.0] for k in ("K1_chiprime", "K1_window", "trace2_acc", "trace3_acc")}
@@ -452,18 +453,15 @@ def _per_state_reference(states, grid, bd, ws, levels, forcing):
         a = x + ws.v * t - ws.x0
         lo = int(np.searchsorted(a, cut.epsilon, "right"))
         hi = int(np.searchsorted(a, cut.b, "left"))
-        c = chi(cut, np.concatenate((a[:1], a[lo:hi])), (0, 1, 2, 3))
+        c = chi(cut, a, (0, 1, 2, 3))
 
         def integral(k, *factors):
             if k == 0:
                 vals = np.zeros(n)
                 vals[lo:] = reduce(mul, [f[lo:] for f in factors])
-                vals[lo:hi] *= c[k][1:]
+                vals[lo:hi] *= c[k][lo:hi]
                 return integrate(vals, grid)
-            g = reduce(mul, [f[lo:hi] for f in factors])
-            last = g[-1] * c[k][-1] if hi == n and lo < n else 0.0
-            return h * (g @ c[k][1:] - 0.5 * (reduce(mul, [f[0] for f in factors]) * c[k][0]
-                                              + last))
+            return integrate(reduce(mul, factors) * c[k], grid)
 
         _, d1t, d2t, d3s = trace_derivs(fld)[:4]
         f, d3t = _wall_traces(bd, forcing, t, d1t)
@@ -539,8 +537,8 @@ def _assert_same_bits(got, want, where):
 # band across x = 0 late in the run (chi0 turns on, so the u_xxxx probe is read)
 # and across x = L early in it.  The interpolation terms are recorded on every
 # tenth state, so states 40 and 80 are sampled first in their blocks, and the
-# last; their integrals sum over the band, not the full grid, so they match the
-# full-grid reference to rounding
+# last; they too are full-row trapezoids and match the full-grid reference bit
+# for bit
 @pytest.mark.parametrize("x0", [1.0, 15.0])
 @pytest.mark.parametrize("count", [1, 39, 40, 41, 83])
 def test_blocked_observer_matches_per_state_reference(x0, count, interpolation_reference):
@@ -569,8 +567,66 @@ def test_blocked_observer_matches_per_state_reference(x0, count, interpolation_r
         got["traces"] = got["traces"].table()
         terms = got.pop("interpolation")
         _assert_same_bits(got, want, nstates)
-        assert terms[:, 0].tobytes() == interp[:, 0].tobytes()
-        assert np.all(np.abs(terms[:, 1:] - interp[:, 1:]) <= 1e-13 * np.abs(interp[:, 1:]))
+        assert terms.tobytes() == interp.tobytes()
+
+
+def _old_band_form(grid, cut, a, row, k):
+    """The observer's chi^(k) integral, k >= 1, as it was summed before the full-row
+    form: the trapezoid of row times chi^(k)(a) as a dot product over the band
+    eps < a < b alone, the end weights from chi^(k) at x = 0 and, when the band
+    reaches it, at x = L."""
+    lo, hi = int(a.searchsorted(cut.epsilon, "right")), int(a.searchsorted(cut.b, "left"))
+    c = chi(cut, a[lo:hi], k)
+    last = row[-1] * c[-1] if hi == grid.n and lo < hi else 0.0
+    return grid.h * (row[lo:hi] @ c - 0.5 * (row[0] * float(chi(cut, a[0], k)) + last))
+
+
+def test_chi_derivative_integrals_match_the_old_band_sums():
+    # a band 19.6 wide on a grid 16 long: with x0 = -1 it crosses x = 0 (chi0
+    # strictly between 0 and 1) and x = L on every state, so both trapezoid end
+    # weights carry a chi^(k) value, and so does the companion cutoff's band.
+    # Every recorded chi' and chi''' integral (K1_chiprime, the four identity terms
+    # of each level, the interpolation integrals) moved from the band dot product
+    # to the full-row sum by rounding alone
+    grid = Grid1D(16.0, 801)
+    x = grid.nodes
+    ws = WeightSpec(cutoff=CutoffSpec(0.4, 20.0), v=1.0, x0=-1.0)
+    wide = CutoffSpec(0.4 / 3.0, 20.4)
+    states = [Field(grid, 0.5 * np.cos(0.7 * x + t) + 0.3 * np.sin(1.3 * x - 2.0 * t) + 0.2, t)
+              for t in 0.02 * np.arange(45)]
+    rd = RunningDiagnostics(grid, BoundaryData(f=lambda t: 0.1 + 0.2 * t), ws,
+                            identity_levels=(1, 2), stride=1)
+    for fld in states:
+        rd(fld)
+    fin = rd.finish()
+    names = ("weight_transport", "smoothing", "weight_third", "nl_transport")
+    got = {(lv, name): fin["identity"][lv]["terms"][name] for lv in (1, 2) for name in names}
+    want = {key: [] for key in got}
+    kcp, interp = [], []
+    D = [deriv_matrix(grid, k) for k in (1, 2, 3)]
+    for fld in states:
+        u, a = fld.values, x + ws.v * fld.t - ws.x0
+        assert ws.cutoff.epsilon < a[0] and a[-1] < ws.cutoff.b  # the band holds the grid
+        du = [u] + [Dk @ u for Dk in D]
+        for lv in (1, 2):
+            sq = du[lv] * du[lv]
+            for name, val in zip(names, (
+                    -0.5 * ws.v * _old_band_form(grid, ws.cutoff, a, sq, 1),
+                    1.5 * _old_band_form(grid, ws.cutoff, a, du[lv + 1] * du[lv + 1], 1),
+                    -0.5 * _old_band_form(grid, ws.cutoff, a, sq, 3),
+                    -_old_band_form(grid, ws.cutoff, a, u * sq, 1))):
+                want[lv, name].append(val)
+        qq = du[2] * du[2]
+        kcp.append(_old_band_form(grid, ws.cutoff, a, qq, 1))
+        interp.append((kcp[-1], _old_band_form(grid, ws.cutoff, a, du[3] * du[3], 1),
+                       _old_band_form(grid, wide, a, qq, 1)))
+    kcp, times = np.array(kcp), fin["times"]
+    got["K1_chiprime"] = fin["K1_chiprime"]
+    want["K1_chiprime"] = np.append(0.0, np.cumsum(0.5 * np.diff(times) * (kcp[1:] + kcp[:-1])))
+    got["interpolation"], want["interpolation"] = fin["interpolation"][:, 1:], interp
+    for key, series in want.items():
+        series = np.asarray(series)
+        assert np.all(np.abs(got[key] - series) <= 1e-13 * np.abs(series)), key
 
 
 def test_companion_cutoff_is_one_call_per_sampled_block(monkeypatch, kept,
@@ -600,8 +656,7 @@ def test_companion_cutoff_is_one_call_per_sampled_block(monkeypatch, kept,
     assert len(calls) == 5
     terms = fin["interpolation"]
     want = np.array([interpolation_reference(f, ws) for f in states])
-    assert terms[:, 0].tobytes() == want[:, 0].tobytes()
-    assert np.all(np.abs(terms[:, 1:] - want[:, 1:]) <= 1e-13 * np.abs(want[:, 1:]))
+    assert terms.tobytes() == want.tobytes()
 
 
 def test_identity_bookkeeping_needs_two_states():
