@@ -8,7 +8,9 @@ the Fornberg weights: D3's computed centre weight is 1.28e-15/h^3 on the soliton
 recipe's grid, not 0, and a D1 pair reads -80.0 / 79.99999999999999 at n = 6401 on
 L = 40.  So SuperLU factors A once without pivoting, which is stable for such A (Golub &
 Van Loan 1979), and each Picard sweep on the midpoint-averaged nonlinear flux solves it
-with two BLAS dtbsv calls, both scipy's compiled kernels loaded from their files.
+with two unit-diagonal BLAS dtbsv calls, scipy's compiled kernel loaded from its file,
+and one product by the pivot reciprocals between them: U is scaled by rows once per
+factorization, so no row divides by its pivot inside the serial recurrence.
 Each step iterates from the cubic in time through u^n and the three states before it,
 4u^n - 6u^{n-1} + 4u^{n-2} - u^{n-3}; steps 1-3 use the lower-order extrapolant through
 every state there is (u^n on step 1 and in linear runs).  The solutions are smooth in
@@ -132,13 +134,17 @@ class Trajectory:
     picard_converged: np.ndarray  # per step: the stop test passed within picard_max
 
 
-class _BandLU(namedtuple("_BandLU", "kl L ku U")):
-    """Pivot-free LU factors in band storage: unit-lower L, kl below; U, ku above."""
+class _BandLU(namedtuple("_BandLU", "kl L ku U U1 rdiag")):
+    """Pivot-free LU factors in band storage: unit-lower L, kl below; U, ku above, and
+    U = diag(1/rdiag) U1 with U1 = U's rows times rdiag = 1/diag(U), its diagonal 1."""
 
     def solve(self, b):
-        """Overwrite b with A^-1 b: two banded triangular solves (dtbsv)."""
+        """Overwrite b with A^-1 b: two unit-diagonal banded triangular solves (dtbsv)
+        and one product by the pivot reciprocals between them.  A non-unit dtbsv would
+        divide each row by its pivot inside its serial recurrence: half its time."""
         y = _dtbsv(self.kl, self.L, b, lower=1, diag=1, overwrite_x=1)
-        return _dtbsv(self.ku, self.U, y, overwrite_x=1)
+        y *= self.rdiag
+        return _dtbsv(self.ku, self.U1, y, diag=1, overwrite_x=1)
 
 
 def _band(F, upper: bool):
@@ -157,7 +163,10 @@ def splu(A) -> _BandLU:
     """Band LU without row interchanges of A, given as CSC arrays (data, indices, indptr)
     with C int indices; like scipy's splu, its solve(b) gives A^-1 b.  The factors are
     SuperLU's, from the call scipy's splu(A, permc_spec="NATURAL", diag_pivot_thresh=0)
-    makes; without interchanges their bandwidths are A's."""
+    makes; without interchanges their bandwidths are A's.  U's rows are scaled once
+    by the pivot reciprocals, so that each solve runs both recurrences unit-diagonal;
+    a pivot that is 0, or whose reciprocal or scaled row is not finite (a subnormal
+    pivot), is refused like an interchange."""
     data, indices, indptr = A
     n = len(indptr) - 1
     try:
@@ -168,11 +177,16 @@ def splu(A) -> _BandLU:
     except RuntimeError as exc:
         raise SolverError(f"implicit system is singular: {exc}") from exc
     (kl, L), (ku, U) = _band(lu.L, False), _band(lu.U, True)
+    rows = np.arange(-ku, 1)[:, None] + np.arange(n)  # i of the band entry U[ku + i - j, j]
+    with np.errstate(all="ignore"):  # a non-finite pivot or row is refused below
+        rdiag = 1.0 / U[ku]
+        U1 = np.multiply(U, rdiag[np.maximum(rows, 0)], order="F")  # padding stays 0
     ident, growth = np.arange(n), np.max(np.abs(U)) / np.max(np.abs(data))
     if not (np.array_equal(lu.perm_r, ident) and np.array_equal(lu.perm_c, ident)
-            and np.all(U[ku] != 0.0) and growth <= 1e3):  # every recipe: growth 1
+            and np.all(np.isfinite(U1)) and growth <= 1e3):  # every recipe: growth 1
         raise SolverError(f"implicit system needs pivoting (growth max|U|/max|A| = {growth:.3e})")
-    return _BandLU(kl, L, ku, U)
+    U1[ku] = 1.0  # d * (1/d) may round off 1; the unit-diagonal dtbsv never reads it
+    return _BandLU(kl, L, ku, U, U1, rdiag)
 
 
 class _System:

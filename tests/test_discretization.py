@@ -175,7 +175,8 @@ def test_implicit_system_solve_matches_lil_reference():
     A = (sp_identity(n, format="lil") + (theta * dt) * D3.tolil()).tolil()
     for r in (0, n - 2, n - 1):
         A.rows[r], A.data[r] = [r], [1.0]
-    kl, L, ku, U = _System(g, dt, theta).lu
+    lu = _System(g, dt, theta).lu
+    kl, L, ku, U = lu.kl, lu.L, lu.ku, lu.U
     # band storage: L[i - j, j] = L_ij below a unit diagonal, U[ku + i - j, j] = U_ij
     Lm = sp_identity(n) + sp_diags([L[d, : n - d] for d in range(1, kl + 1)],
                                    [-d for d in range(1, kl + 1)])

@@ -421,13 +421,28 @@ def test_band_factors_equal_scipy_splu_bit_for_bit(n, L, dt, theta):
         assert _band_of(ref.U, lu.ku, True).tobytes() == lu.U.tobytes()
 
 
-@pytest.mark.parametrize("corner", [0.0, 1e-8], ids=["interchange", "growth"])
-def test_band_factor_rejects_systems_that_need_pivoting(corner):
-    # tridiagonal and nonsingular either way; a zero corner forces a row
-    # interchange, a tiny one makes max|U| / max|A| about 1e8
-    M = sp_diags([np.ones(7), np.full(8, 2.0), np.ones(7)], [-1, 0, 1]).toarray()
-    M[0, 0] = corner
-    assert abs(np.linalg.det(M)) > 0.1
+@pytest.mark.parametrize("n,L,dt,theta", _band_cases())
+def test_unit_upper_factor_is_u_scaled_by_its_pivot_reciprocals(n, L, dt, theta):
+    lu = _System(Grid1D(L, n), dt, theta).lu
+    ku = lu.ku
+    assert lu.rdiag.tobytes() == (1.0 / lu.U[ku]).tobytes()
+    assert np.all(lu.U1[ku] == 1.0)
+    for k in range(ku):  # band row k holds U_ij, i = j + k - ku, for j >= ku - k
+        j = np.arange(ku - k, n)
+        assert lu.U1[k, j].tobytes() == (lu.U[k, j] * lu.rdiag[j + k - ku]).tobytes()
+
+
+@pytest.mark.parametrize("case", ["interchange", "growth", "subnormal"])
+def test_band_factor_rejects_systems_that_need_pivoting(case):
+    # tridiagonal and nonsingular either way: a zero corner forces a row interchange,
+    # a tiny one makes max|U| / max|A| about 1e8.  A diagonal pivot of 1e-310 is
+    # subnormal, so its reciprocal overflows to inf
+    if case == "subnormal":
+        M = np.diag([1.0, 1.0, 1e-310, 1.0])
+    else:
+        M = sp_diags([np.ones(7), np.full(8, 2.0), np.ones(7)], [-1, 0, 1]).toarray()
+        M[0, 0] = 0.0 if case == "interchange" else 1e-8
+        assert abs(np.linalg.det(M)) > 0.1
     with pytest.raises(SolverError, match="needs pivoting"):
         splu(_csc_arrays(csc_matrix(M)))
 
