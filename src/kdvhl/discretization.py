@@ -40,7 +40,8 @@ def _scipy_ext(name: str):
     from its file, running no scipy package __init__ (~0.3 s of imports kdvhl never uses),
     else the normal import, giving the same module.  kdvhl loads four: `_sparsetools` (CSR
     products), `_superlu` (gstrf) and `_fblas` (dtbsv) on import, and `pypocketfft`
-    (r2c/c2r) on the oracle's first march."""
+    (r2c/c2r for the march, c2c and good_size for the restriction) on the oracle's
+    first use."""
     if name in sys.modules:
         return sys.modules[name]
     stem = os.path.join(util.find_spec("scipy").submodule_search_locations[0],  # no import

@@ -400,10 +400,13 @@ def run_oracle_compare(cfg: ExperimentConfig):
 
     u0, bd, restr = extract_halfline_data(wtraj, probe, spectra)
     # the solve's k-th state is step k, compared with every restriction sampled there
+    sampled = {}
+    for i, kh in enumerate(ksamples):
+        sampled.setdefault(kh, []).append(i)
     diffs, steps = np.empty(len(ksamples)), count()
 
     def compare(state):
-        for i in np.flatnonzero(np.equal(ksamples, next(steps))):
+        for i in sampled.get(next(steps), ()):
             diffs[i] = np.sqrt(integrate((state.values - restr[i]) ** 2, grid))
 
     traj = solve(u0, solver_config(cfg, None), bd, observers=[compare])

@@ -2,10 +2,11 @@
 
 Everything here is built from a single C-infinity brick, exp(-1/theta): a
 symmetric unit step `eta` and the two-parameter family `chi(eps, b)` that
-vanishes on (0, eps], equals 1 on [b, infinity) and increases in between.  The
-translate chi(x + v*t - x0) is the weight that sweeps leftward across the
-half-line as time advances; `moving_weight` evaluates it and its first three
-derivatives.
+vanishes on (0, eps], equals 1 on [b, infinity) and ramps up in between,
+nondecreasing only to about 1e-9: just past eps its Hermite table undershoots
+by up to 1.08e-9 (see CutoffSpec).  The translate chi(x + v*t - x0) is the
+weight that sweeps leftward across the half-line as time advances;
+`moving_weight` evaluates it and its first three derivatives.
 
 Bounded buffers: a CutoffSpec keeps its 4097-knot Hermite table of chi, and
 building it evaluates the 12-node Gauss rule on 256 of the 4096 panels at a time,

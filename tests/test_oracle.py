@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from kdvhl.cli import resolve_config
 from kdvhl.config import ConfigError, parse_config
 from kdvhl.datagen import gaussian_bump, soliton_solution
 from kdvhl.discretization import Grid1D
@@ -14,10 +15,12 @@ from kdvhl.experiments import run_oracle_compare
 from kdvhl.oracle import (
     PeriodicGrid,
     WindowProbe,
+    _restriction_matrix,
     decaying_hump,
     extract_halfline_data,
     spectral_restriction,
     wholeline_solve,
+    wholeline_times,
 )
 from kdvhl.solver import BoundaryData
 
@@ -219,15 +222,24 @@ def test_wholeline_dealiases_the_flux():
 def test_spectral_restriction_interpolates(soliton_run):
     per, traj, seen, _ = soliton_run
     k = len(traj.times) // 2
-    at_nodes = spectral_restriction(seen.spectra[k], per, per.nodes)
+    at_nodes = spectral_restriction(seen.spectra[k], per, per.x_left, per.dx, per.m)
     assert np.max(np.abs(at_nodes - seen.states(per.m)[k])) <= 1e-12
-    mids = per.nodes[100:140] + 0.5 * per.dx
-    exact = soliton_solution(1.0, 8.0)(mids, traj.times[k])
-    assert np.max(np.abs(spectral_restriction(seen.spectra[k], per, mids) - exact)) <= 1e-4
+    mids = (per.nodes[100] + 0.5 * per.dx, per.dx, 40)
+    exact = soliton_solution(1.0, 8.0)(per.nodes[100:140] + 0.5 * per.dx, traj.times[k])
+    assert np.max(np.abs(spectral_restriction(seen.spectra[k], per, *mids) - exact)) <= 1e-4
     # a stack of spectra restricts row by row
-    stack = spectral_restriction(np.array(seen.spectra[:3]), per, mids)
+    stack = spectral_restriction(np.array(seen.spectra[:3]), per, *mids)
     for row, uhat in zip(stack, seen.spectra[:3]):
-        assert np.array_equal(row, spectral_restriction(uhat, per, mids))
+        assert np.array_equal(row, spectral_restriction(uhat, per, *mids))
+
+
+def test_restriction_of_a_spectrum_shorter_than_a_block():
+    # 33 modes against 128-point blocks, over three blocks: every third point is
+    # a grid node, where the series gives back the sampled data
+    per = PeriodicGrid(96.0, 64, x_left=-30.0)
+    u = np.random.default_rng(1).standard_normal(per.m)
+    values = spectral_restriction(np.fft.rfft(u), per, per.x_left, per.dx / 3, 3 * per.m)
+    assert np.max(np.abs(values[::3] - u)) <= 1e-13
 
 
 def test_window_probe_derivative_taps():
@@ -248,7 +260,7 @@ def test_window_probe_derivative_taps():
         assert np.allclose(probe.traces[1], 2.0 * probe.traces[0], rtol=1e-14, atol=0.0)
         taps.append(probe.traces[0])
     got_u, got_d1, got_d3 = np.array(taps).T
-    assert np.max(np.abs(got_u - spectral_restriction(uhat, per, x))) <= 1e-14
+    assert np.max(np.abs(got_u - spectral_restriction(uhat, per, -3.0, 0.5, 13))) <= 1e-14
     assert np.max(np.abs(got_d1 - d1)) <= 1e-6
     assert np.max(np.abs(got_d3 - d3)) <= 1e-5
 
@@ -299,7 +311,7 @@ def test_inflow_slope_is_the_hermite_cubics_derivative(soliton_run):
 
 
 def test_stacked_restriction_matches_separate_calls(soliton_run):
-    # step 0 and the further spectra share each 64-point matrix block; on a
+    # step 0 and the further spectra share each block's transforms; on a
     # 2001-point window (the oracle recipe's) every row is the bits of its own call
     per, traj, seen, probe = soliton_run
     wide = WindowProbe(per, 12.0, Grid1D(40.0, 2001))
@@ -307,11 +319,50 @@ def test_stacked_restriction_matches_separate_calls(soliton_run):
         wide(step, t, uhat)
     spectra = np.array(seen.spectra[1::len(seen.spectra) // 9][:9])
     u0, _, restr = extract_halfline_data(traj, wide, spectra)
-    x = 12.0 + wide.window.nodes
-    assert np.array_equal(u0.values, spectral_restriction(seen.spectra[0], per, x))
+    x = (12.0, wide.window.h, wide.window.n)
+    assert np.array_equal(u0.values, spectral_restriction(seen.spectra[0], per, *x))
     assert len(restr) == 9
     for row, uhat in zip(restr, spectra):
-        assert np.array_equal(row, spectral_restriction(uhat, per, x))
+        assert np.array_equal(row, spectral_restriction(uhat, per, *x))
+
+
+def _longdouble_series(uhat, grid, x):
+    """The trigonometric series of the half spectra uhat (one per row) at the
+    np.longdouble points x, summed directly in np.longdouble."""
+    ld = np.longdouble
+    k = 8 * np.arctan(ld(1)) * np.arange(grid.m // 2 + 1, dtype=ld) / ld(grid.P)
+    w = np.full(k.size, ld(2) / grid.m)
+    w[0] = w[-1] = ld(1) / grid.m
+    phase = np.outer(k, np.asarray(x, dtype=ld) - ld(grid.x_left))
+    return (w * uhat.real.astype(ld)) @ np.cos(phase) - (w * uhat.imag.astype(ld)) @ np.sin(phase)
+
+
+def test_chirp_z_restriction_is_as_accurate_as_the_dense_sum():
+    # 10 spectra from the oracle recipe's march, on its window and on two windows
+    # whose lengths are not a multiple of the 128-point block (one of them coarse,
+    # where the chirp's phases are largest): on every 7th point the chirp-z
+    # restriction is within 2x of the dense exponential sum's own distance from a
+    # long-double direct sum (each at its points: x0 + j h exactly, and the
+    # rounded doubles the dense sum takes)
+    cfg = resolve_config("oracle")
+    per = PeriodicGrid(cfg.oracle_P, cfg.oracle_m, cfg.oracle_x_left)
+    u0 = soliton_solution(cfg.oracle_c, cfg.oracle_center)(per.nodes, 0.0)
+    nsteps = len(wholeline_times(u0, per, cfg.T, cfg.oracle_cfl)) - 1
+    keep = np.linspace(0, nsteps, 10).astype(int)
+    window = Grid1D(cfg.L, cfg.n)
+    probe = WindowProbe(per, cfg.oracle_x_star, window, keep=keep.tolist())
+    wholeline_solve(u0, per, cfg.T, cfg.oracle_cfl, observers=[probe])
+    spectra = np.array([probe.spectra[s] for s in keep])
+    for x0, h, n in ((cfg.oracle_x_star, window.h, window.n), (17.3, 0.031, 389),
+                     (-20.0, 0.7, 130)):
+        j = np.r_[0:n:7, n - 1]
+        chirp_z = spectral_restriction(spectra, per, x0, h, n)[:, j]
+        near = np.max(np.abs(chirp_z - _longdouble_series(
+            spectra, per, np.longdouble(x0) + j * np.longdouble(h))))
+        xd = x0 + h * j
+        dense = np.max(np.abs((spectra @ _restriction_matrix(per, xd)).real
+                              - _longdouble_series(spectra, per, xd)))
+        assert 0 < near <= 2 * dense, (n, near, dense)
 
 
 def test_kept_spectra_survive_the_in_place_march(soliton_run):
@@ -407,16 +458,23 @@ def test_oracle_compare_memory_does_not_grow_with_T():
 
 
 def test_spectral_restriction_peak_memory():
-    # blocks of 64 points: one block's (m/2 + 1) x 64 complex matrix, not the
-    # (m/2 + 1) x len(x) one nor a 256-point block's
+    # chirp-z blocks of 128 points: the chirp's transform, one complex buffer of
+    # the FFT length (640 here) per row and the output, about 82 kB, not the
+    # 16 MB (m/2 + 1) x len(x) matrix of exponentials a dense sum takes; the
+    # bound is the one that the dense sum's 64-point blocks (0.95 MB) were held
+    # to.  Ten times the points cost only the output's 8 bytes per point more
+    # (one unblocked chirp over the window would cost about 12 x that)
     grid = PeriodicGrid(120.0, 1024, -30.0)
     uhat = np.fft.rfft(gaussian_bump(1.0, 12.0, 2.0)(grid.nodes))
-    x = 20.0 + np.linspace(0.0, 40.0, 2001)
-    spectral_restriction(uhat, grid, x)
-    tracemalloc.start()
-    try:
-        spectral_restriction(uhat, grid, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3_000_000, peak
+    peaks = []
+    for n in (2001, 20001):
+        x = (20.0, 40.0 / (n - 1), n)
+        spectral_restriction(uhat, grid, *x)
+        tracemalloc.start()
+        try:
+            spectral_restriction(uhat, grid, *x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 3_000_000, peaks
+    assert peaks[1] - peaks[0] <= 1.1 * 8 * 18000, peaks

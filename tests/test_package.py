@@ -72,7 +72,8 @@ def test_cli_import_loads_no_scipy_package(tmp_path):
 
 
 # one run of every kernel through kdvhl: an operator product, a factorization and
-# its solve (two dtbsv calls) and a short whole-line march (r2c and c2r), hashed so
+# its solve (two dtbsv calls), a short whole-line march (r2c and c2r) and a
+# restriction of its last two spectra to 150 points (c2c, two blocks), hashed so
 # that equal output is equal bits; then whether a scipy package was imported, and
 # whether the modules kdvhl holds are the ones a normal import of scipy's packages gives
 _KERNEL_RUN = """
@@ -87,6 +88,7 @@ out = [discretization.deriv_matrix(g, 3) @ x, solver._System(g, 0.0125, 0.5).lu.
 per = oracle.PeriodicGrid(40.0, 128, -20.0)
 oracle.wholeline_solve(np.exp(-per.nodes ** 2), per, 0.05,
                        observers=[lambda step, t, uhat: out.append(uhat.copy())])
+out.append(oracle.spectral_restriction(np.array(out[-2:]), per, -5.0, 0.1, 150))
 print(hashlib.sha256(b"".join(v.tobytes() for v in out)).hexdigest())
 print("scipy.sparse" in sys.modules)
 pocketfft = discretization._scipy_ext("scipy.fft._pocketfft.pypocketfft")  # the march's
