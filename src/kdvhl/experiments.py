@@ -11,7 +11,6 @@ the computation itself.
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import count
 
 import numpy as np
 
@@ -275,8 +274,7 @@ def run_converge(cfg: ExperimentConfig):
 
 def run_propagation(cfg: ExperimentConfig):
     def measure(c):
-        nsteps = int(round(c.T / c.dt))
-        u0, _, fin, ws, _ = _run_with_diagnostics(c, max(1, nsteps // 40))
+        u0, _, fin, ws, _ = _run_with_diagnostics(c, max(1, solver_config(c, None).nsteps // 40))
         times = fin["times"]
         t1 = stopping_time(c.T, ws, 1)
         t2 = stopping_time(c.T, ws, 2)
@@ -363,57 +361,42 @@ def run_identity(cfg: ExperimentConfig):
     return report, series
 
 
-def run_oracle_compare(cfg: ExperimentConfig):
+def _oracle_reference(cfg: ExperimentConfig, grid: Grid1D, sample_times):
+    """March the whole line and restrict it to grid: (u0, inflow, a row per sample time)."""
     per = PeriodicGrid(cfg.oracle_P, cfg.oracle_m, cfg.oracle_x_left)
     if cfg.oracle_kind == "soliton":
         u0w = soliton_solution(cfg.oracle_c, cfg.oracle_center)(per.nodes, 0.0)
     else:  # "bump", the one other kind config allows
         u0w = gaussian_bump(cfg.oracle_amplitude, cfg.oracle_center,
                             cfg.oracle_width)(per.nodes)
-    grid = Grid1D(cfg.L, cfg.n)
-
-    # the half-line steps compared, and for each the 4 whole-line steps whose
-    # cubic Lagrange interpolant gives the reference spectrum at that time
-    wtimes = wholeline_times(u0w, per, cfg.T, cfl=cfg.oracle_cfl)
+    wtimes = wholeline_times(u0w, per, cfg.T, cfg.oracle_cfl)
     if len(wtimes) < 4:
         raise ConfigError(f"key 'oracle.cfl' = {cfg.oracle_cfl} gives {len(wtimes) - 1} "
                           f"whole-line steps over time.T = {cfg.T}; the cubic interpolation "
                           f"in time needs at least 3")
-    ksamples = [int(round(ts / cfg.dt)) for ts in np.linspace(0.0, cfg.T, cfg.oracle_samples)]
-    windows = []
-    for kh in ksamples:
-        th = kh * cfg.dt
-        j = np.searchsorted(wtimes, th)
-        j = min(max(j, 2), len(wtimes) - 2)
-        idx = np.arange(j - 2, j + 2)
-        tloc = wtimes[idx]
-        lag = np.array([
-            np.prod([(th - tloc[b]) / (tloc[a] - tloc[b]) for b in range(4) if b != a])
-            for a in range(4)
-        ])
-        windows.append((idx, lag))
-    probe = WindowProbe(per, cfg.oracle_x_star, grid,
-                        keep=np.concatenate([idx for idx, _ in windows]).tolist())
-    wtraj = wholeline_solve(u0w, per, cfg.T, cfl=cfg.oracle_cfl, observers=[probe])
-    spectra = np.array([lag @ np.array([probe.spectra[i] for i in idx])
-                        for idx, lag in windows])
+    probe = WindowProbe(per, cfg.oracle_x_star, grid, wtimes, sample_times)
+    wholeline_solve(u0w, per, wtimes, observers=[probe])
+    return extract_halfline_data(probe)
 
-    u0, bd, restr = extract_halfline_data(wtraj, probe, spectra)
-    # the solve's k-th state is step k, compared with every restriction sampled there
-    sampled = {}
-    for i, kh in enumerate(ksamples):
-        sampled.setdefault(kh, []).append(i)
-    diffs, steps = np.empty(len(ksamples)), count()
+
+def run_oracle_compare(cfg: ExperimentConfig):
+    grid = Grid1D(cfg.L, cfg.n)
+    # the half-line steps compared, at their pinned clocks k*dt
+    times = np.round(np.linspace(0.0, cfg.T, cfg.oracle_samples) / cfg.dt) * cfg.dt
+    u0, bd, restr = _oracle_reference(cfg, grid, times)
+    # each state is compared with every restriction sampled at its time
+    sampled = {t: np.flatnonzero(times == t) for t in times}
+    diffs = np.empty(len(times))
 
     def compare(state):
-        for i in sampled.get(next(steps), ()):
+        for i in sampled.get(state.t, ()):
             diffs[i] = np.sqrt(integrate((state.values - restr[i]) ** 2, grid))
 
-    traj = solve(u0, solver_config(cfg, None), bd, observers=[compare])
+    solve(u0, solver_config(cfg, None), bd, observers=[compare])
 
-    rows = [{"t": float(traj.times[kh]), "diff_l2": float(diff),
+    rows = [{"t": float(t), "diff_l2": float(diff),
              "restriction_l2": float(np.sqrt(integrate(ref**2, grid)))}
-            for kh, ref, diff in zip(ksamples, restr, diffs)]
+            for t, ref, diff in zip(times, restr, diffs)]
     scale = max(r["restriction_l2"] for r in rows)
     for r in rows:
         r["rel"] = r["diff_l2"] / scale if scale > 0 else 0.0

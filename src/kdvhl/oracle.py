@@ -16,11 +16,13 @@ transforms on pocketfft's c2c) manufactures inflow data for the half-line
 solver whose answer can then be cross-checked against the restriction itself.
 
 Bounded buffers: a WindowProbe keeps three doubles per step and copies of the
-spectra it was asked to keep.  A restriction evaluates _BLOCK = 128 points at
-a time, as a chirp-z transform on pocketfft's c2c: however many points it
-restricts, it holds the chirp's transform and one complex row of the FFT length
-(640 at m = 1024, 10 kB) per spectrum of the stack, and each block's two
-transforms take every row at once.
+spectra of step 0 and of the four steps around each sample time.  Of the march,
+only the inflow's Hermite table and the time grid it views are alive during the
+half-line solve.  A restriction evaluates _BLOCK = 128 points at a time, as a
+chirp-z transform on pocketfft's c2c: however many points it restricts, it
+holds the chirp's transform and one complex row of the FFT length (640 at
+m = 1024, 10 kB) per spectrum of the stack, and each block's two transforms
+take every row at once.
 """
 
 from __future__ import annotations
@@ -157,8 +159,8 @@ def spectral_restriction(uhat, grid: PeriodicGrid, x0: float, h: float, n: int):
     return out
 
 
-def wholeline_times(u0_values, grid: PeriodicGrid, T: float, cfl: float = 0.5) -> np.ndarray:
-    """The step times of wholeline_solve for the same arguments.
+def wholeline_times(u0_values, grid: PeriodicGrid, T: float, cfl: float) -> np.ndarray:
+    """The time grid of a march to time T, for wholeline_solve and WindowProbe.
 
     The step is cfl * dx / max|2 u0| (the nonlinear advection limit; the stiff
     dispersive part is integrated exactly), shrunk to divide T.
@@ -169,9 +171,8 @@ def wholeline_times(u0_values, grid: PeriodicGrid, T: float, cfl: float = 0.5) -
     return (T / nsteps) * np.arange(nsteps + 1)
 
 
-def wholeline_solve(u0_values, grid: PeriodicGrid, T: float, cfl: float = 0.5,
-                    observers=()) -> WholelineTrajectory:
-    """March the periodic problem to time T.
+def wholeline_solve(u0_values, grid: PeriodicGrid, times, observers=()) -> WholelineTrajectory:
+    """March the periodic problem over the time grid times from wholeline_times.
 
     Each observer is called as obs(step, t, uhat) with the half spectrum
     rfft(u) at step 0 and after every step.  uhat is one buffer that the march
@@ -190,7 +191,6 @@ def wholeline_solve(u0_values, grid: PeriodicGrid, T: float, cfl: float = 0.5,
             f"periodic support guard violated: |u0| reaches {edge:.2e} within "
             f"P/8 of a period end (limit {_SUPPORT_TOL:.0e})"
         )
-    times = wholeline_times(u0, grid, T, cfl)
     dt = times[1]
 
     k = grid.wavenumbers
@@ -267,26 +267,37 @@ def wholeline_solve(u0_values, grid: PeriodicGrid, T: float, cfl: float = 0.5,
 class WindowProbe:
     """wholeline_solve observer for the window [x*, x*+L] of the half-line grid.
 
-    Records u, u_x and u_xxx at x* on every step (one small product each, kept as
-    three doubles) and keeps the spectra of step 0 and of the steps in keep,
-    nothing more.
+    Records u, u_x and u_xxx at x* on every step of the time grid times (one small
+    product each, kept as three doubles).  It keeps copies of the spectra of step
+    0 and of the four steps around each sample time, whose cubic Lagrange
+    interpolant in time gives that sample's spectrum, nothing more.
     """
 
-    def __init__(self, grid: PeriodicGrid, x_star: float, window: Grid1D, keep=()):
+    def __init__(self, grid: PeriodicGrid, x_star: float, window: Grid1D, times, samples=()):
         if not (grid.x_left <= x_star and x_star + window.L <= grid.x_left + grid.P):
             raise ConfigError(
                 f"window [{x_star}, {x_star + window.L}] is not contained in the "
                 f"period [{grid.x_left}, {grid.x_left + grid.P}]"
             )
-        self.grid, self.x_star, self.window = grid, x_star, window
-        self.keep = frozenset(keep) | {0}
+        self.grid, self.x_star, self.window, self.times = grid, x_star, window, times
+        self._windows = []
+        for th in samples:
+            j = min(max(np.searchsorted(times, th), 2), len(times) - 2)
+            idx = np.arange(j - 2, j + 2)
+            tloc = times[idx]
+            lag = np.array([
+                np.prod([(th - tloc[b]) / (tloc[a] - tloc[b]) for b in range(4) if b != a])
+                for a in range(4)
+            ])
+            self._windows.append((idx, lag))
+        self._keep = frozenset(i for idx, _ in self._windows for i in idx.tolist()) | {0}
         self.spectra = {}
         self._traces = array("d")
         self._taps = np.hstack([_restriction_matrix(grid, [x_star], p) for p in (0, 1, 3)])
 
     def __call__(self, step: int, t: float, uhat):
         self._traces.frombytes((uhat @ self._taps).real.tobytes())
-        if step in self.keep:
+        if step in self._keep:
             self.spectra[step] = uhat.copy()
 
     @property
@@ -294,27 +305,31 @@ class WindowProbe:
         """u, u_x and u_xxx at x*, one row per observed step (a copy)."""
         return np.array(self._traces).reshape(-1, 3)
 
+    def sample_spectra(self) -> np.ndarray:
+        """One row per sample time: the Lagrange cubic in time of its four kept spectra."""
+        return np.array([lag @ np.array([self.spectra[i] for i in idx])
+                         for idx, lag in self._windows])
 
-def extract_halfline_data(traj: WholelineTrajectory, probe: WindowProbe,
-                          spectra) -> tuple[Field, BoundaryData, np.ndarray]:
+
+def extract_halfline_data(probe: WindowProbe) -> tuple[Field, BoundaryData, np.ndarray]:
     """Restrict a probed whole-line run to [x*, x*+L]: initial data, inflow trace
-    and the window values of each further spectrum in the stack spectra.
+    and the window values at each of the probe's sample times.
 
     f(t) is the solution at x*, and its slope comes from the equation itself,
     f'(t) = -(u_xxx + 2 u u_x)(x*, t), evaluated spectrally, so no time
     differencing enters.  Between march times f is the cubic Hermite
     interpolant of these values and slopes, and fprime, its complex step, is the
-    cubic's derivative to rounding.  The step-0 spectrum and spectra are
-    restricted in one spectral_restriction call, each block's transforms taking
-    all rows at once, with the same bits as a call per spectrum; it runs before
-    the inflow is built, so its buffers never coexist with the inflow's
+    cubic's derivative to rounding.  The step-0 spectrum and the sample spectra
+    are restricted in one spectral_restriction call, each block's transforms
+    taking all rows at once, with the same bits as a call per spectrum; it runs
+    before the inflow is built, so its buffers never coexist with the inflow's
     O(nsteps) arrays.
     """
-    stack = np.vstack([probe.spectra[0], spectra])
+    stack = np.vstack([probe.spectra[0], probe.sample_spectra()])
     restr = spectral_restriction(stack, probe.grid, probe.x_star, probe.window.h,
                                  probe.window.n)
     fvals, d1, d3 = probe.traces.T
-    inflow = _Hermite(traj.times, fvals, -(d3 + 2.0 * fvals * d1))
+    inflow = _Hermite(probe.times, fvals, -(d3 + 2.0 * fvals * d1))
     return Field(probe.window, restr[0], 0.0), BoundaryData(f=inflow), restr[1:]
 
 

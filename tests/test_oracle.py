@@ -74,6 +74,18 @@ class _Collect:
         return np.fft.irfft(np.array(self.spectra), n=m, axis=1)
 
 
+def _march(u0, grid, T, cfl, observers=()):
+    """wholeline_solve over the time grid that wholeline_times gives."""
+    return wholeline_solve(u0, grid, wholeline_times(u0, grid, T, cfl), observers=observers)
+
+
+def _replay(probe, seen):
+    """Show the probe every step a _Collect saw, as the march would."""
+    for step, (t, uhat) in enumerate(zip(seen.times, seen.spectra)):
+        probe(step, t, uhat)
+    return probe
+
+
 def test_soliton_satisfies_equation_symbolically():
     x, t = sp.symbols("x t", real=True)
     c = sp.Symbol("c", positive=True)
@@ -153,16 +165,17 @@ def test_periodic_grid_validation():
 def test_support_guard_rejects_wide_data():
     g = PeriodicGrid(60.0, 128, x_left=-30.0)
     with pytest.raises(ValueError, match="support guard"):
-        wholeline_solve(np.ones(g.m), g, T=1.0)
+        _march(np.ones(g.m), g, T=1.0, cfl=0.5)
 
 
 @pytest.fixture(scope="module")
 def soliton_run():
     per = PeriodicGrid(96.0, 512, x_left=-30.0)
     u0 = soliton_solution(1.0, 8.0)(per.nodes, 0.0)
+    times = wholeline_times(u0, per, 2.0, 0.1)
     seen = _Collect()
-    probe = WindowProbe(per, 12.0, Grid1D(20.0, 201))
-    traj = wholeline_solve(u0, per, T=2.0, cfl=0.1, observers=[seen, probe])
+    probe = WindowProbe(per, 12.0, Grid1D(20.0, 201), times)
+    traj = wholeline_solve(u0, per, times, observers=[seen, probe])
     return per, traj, seen, probe
 
 
@@ -214,7 +227,7 @@ def test_wholeline_dealiases_the_flux():
     def kept_fraction(step, t, uhat):
         worst.append(np.max(np.abs(uhat[kept])) / np.max(np.abs(uhat)))
 
-    traj = wholeline_solve(u0, per, T=1.0, cfl=0.1, observers=[kept_fraction])
+    traj = _march(u0, per, T=1.0, cfl=0.1, observers=[kept_fraction])
     assert len(worst) == len(traj.times) > 1
     assert max(worst) <= 1e-12
 
@@ -254,7 +267,7 @@ def test_window_probe_derivative_taps():
     d3 = (u(x + 2 * h, 0.0) - 2 * u(x + h, 0.0) + 2 * u(x - h, 0.0) - u(x - 2 * h, 0.0)) / (2 * h**3)
     taps = []
     for xs in x:
-        probe = WindowProbe(per, xs, Grid1D(20.0, 201))
+        probe = WindowProbe(per, xs, Grid1D(20.0, 201), [0.0, 0.1])
         probe(0, 0.0, uhat)
         probe(1, 0.1, 2.0 * uhat)  # one row per observed step, linear in the spectrum
         assert np.allclose(probe.traces[1], 2.0 * probe.traces[0], rtol=1e-14, atol=0.0)
@@ -268,12 +281,13 @@ def test_window_probe_derivative_taps():
 def test_extraction_window_must_fit():
     per = PeriodicGrid(96.0, 512, x_left=-30.0)
     with pytest.raises(ConfigError, match="not contained"):
-        WindowProbe(per, 60.0, Grid1D(20.0, 201))
+        WindowProbe(per, 60.0, Grid1D(20.0, 201), [0.0, 0.1])
 
 
 def test_extracted_data_consistent(soliton_run):
     per, traj, seen, probe = soliton_run
-    u0, bd, restr = extract_halfline_data(traj, probe, np.array(seen.spectra[-2:]))
+    probe = _replay(WindowProbe(per, 12.0, probe.window, traj.times, traj.times[-2:]), seen)
+    u0, bd, restr = extract_halfline_data(probe)
     grid = probe.window
     assert restr.shape == (2, grid.n)
     # corner compatibility and a self-consistent (f, f') pair
@@ -296,7 +310,8 @@ def test_inflow_slope_is_the_hermite_cubics_derivative(soliton_run):
     # piece through the probed values and equation slopes at the two march times
     # around each t, written out in the Hermite basis
     per, traj, seen, probe = soliton_run
-    _, bd, _ = extract_halfline_data(traj, probe, np.array(seen.spectra[-1:]))
+    probe = _replay(WindowProbe(per, 12.0, probe.window, traj.times, traj.times[-1:]), seen)
+    _, bd, _ = extract_halfline_data(probe)
     knots = np.asarray(traj.times)
     fvals, d1, d3 = np.array(probe.traces).T
     slopes = -(d3 + 2.0 * fvals * d1)
@@ -314,11 +329,10 @@ def test_stacked_restriction_matches_separate_calls(soliton_run):
     # step 0 and the further spectra share each block's transforms; on a
     # 2001-point window (the oracle recipe's) every row is the bits of its own call
     per, traj, seen, probe = soliton_run
-    wide = WindowProbe(per, 12.0, Grid1D(40.0, 2001))
-    for step, (t, uhat) in enumerate(zip(seen.times, seen.spectra)):
-        wide(step, t, uhat)
-    spectra = np.array(seen.spectra[1::len(seen.spectra) // 9][:9])
-    u0, _, restr = extract_halfline_data(traj, wide, spectra)
+    samples = traj.times[1::len(traj.times) // 9][:9]
+    wide = _replay(WindowProbe(per, 12.0, Grid1D(40.0, 2001), traj.times, samples), seen)
+    spectra = wide.sample_spectra()
+    u0, _, restr = extract_halfline_data(wide)
     x = (12.0, wide.window.h, wide.window.n)
     assert np.array_equal(u0.values, spectral_restriction(seen.spectra[0], per, *x))
     assert len(restr) == 9
@@ -347,12 +361,12 @@ def test_chirp_z_restriction_is_as_accurate_as_the_dense_sum():
     cfg = resolve_config("oracle")
     per = PeriodicGrid(cfg.oracle_P, cfg.oracle_m, cfg.oracle_x_left)
     u0 = soliton_solution(cfg.oracle_c, cfg.oracle_center)(per.nodes, 0.0)
-    nsteps = len(wholeline_times(u0, per, cfg.T, cfg.oracle_cfl)) - 1
-    keep = np.linspace(0, nsteps, 10).astype(int)
+    times = wholeline_times(u0, per, cfg.T, cfg.oracle_cfl)
+    keep = np.linspace(0, len(times) - 1, 10).astype(int)
     window = Grid1D(cfg.L, cfg.n)
-    probe = WindowProbe(per, cfg.oracle_x_star, window, keep=keep.tolist())
-    wholeline_solve(u0, per, cfg.T, cfg.oracle_cfl, observers=[probe])
-    spectra = np.array([probe.spectra[s] for s in keep])
+    probe = WindowProbe(per, cfg.oracle_x_star, window, times, times[keep])
+    wholeline_solve(u0, per, times, observers=[probe])
+    spectra = probe.sample_spectra()
     for x0, h, n in ((cfg.oracle_x_star, window.h, window.n), (17.3, 0.031, 389),
                      (-20.0, 0.7, 130)):
         j = np.r_[0:n:7, n - 1]
@@ -369,18 +383,40 @@ def test_kept_spectra_survive_the_in_place_march(soliton_run):
     # the march hands every observer one buffer that it updates in place: a
     # reference taken at a step is the final state by the end, while the
     # probe's kept copies still hold their own steps' spectra
-    per, _, seen, _ = soliton_run
+    per, traj, seen, _ = soliton_run
     u0 = soliton_solution(1.0, 8.0)(per.nodes, 0.0)
     refs = []
-    probe = WindowProbe(per, 12.0, Grid1D(20.0, 201), keep=[1, 5])
-    wholeline_solve(u0, per, T=2.0, cfl=0.1,
+    probe = WindowProbe(per, 12.0, Grid1D(20.0, 201), traj.times, traj.times[[1, 5]])
+    wholeline_solve(u0, per, traj.times,
                     observers=[probe, lambda step, t, uhat: refs.append(uhat)])
     assert all(r is refs[0] for r in refs)
     assert np.array_equal(refs[0], seen.spectra[-1])
-    assert sorted(probe.spectra) == [0, 1, 5]
+    assert sorted(probe.spectra) == list(range(7))
     for step, kept in probe.spectra.items():
         assert np.array_equal(kept, seen.spectra[step])
         assert not np.array_equal(kept, seen.spectra[-1])
+
+
+def test_probe_samples_on_march_steps_are_the_march_spectra(soliton_run):
+    # at a march time the cubic Lagrange weights are one-hot, so the sample's
+    # spectrum is that step's own, bit for bit, at both ends and inside
+    per, traj, seen, _ = soliton_run
+    steps = [0, 1, 2, 7, len(traj.times) // 2, len(traj.times) - 2, len(traj.times) - 1]
+    probe = _replay(WindowProbe(per, 12.0, Grid1D(20.0, 201), traj.times, traj.times[steps]),
+                    seen)
+    assert np.array_equal(probe.sample_spectra(), np.array([seen.spectra[s] for s in steps]))
+
+
+def test_probe_keeps_step_0_and_the_sample_windows(soliton_run):
+    # each sample keeps the four steps around it (the first four and the last
+    # four at the ends), and the probe keeps those and step 0, nothing else
+    per, traj, seen, _ = soliton_run
+    t, n = traj.times, len(traj.times) - 1
+    samples = [0.5 * (t[10] + t[11]), 0.25 * t[40] + 0.75 * t[41], t[n]]
+    probe = _replay(WindowProbe(per, 12.0, Grid1D(20.0, 201), t, samples), seen)
+    assert sorted(probe.spectra) == [0, 9, 10, 11, 12, 39, 40, 41, 42, n - 3, n - 2, n - 1, n]
+    for step, kept in probe.spectra.items():
+        assert np.array_equal(kept, seen.spectra[step])
 
 
 def test_march_commutes_with_kdv_scaling():
@@ -393,8 +429,8 @@ def test_march_commutes_with_kdv_scaling():
         per = PeriodicGrid(P, 256, x_left=-P / 2)
         seen = _Collect()
         scale = 120.0 / P
-        traj = wholeline_solve(scale**2 * u0(scale * per.nodes), per, T=T, cfl=0.1,
-                               observers=[seen])
+        traj = _march(scale**2 * u0(scale * per.nodes), per, T=T, cfl=0.1,
+                      observers=[seen])
         runs.append((traj.times, np.array(seen.spectra)))
     (times, spectra), (times2, spectra2) = runs
     assert len(times) == len(times2) > 50
@@ -415,7 +451,7 @@ def test_bump_data_round_trip():
     per = PeriodicGrid(96.0, 256, x_left=-48.0)
     u0 = gaussian_bump(0.5, 0.0, 3.0)(per.nodes)
     seen = _Collect()
-    traj = wholeline_solve(u0, per, T=0.5, cfl=0.3, observers=[seen])
+    traj = _march(u0, per, T=0.5, cfl=0.3, observers=[seen])
     assert len(seen.spectra) == len(traj.times)
     assert seen.steps[0] == 0 and seen.times[0] == 0.0
     assert np.array_equal(seen.spectra[0], np.fft.rfft(u0))
