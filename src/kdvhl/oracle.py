@@ -279,6 +279,8 @@ class WindowProbe:
                 f"window [{x_star}, {x_star + window.L}] is not contained in the "
                 f"period [{grid.x_left}, {grid.x_left + grid.P}]"
             )
+        if len(samples) and len(times) < 4:
+            raise ValueError(f"sampling needs a time grid of at least 4 times, got {len(times)}")
         self.grid, self.x_star, self.window, self.times = grid, x_star, window, times
         self._windows = []
         for th in samples:
@@ -325,7 +327,7 @@ def extract_halfline_data(probe: WindowProbe) -> tuple[Field, BoundaryData, np.n
     before the inflow is built, so its buffers never coexist with the inflow's
     O(nsteps) arrays.
     """
-    stack = np.vstack([probe.spectra[0], probe.sample_spectra()])
+    stack = np.vstack([probe.spectra[0], *probe.sample_spectra()])
     restr = spectral_restriction(stack, probe.grid, probe.x_star, probe.window.h,
                                  probe.window.n)
     fvals, d1, d3 = probe.traces.T

@@ -11,12 +11,13 @@ Van Loan 1979), and each Picard sweep on the midpoint-averaged nonlinear flux so
 with two unit-diagonal BLAS dtbsv calls, scipy's compiled kernel loaded from its file,
 and one product by the pivot reciprocals between them: U is scaled by rows once per
 factorization, so no row divides by its pivot inside the serial recurrence.
-Each step iterates from the cubic in time through u^n and the three states before it,
-4u^n - 6u^{n-1} + 4u^{n-2} - u^{n-3}; steps 1-3 use the lower-order extrapolant through
-every state there is (u^n on step 1 and in linear runs).  The solutions are smooth in
-time away from t = 0, so each order brings the start about one power of dt closer to
-the fixed point.  The order stops at the cubic: a quartic start caps more steps on
-rough data (a kink profile), which is not smooth enough in time for it.  A step
+Each step iterates from u^n + grad u^n + ... + grad^k u^n (Newton's backward differences),
+the order-k polynomial in time through u^n and k earlier states: k = 0, 1, 2 on steps 1-3
+(u^n also in linear runs), then the cubic.  On step 16 and every 128th after it, if the
+last eight states' steps converged, solve re-chooses k in 3..6 from grad^{k+1} u^n, the
+order-k start's error on the last step: k rises only where it starts within the stop
+tolerance (one sweep), or where the cubic's error would cost three sweeps; on rough
+data (a kink profile) higher differences grow, and the cubic stays.  A step
 iterates until the last update, or the estimated distance to the fixed point (Hairer &
 Wanner IV.8), is within picard_tol*(1 + max|u^n|), for at most picard_max sweeps, and
 records its sweep count and that estimate.  A forced step reuses the last step's
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from math import comb
 from typing import Callable, Optional
 
 import numpy as np
@@ -212,19 +214,36 @@ class _System:
         self.lu = splu((a[order], rows[order], colptr))
 
 
-# weights on u^n, u^{n-1}, ... of the polynomial through u^n and m earlier states at t^{n+1}
-_EXTRAPOLANTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
-_HISTORY = len(_EXTRAPOLANTS) - 1  # earlier states a step's start uses: the cubic
+# weights on u^n, u^{n-1}, ... of the order-k start u^n + grad u^n + ... + grad^k u^n (Newton's
+# backward differences), the polynomial through u^n and k earlier states at t^{n+1}:
+# (-1)^j C(k + 1, j + 1) on u^{n-j}, k = 0..6
+_EXTRAPOLANTS = tuple(tuple(float((-1) ** j * comb(k + 1, j + 1)) for j in range(k + 1))
+                      for k in range(7))
+_HISTORY = 7  # earlier states kept: grad^7 u^n is the sextic start's error
+_CHOOSE_EVERY = 128  # steps between order choices, the first on step 16
 
 
 def _extrapolate(u: np.ndarray, history) -> np.ndarray:
     """The polynomial in time through u^n and history = (u^{n-1}, u^{n-2}, ...), most
-    recent first and at most _HISTORY long, evaluated one step ahead (a new array)."""
+    recent first and at most 6 long, evaluated one step ahead (a new array)."""
     w = _EXTRAPOLANTS[len(history)]
     uk = w[0] * u
     for c, p in zip(w[1:], history):
         uk += c * p
     return uk
+
+
+def _order(u: np.ndarray, history, tol: float) -> int:
+    """The start's order from the errors e_k = max|grad^{k+1} u^n| of the order-k starts on
+    the last step, k = 3..6: the lowest k with e_k <= tol (one sweep), else the k of the
+    least e_k when e_3 > 1e4*tol (three sweeps or more), else 3.  Ufuncs only."""
+    d, errs = np.array([u, *history]), []
+    for level in range(1, _HISTORY + 1):
+        d = d[:-1] - d[1:]  # row j: grad^level u^{n-j}
+        if level > 3:
+            errs.append(float(np.max(np.abs(d[0]))))
+    return next((k for k, e in enumerate(errs, start=3) if e <= tol),
+                3 + errs.index(min(errs)) if errs[0] > 1e4 * tol else 3)
 
 
 class _LastForcing:
@@ -321,12 +340,14 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
     with np.errstate(over="ignore", invalid="ignore"):
         for obs in observers:
             obs(state)
-        history = ()  # references, not copies: each step's state is a new array
+        history, order = (), 3  # references, not copies: each step's state is a new array
         step_cfg = cfg if cfg.forcing is None else replace(cfg, forcing=_LastForcing(cfg.forcing))
         for k in range(1, nsteps + 1):
             un = state.values
+            if k % _CHOOSE_EVERY == 16 and converged[k - _HISTORY - 1:k].all():
+                order = _order(un, history, cfg.picard_tol * (1.0 + float(np.max(np.abs(un)))))
             state, updates[k], distances[k], sweeps[k], converged[k] = _advance(
-                state, step_cfg, bd, sys_, history)
+                state, step_cfg, bd, sys_, history[:order])
             history = (un,) + history[:_HISTORY - 1]
             # pin the step clock to k*dt so long runs do not accumulate drift
             state.t = k * cfg.dt

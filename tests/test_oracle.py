@@ -514,3 +514,29 @@ def test_spectral_restriction_peak_memory():
             tracemalloc.stop()
     assert peaks[0] < 3_000_000, peaks
     assert peaks[1] - peaks[0] <= 1.1 * 8 * 18000, peaks
+
+
+def test_window_probe_refuses_samples_on_fewer_than_4_times():
+    # a sample's cubic Lagrange window takes four march times; on three it used to
+    # reach step -1 and divide by zero
+    per = PeriodicGrid(64.0, 64, x_left=-32.0)
+    times = np.linspace(0.0, 0.02, 3)
+    with pytest.raises(ValueError, match="at least 4 times, got 3"):
+        WindowProbe(per, 0.0, Grid1D(20.0, 101), times, [0.01])
+    WindowProbe(per, 0.0, Grid1D(20.0, 101), times)  # without samples it may be short
+
+
+def test_probe_without_samples_extracts_no_sample_rows():
+    per = PeriodicGrid(64.0, 64, x_left=-32.0)
+    u0 = gaussian_bump(0.5, 8.0, 2.0)(per.nodes)
+    times = wholeline_times(u0, per, 2.0, 0.5)
+    assert len(times) == 5
+    bare, sampled = (WindowProbe(per, 0.0, Grid1D(20.0, 101), times, s)
+                     for s in ((), times[-1:]))
+    wholeline_solve(u0, per, times, observers=[bare, sampled])
+    u0_bare, bd_bare, rows = extract_halfline_data(bare)
+    u0_sampled, bd_sampled, _ = extract_halfline_data(sampled)
+    assert rows.shape == (0, 101)
+    # the initial data and the inflow are the sampled probe's, bit for bit
+    assert np.array_equal(u0_bare.values, u0_sampled.values)
+    assert bd_bare.f(1.25) == bd_sampled.f(1.25)

@@ -1,5 +1,8 @@
 """Implicit stepper: boundary rows, energy behavior, failure modes."""
 
+from fractions import Fraction
+from math import comb, prod
+
 import numpy as np
 import pytest
 from scipy.sparse import csc_matrix, csr_matrix, diags as sp_diags, identity as sp_identity
@@ -212,21 +215,41 @@ def test_nonfinite_state_raises():
             solve(u0, SolverConfig(dt=0.05, T=0.5), BoundaryData())
 
 
+def _start_reference(u, prev):
+    """The polynomial in time through u^n and prev = (u^{n-1}, ..., u^{n-k}) at t^{n+1},
+    from its Lagrange weights on the times 0, -1, ..., -k at 1: integers, so exact in
+    floating point; summed most recent first."""
+    k = len(prev)
+    w = [float(prod(Fraction(1 + m, m - j) for m in range(k + 1) if m != j))
+         for j in range(k + 1)]
+    uk = w[0] * u
+    for c, p in zip(w[1:], prev):
+        uk = uk + c * p
+    return uk
+
+
+def _order_reference(states, tol):
+    """The start's order from states = (u^n, u^{n-1}, ..., u^{n-7}): with e_k the largest
+    |(k + 1)-th difference| at u^n, the lowest k in 3..6 with e_k <= tol, else the k
+    of the least e_k when e_3 > 1e4*tol, else 3."""
+    oldest_first = np.array(states[::-1])
+    errs = [np.max(np.abs(np.diff(oldest_first, n=k + 1, axis=0)[-1])) for k in range(3, 7)]
+    within = [k for k, e in zip(range(3, 7), errs) if e <= tol]
+    if within:
+        return within[0]
+    return 3 + int(np.argmin(errs)) if errs[0] > 1e4 * tol else 3
+
+
 def _advance_reference(field, cfg, bd, sys_, prev=()):
     """The stepper's Picard loop written out with the midpoint flux's own 0.5 and
     dt scalings. The first iterate is the polynomial in time through u^n and
-    prev = (u^{n-1}, u^{n-2}, u^{n-3}), as many as are given, at t^{n+1}. Returns
+    prev = (u^{n-1}, u^{n-2}, ...), as many as are given, at t^{n+1}. Returns
     (new field, final update norm, estimated distance left, sweeps, stop test passed)."""
     u, tn = field.values, field.t + cfg.dt
     expl = u - (cfg.dt * (1.0 - cfg.theta)) * (sys_.D3 @ u)
     b_left = float(bd.f(tn))
     tol = cfg.picard_tol * (1.0 + float(np.max(np.abs(u))))
-    if len(prev) == 3:
-        uk = 4.0 * u - 6.0 * prev[0] + 4.0 * prev[1] - prev[2]
-    elif len(prev) == 2:
-        uk = 3.0 * u - 3.0 * prev[0] + prev[1]
-    else:
-        uk = 2.0 * u - prev[0] if prev else u
+    uk = _start_reference(u, prev)
     deltas, ok = [np.inf], False
     for sweeps in range(1, cfg.picard_max + 1):
         um = 0.5 * (u + uk)
@@ -250,31 +273,39 @@ def _advance_reference(field, cfg, bd, sys_, prev=()):
 
 def _march_reference(u0, cfg, bd, extrapolate=True):
     """March the reference step, from u^n on every step unless extrapolate; returns
-    (final field, [(final update, distance, sweeps, stop flag, state values)] per step)."""
+    (final field, [(final update, distance, sweeps, stop flag, state values, start
+    order)] per step).  Step k starts from the order-(k - 1) polynomial up to step 4,
+    then from the cubic, whose order _order_reference re-chooses on step 16 and every
+    128th step after it when the eight steps before stopped within the cap (step 0,
+    the initial state, counts as stopped)."""
     sys_ = _System(u0.grid, cfg.dt, cfg.theta)  # factorization is deterministic: solve's bits
-    state, prev, steps = u0, [], []
+    state, prev, steps, order = u0, [], [], 3
     for k in range(1, cfg.nsteps + 1):
         un = state.values
-        state, upd, dist, nsw, ok = _advance_reference(state, cfg, bd, sys_,
-                                                       tuple(prev) if extrapolate else ())
-        state.t, prev = k * cfg.dt, [un] + prev[:2]
-        steps.append((upd, dist, nsw, ok, state.values.copy()))
+        if k % 128 == 16 and all(step[3] for step in steps[k - 9:]):
+            order = _order_reference([un, *prev],
+                                     cfg.picard_tol * (1.0 + float(np.max(np.abs(un)))))
+        start = tuple(prev[:order]) if extrapolate else ()
+        state, upd, dist, nsw, ok = _advance_reference(state, cfg, bd, sys_, start)
+        state.t, prev = k * cfg.dt, [un] + prev[:6]
+        steps.append((upd, dist, nsw, ok, state.values.copy(), len(start)))
     return state, steps
 
 
 @pytest.mark.parametrize("amplitude,dt,picard_max", [(50.0, 1e-4, 12), (0.8, 0.02, 4)],
                          ids=["converges", "capped"])
 def test_picard_stop_bound_keeps_every_decision(amplitude, dt, picard_max, kept):
-    # the stepper folds the flux's 0.5 and dt into one dt/4, starts from the cubic
-    # through the last four states and stops on the estimated distance to the fixed
-    # point; every state, final update, distance, sweep count and stop flag must
-    # match the reference bit for bit. At amplitude 50 max|u| sets the tolerance
+    # the stepper folds the flux's 0.5 and dt into one dt/4, starts from the
+    # extrapolant of the order it chooses from its own backward differences and stops
+    # on the estimated distance to the fixed point; every state, final update,
+    # distance, sweep count and stop flag must match the reference bit for bit. At
+    # amplitude 50 max|u| sets the tolerance
     g = Grid1D(20.0, 401)
     cfg = SolverConfig(dt=dt, T=20 * dt, picard_max=picard_max)
     u0, bd, states = bump_field(g, amplitude, center=8.0), BoundaryData(), kept()
     traj = solve(u0, cfg, bd, observers=[states])
     _, steps = _march_reference(u0, cfg, bd)
-    for k, (upd, dist, nsw, ok, values) in enumerate(steps, start=1):
+    for k, (upd, dist, nsw, ok, values, _) in enumerate(steps, start=1):
         assert upd == traj.picard_updates[k]
         assert dist == traj.picard_distances[k]
         assert nsw == traj.picard_sweeps[k]
@@ -285,6 +316,11 @@ def test_picard_stop_bound_keeps_every_decision(amplitude, dt, picard_max, kept)
     assert max(sweeps) < picard_max if amplitude > 1.0 else sweeps == {picard_max}
     converged = traj.picard_converged[1:]
     assert converged.all() if amplitude > 1.0 else not converged.any()
+    # the first case re-chooses a higher order on step 16; the second never may, as
+    # every step before it ends at the cap
+    orders = [step[5] for step in steps]
+    assert orders[:15] == [0, 1, 2] + [3] * 12
+    assert min(orders[15:]) > 3 if amplitude > 1.0 else orders[15:] == [3] * 5
 
 
 def test_capped_steps_are_recorded():
@@ -306,32 +342,80 @@ def test_rate_test_never_stops_on_a_single_update():
     assert np.all(traj.picard_sweeps[1:] >= 2)
 
 
-def test_start_is_the_cubic_through_the_last_four_states(monkeypatch):
-    # a state sequence cubic in time is extrapolated to rounding from four states,
-    # and only from four; solve hands step k its k - 1 earlier states up to three
-    coef = np.random.default_rng(0).standard_normal((4, 50))
-
-    def states(degree):  # u at t = 0, 0.01, ..., 0.04, most recent first
-        return [sum(c * t**j for j, c in enumerate(coef[:degree + 1]))
-                for t in 0.01 * np.arange(4, -1, -1)]
-
-    for m in range(4):
-        u = states(m)
-        got = _extrapolate(u[1], tuple(u[2:2 + m]))
-        assert np.max(np.abs(got - u[0])) <= 1e-14 * np.max(np.abs(u[0]))
-    u = states(3)
-    assert np.max(np.abs(_extrapolate(u[1], tuple(u[2:4])) - u[0])) > 1e-8
-    orders = []
+def _start_orders(monkeypatch, run):
+    """The start's order on each step of the solves run() makes: the number of earlier
+    states solve hands _advance."""
+    orders, advance = [], solver._advance
 
     def spy(field, cfg, bd, sys_, history=()):
         orders.append(len(history))
         return advance(field, cfg, bd, sys_, history)
 
-    advance = solver._advance
-    monkeypatch.setattr(solver, "_advance", spy)
-    g = Grid1D(20.0, 201)
-    solve(bump_field(g), SolverConfig(dt=0.01, T=0.06), BoundaryData())
-    assert orders == [0, 1, 2, 3, 3, 3]
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_advance", spy)
+        run()
+    return orders
+
+
+def test_start_is_the_newton_extrapolant_of_the_chosen_order(monkeypatch):
+    # the order-k start reproduces a state sequence of degree k in time to rounding,
+    # and misses one of degree k + 1, for k = 0..6
+    coef = np.random.default_rng(0).standard_normal((8, 50))
+
+    def states(degree):  # u at t = 0, 0.1, ..., 0.7, most recent first
+        return [sum(c * t**j for j, c in enumerate(coef[:degree + 1]))
+                for t in 0.1 * np.arange(7, -1, -1)]
+
+    for k in range(7):
+        u = states(k)
+        scale = np.max(np.abs(u[0]))
+        assert np.max(np.abs(_extrapolate(u[1], tuple(u[2:2 + k])) - u[0])) <= 1e-14 * scale
+        u = states(k + 1)
+        assert np.max(np.abs(_extrapolate(u[1], tuple(u[2:2 + k])) - u[0])) > 1e-6 * scale
+    # steps 1-4 start from orders 0-3 and later ones from the cubic until the first
+    # choice on step 16; on the soliton recipe's grid it chooses a higher order, and
+    # no step's order ever falls below 3
+    u0, bd, scfg = _soliton_start(150)
+    orders = _start_orders(monkeypatch, lambda: solve(u0, scfg, bd))
+    assert orders[:15] == [0, 1, 2] + [3] * 12
+    assert min(orders[15:]) > 3 and max(orders) <= 6
+    assert {k for k in range(5, 151) if orders[k - 1] != orders[k - 2]} <= {16, 144}
+
+
+@pytest.mark.parametrize("grads,order", [
+    ((0.5, 1, 1, 1), 3),            # the cubic is within tol: it stays
+    ((16, 0.5, 0.25, 0.5), 4),      # the lowest order within tol
+    ((2048, 8, 4, 8), 3),           # none within tol, the cubic's error under 1e4*tol
+    ((16384, 8, 2, 4), 5),          # the cubic's error above 1e4*tol: the least error
+    ((16384, 32768, 65536, 131072), 3),  # errors growing with the order: the cubic
+])
+def test_order_choice_rule(grads, order):
+    # states built from chosen backward differences at u^n, by Newton's formula
+    # u^{n-j} = sum_m (-1)^m C(j, m) grad^m u^n; every value is dyadic, so each
+    # difference the choice takes is exact and e_k = |grad^{k+1} u^n| with tol = 1
+    v = np.array([1.0, -0.5, 0.25])
+    grad = [1.0, 0.5, 0.25, 0.125, *grads]
+    states = [sum((-1) ** m * comb(j, m) * g * v for m, g in enumerate(grad))
+              for j in range(8)]
+    assert solver._order(states[0], tuple(states[1:]), 1.0) == order
+
+
+def test_kink_profile_keeps_the_cubic_on_every_step(monkeypatch):
+    # l1_full_time's kink profile is rough in time: its higher differences grow with
+    # the order, so every choice, at every level, keeps the cubic
+    from kdvhl.experiments import run_propagation
+
+    choices, order = [], solver._order
+
+    def spy(*args):
+        choices.append(order(*args))
+        return choices[-1]
+
+    monkeypatch.setattr(solver, "_order", spy)
+    orders = _start_orders(monkeypatch,
+                           lambda: run_propagation(resolve_config("l1_full_time")))
+    assert len(choices) >= 5 and set(choices) == {3}
+    assert max(orders) == 3
 
 
 def _soliton_start(steps):
@@ -466,7 +550,7 @@ def test_nonfinite_boundary_data_rejected(which):
         solve(Field(Grid1D(20.0, 201), np.zeros(201), 0.0), SolverConfig(dt=0.05, T=0.5), bd)
 
 
-def test_forcing_is_reused_across_steps_bit_for_bit(kept):
+def test_forcing_is_reused_across_steps_bit_for_bit(kept, monkeypatch):
     # one step's F(x, t^{n+1}) serves the next step as F(x, t^n) when the pinned
     # clock n*dt equals t^{n-1} + dt exactly; the states equal a march that
     # evaluates the forcing twice on every step
@@ -484,17 +568,21 @@ def test_forcing_is_reused_across_steps_bit_for_bit(kept):
     cfg = SolverConfig(dt=dt, T=nsteps * dt, forcing=forcing)
     bd = BoundaryData(f=lambda t: u_e(0.0, t))
     states = kept()
-    solve(Field(g, u_e(g.nodes, 0.0), 0.0), cfg, bd, observers=[states])
+    orders = _start_orders(monkeypatch, lambda: solve(Field(g, u_e(g.nodes, 0.0), 0.0), cfg,
+                                                      bd, observers=[states]))
     misses = sum((k - 1) * dt != (k - 2) * dt + dt for k in range(2, nsteps + 1))
     assert 0 < misses < nsteps // 2  # both branches of the reuse run
     assert len(calls) == nsteps + 1 + misses
 
+    # each step of the reference march starts from the order solve chose for it,
+    # some of them above the cubic
+    assert max(orders) > 3
     sys_ = _System(g, dt, 0.5)
     state, history = Field(g, u_e(g.nodes, 0.0), 0.0), ()
     for k in range(1, nsteps + 1):
         un = state.values
-        state = solver._advance(state, cfg, bd, sys_, history)[0]
-        state.t, history = k * dt, (un,) + history[:2]
+        state = solver._advance(state, cfg, bd, sys_, history[:orders[k - 1]])[0]
+        state.t, history = k * dt, (un,) + history[:6]
         assert np.array_equal(state.values, states[k].values)
 
 
