@@ -20,7 +20,13 @@ tolerance (one sweep), or where the cubic's error would cost three sweeps; on ro
 data (a kink profile) higher differences grow, and the cubic stays.  A step
 iterates until the last update, or the estimated distance to the fixed point (Hairer &
 Wanner IV.8), is within picard_tol*(1 + max|u^n|), for at most picard_max sweeps, and
-records its sweep count and that estimate.  A forced step reuses the last step's
+records its sweep count and that estimate.  For theta > 0 the last sweep's solve gives
+theta*dt*D3 u^{n+1} = b - u^{n+1} off the pinned rows, so a step hands the next its
+explicit part u^{n+1} - (1 - theta)*dt*D3 u^{n+1} as u^{n+1} - ((1 - theta)/theta)(b -
+u^{n+1}), 2u^{n+1} - b at theta = 1/2, with no D3 product: a fresh product's rounding is
+unrelated to the step before, and as it doubles with each backward difference it kept
+the order choice at the cubic.  Step 1 has no solve before it, and at theta = 0 (A = I)
+b holds no D3 u, so both form the product.  A forced step reuses the last step's
 F(x, t^{n+1}) as its F(x, t^n) whenever the two times agree bit for bit.  solve
 keeps only the final state and computes no wall traces: observers, such as
 diagnostics.TraceSeries, measure every other state as the march passes it.
@@ -128,7 +134,6 @@ class Trajectory:
     """Output of one solve: the final state and per-step Picard bookkeeping."""
 
     grid: Grid1D
-    times: np.ndarray
     final: Field
     picard_updates: np.ndarray
     picard_distances: np.ndarray  # per step: estimated distance left to the fixed point
@@ -260,14 +265,18 @@ class _LastForcing:
         return self.last[1]
 
 
-def _advance(field: Field, cfg: SolverConfig, bd: BoundaryData, sys_: _System, history=()):
+def _advance(field: Field, cfg: SolverConfig, bd: BoundaryData, sys_: _System, history=(),
+             expl=None):
     """One theta-step from u^n, with history = the accepted states before it, most
-    recent first; returns (new field, final Picard update norm, estimated distance
-    left to the fixed point, sweeps, whether the stop test passed)."""
+    recent first, and expl = u^n - (1 - theta)*dt*D3 u^n as the last step carried it
+    (None: a D3 product forms it); returns (new field, final Picard update norm,
+    estimated distance left to the fixed point, sweeps, whether the stop test passed,
+    the new state's expl, None at theta = 0)."""
     u = field.values
     t = field.t
     tn = t + cfg.dt
-    expl = u - (cfg.dt * (1.0 - cfg.theta)) * (sys_.D3 @ u)
+    if expl is None:
+        expl = u - (cfg.dt * (1.0 - cfg.theta)) * (sys_.D3 @ u)
     if cfg.forcing is not None:
         x = field.grid.nodes
         Fn = np.asarray(cfg.forcing(x, t), dtype=float)  # first: a _LastForcing may hold it
@@ -281,7 +290,8 @@ def _advance(field: Field, cfg: SolverConfig, bd: BoundaryData, sys_: _System, h
     for sweeps in range(1, cfg.picard_max + 1):
         if cfg.nonlinear:
             um = u + uk
-            b = expl - (0.25 * cfg.dt) * (sys_.D1 @ (um * um))  # dt * D1(((u + uk)/2)^2)
+            flux = (0.25 * cfg.dt) * (sys_.D1 @ (um * um))  # dt * D1(((u + uk)/2)^2)
+            b = expl - flux
         else:
             b = expl.copy()
         b[0] = b_left
@@ -313,7 +323,17 @@ def _advance(field: Field, cfg: SolverConfig, bd: BoundaryData, sys_: _System, h
     uk[0] = b_left
     uk[-2] = 0.0
     uk[-1] = 0.0
-    return Field(field.grid, uk, tn), delta, distance, sweeps, converged
+    # off the pinned rows the last solve gave (I + theta*dt*D3) uk = b, so theta*dt*D3 uk
+    # = b - uk and the next expl is uk - c*(b - uk), c = (1 - theta)/theta; the solve
+    # overwrote b, rebuilt here to the same bits off the pinned rows, in flux's buffer.
+    # At theta = 0, A = I and b holds no D3 uk
+    carried = None
+    if cfg.theta > 0.0:
+        c = (1.0 - cfg.theta) / cfg.theta
+        carried = np.subtract(expl, flux, out=flux) if cfg.nonlinear else expl.copy()
+        carried *= -c
+        carried += (1.0 + c) * uk  # (1 + c)*uk - c*b: 2uk - b at theta = 1/2, uk at theta = 1
+    return Field(field.grid, uk, tn), delta, distance, sweeps, converged, carried
 
 
 def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Trajectory:
@@ -340,14 +360,15 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
     with np.errstate(over="ignore", invalid="ignore"):
         for obs in observers:
             obs(state)
-        history, order = (), 3  # references, not copies: each step's state is a new array
+        # references, not copies: each step's state is a new array
+        history, order, expl = (), 3, None
         step_cfg = cfg if cfg.forcing is None else replace(cfg, forcing=_LastForcing(cfg.forcing))
         for k in range(1, nsteps + 1):
             un = state.values
             if k % _CHOOSE_EVERY == 16 and converged[k - _HISTORY - 1:k].all():
                 order = _order(un, history, cfg.picard_tol * (1.0 + float(np.max(np.abs(un)))))
-            state, updates[k], distances[k], sweeps[k], converged[k] = _advance(
-                state, step_cfg, bd, sys_, history[:order])
+            state, updates[k], distances[k], sweeps[k], converged[k], expl = _advance(
+                state, step_cfg, bd, sys_, history[:order], expl)
             history = (un,) + history[:_HISTORY - 1]
             # pin the step clock to k*dt so long runs do not accumulate drift
             state.t = k * cfg.dt
@@ -355,7 +376,6 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
                 obs(state)
     return Trajectory(
         grid=u0.grid,
-        times=np.arange(nsteps + 1) * cfg.dt,  # each state's pinned clock k*dt
         final=state,
         picard_updates=updates,
         picard_distances=distances,

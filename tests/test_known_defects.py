@@ -13,7 +13,8 @@ import pytest
 
 from kdvhl.cli import available_recipes, resolve_config
 from kdvhl.discretization import Grid1D
-from kdvhl.experiments import _oracle_reference, run_oracle_compare, scenario, solver_config
+from kdvhl.experiments import (_oracle_reference, run_oracle_compare, run_simulate, scenario,
+                               solver_config)
 from kdvhl.solver import solve
 from kdvhl.weights import CutoffSpec, chi
 
@@ -57,3 +58,14 @@ def test_no_picard_step_caps_in_the_first_20_steps_at_level_0():
         traj = solve(u0, solver_config(cfg, forcing), bd)
         capped[name] = int(np.sum(~traj.picard_converged))
     assert capped == dict.fromkeys(capped, 0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: simulate on l2_stopped reports no passes block, "
+                          "while its dissipation.relative reads 94.5")
+def test_simulate_flags_the_unresolved_drain_law_on_l2_stopped():
+    # the m = 2 kink at x = 1 puts grid-scale content at the wall at once: the predicted
+    # drain -1/2 int u_x(0,t)^2 dt misses the energy change by 95 times it, and a run
+    # that cannot check its law should say so in a false passes entry
+    report, _ = run_simulate(resolve_config("l2_stopped"))
+    assert False in report.get("passes", {}).values()

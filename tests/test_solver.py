@@ -67,9 +67,8 @@ def test_dirichlet_row_exact(kept):
     g = Grid1D(20.0, 401)
     bd = BoundaryData(f=gaussian_pulse(A=0.5, t_c=0.4, w=0.2))
     states = kept()
-    traj = solve(Field(g, np.zeros(g.n), 0.0), SolverConfig(dt=0.01, T=1.0), bd,
-                 observers=[states])
-    fvals = np.array([bd.f(t) for t in traj.times])
+    solve(Field(g, np.zeros(g.n), 0.0), SolverConfig(dt=0.01, T=1.0), bd, observers=[states])
+    fvals = np.array([bd.f(s.t) for s in states])
     # the observer sees every state
     assert np.max(np.abs(np.array([s.values[0] for s in states]) - fvals)) <= 1e-12
 
@@ -97,11 +96,12 @@ def test_incompatible_corner_raises():
     solve(u0, SolverConfig(dt=0.1, T=0.5), BoundaryData())
 
 
-def test_trace_sampling_every_step():
+def test_trace_sampling_every_step(kept):
+    # the observers see the initial state and every step's, each at its pinned clock k*dt
     g = Grid1D(20.0, 201)
-    traj = solve(bump_field(g), SolverConfig(dt=0.05, T=0.15), BoundaryData())
-    assert len(traj.times) == 4
-    assert traj.times == pytest.approx([0.0, 0.05, 0.1, 0.15], abs=1e-15)
+    states = kept()
+    solve(bump_field(g), SolverConfig(dt=0.05, T=0.15), BoundaryData(), observers=[states])
+    assert [s.t for s in states] == [k * 0.05 for k in range(4)]
 
 
 @pytest.mark.parametrize("stride", [1, 3, 7, 10, 11, 10**18])
@@ -240,13 +240,17 @@ def _order_reference(states, tol):
     return 3 + int(np.argmin(errs)) if errs[0] > 1e4 * tol else 3
 
 
-def _advance_reference(field, cfg, bd, sys_, prev=()):
+def _advance_reference(field, cfg, bd, sys_, prev=(), expl=None):
     """The stepper's Picard loop written out with the midpoint flux's own 0.5 and
     dt scalings. The first iterate is the polynomial in time through u^n and
-    prev = (u^{n-1}, u^{n-2}, ...), as many as are given, at t^{n+1}. Returns
-    (new field, final update norm, estimated distance left, sweeps, stop test passed)."""
+    prev = (u^{n-1}, u^{n-2}, ...), as many as are given, at t^{n+1}; expl is
+    u^n - (1 - theta)*dt*D3 u^n, from a D3 product when not given. Returns
+    (new field, final update norm, estimated distance left, sweeps, stop test
+    passed, the new state's expl): off the pinned rows the last solve gives
+    theta*dt*D3 u^{n+1} = b - u^{n+1}, with b kept by a copy."""
     u, tn = field.values, field.t + cfg.dt
-    expl = u - (cfg.dt * (1.0 - cfg.theta)) * (sys_.D3 @ u)
+    if expl is None:
+        expl = u - (cfg.dt * (1.0 - cfg.theta)) * (sys_.D3 @ u)
     b_left = float(bd.f(tn))
     tol = cfg.picard_tol * (1.0 + float(np.max(np.abs(u))))
     uk = _start_reference(u, prev)
@@ -255,7 +259,7 @@ def _advance_reference(field, cfg, bd, sys_, prev=()):
         um = 0.5 * (u + uk)
         b = expl - cfg.dt * (sys_.D1 @ (um * um))
         b[0], b[-2], b[-1] = b_left, 0.0, 0.0
-        unew = sys_.lu.solve(b)
+        unew = sys_.lu.solve(b.copy())
         deltas.append(float(np.max(np.abs(unew - uk))))
         uk = unew
         rate = deltas[-1] / deltas[-2]
@@ -268,25 +272,27 @@ def _advance_reference(field, cfg, bd, sys_, prev=()):
     else:
         dist = rate / (1.0 - rate) * deltas[-1] if rate < 1.0 else np.inf
     uk[0], uk[-2], uk[-1] = b_left, 0.0, 0.0
-    return Field(field.grid, uk, tn), deltas[-1], dist, sweeps, ok
+    c = (1.0 - cfg.theta) / cfg.theta
+    return Field(field.grid, uk, tn), deltas[-1], dist, sweeps, ok, (1.0 + c) * uk - c * b
 
 
 def _march_reference(u0, cfg, bd, extrapolate=True):
     """March the reference step, from u^n on every step unless extrapolate; returns
     (final field, [(final update, distance, sweeps, stop flag, state values, start
-    order)] per step).  Step k starts from the order-(k - 1) polynomial up to step 4,
+    order)] per step).  Each step takes the explicit part the step before carried.
+    Step k starts from the order-(k - 1) polynomial up to step 4,
     then from the cubic, whose order _order_reference re-chooses on step 16 and every
     128th step after it when the eight steps before stopped within the cap (step 0,
     the initial state, counts as stopped)."""
     sys_ = _System(u0.grid, cfg.dt, cfg.theta)  # factorization is deterministic: solve's bits
-    state, prev, steps, order = u0, [], [], 3
+    state, prev, steps, order, expl = u0, [], [], 3, None
     for k in range(1, cfg.nsteps + 1):
         un = state.values
         if k % 128 == 16 and all(step[3] for step in steps[k - 9:]):
             order = _order_reference([un, *prev],
                                      cfg.picard_tol * (1.0 + float(np.max(np.abs(un)))))
         start = tuple(prev[:order]) if extrapolate else ()
-        state, upd, dist, nsw, ok = _advance_reference(state, cfg, bd, sys_, start)
+        state, upd, dist, nsw, ok, expl = _advance_reference(state, cfg, bd, sys_, start, expl)
         state.t, prev = k * cfg.dt, [un] + prev[:6]
         steps.append((upd, dist, nsw, ok, state.values.copy(), len(start)))
     return state, steps
@@ -347,9 +353,9 @@ def _start_orders(monkeypatch, run):
     states solve hands _advance."""
     orders, advance = [], solver._advance
 
-    def spy(field, cfg, bd, sys_, history=()):
+    def spy(field, cfg, bd, sys_, history=(), expl=None):
         orders.append(len(history))
-        return advance(field, cfg, bd, sys_, history)
+        return advance(field, cfg, bd, sys_, history, expl)
 
     with monkeypatch.context() as m:
         m.setattr(solver, "_advance", spy)
@@ -416,6 +422,67 @@ def test_kink_profile_keeps_the_cubic_on_every_step(monkeypatch):
                            lambda: run_propagation(resolve_config("l1_full_time")))
     assert len(choices) >= 5 and set(choices) == {3}
     assert max(orders) == 3
+
+
+def test_noise_floor_lets_the_order_rise_past_the_cubic(monkeypatch):
+    # a smooth unforced bump at dt/h^3 = 6400: once start-up has passed, the order-5
+    # start's error is within tol (e_5 reads 0.2-0.5 tol on steps 272 and 400). A fresh
+    # explicit D3 product on every step adds rounding unrelated to the step before, and
+    # that noise doubles with each difference: e_5 read 1.6-1.7 tol and the cubic was kept
+    choices, order = [], solver._order
+
+    def spy(*args):
+        choices.append(order(*args))
+        return choices[-1]
+
+    monkeypatch.setattr(solver, "_order", spy)
+    g, dt = Grid1D(8.0, 1281), 0.0015625
+    assert dt / g.h**3 >= 1e3
+    solve(bump_field(g, 1.0, center=3.0, width=0.6), SolverConfig(dt=dt, T=410 * dt),
+          BoundaryData())
+    assert len(choices) == 4  # steps 16, 144, 272 and 400
+    assert min(choices[2:]) > 3
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.6])
+def test_carried_explicit_part_matches_the_d3_product(theta):
+    # off the pinned rows the last solve gives theta*dt*D3 u^{n+1} = b - u^{n+1}, so the
+    # part a step carries equals u - (1 - theta)*dt*D3 u to rounding: within
+    # eps*(1 + dt*|D3|_inf)*max|u|, the scale of the product's own rounding (the worst
+    # of these five steps, on the dissipation recipe's h and dt, reads 0.03 of it)
+    g, dt = Grid1D(8.0, 1281), 0.0015625
+    cfg = SolverConfig(dt=dt, T=dt, theta=theta)
+    sys_ = _System(g, dt, theta)
+    D3 = csr_matrix(deriv_matrix(g, 3), shape=(g.n, g.n))
+    scale = np.finfo(float).eps * (1.0 + dt * np.max(abs(D3).sum(axis=1)))
+    state, expl = bump_field(g, 1.0, center=3.0, width=0.6), None
+    for _ in range(5):
+        state, *_, expl = solver._advance(state, cfg, BoundaryData(), sys_, (), expl)
+        u = state.values
+        want = u - (dt * (1.0 - theta)) * (D3 @ u)
+        assert np.max(np.abs(expl - want)[1:-2]) <= scale * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_theta_ends_keep_the_d3_product_route_bit_for_bit(theta, kept):
+    # at theta = 0, A = I, so the last solve's b holds no D3 u: nothing is carried and
+    # every step forms its D3 product; at theta = 1 the carried part is u^{n+1} itself.
+    # Either way solve's states are the bits of a march that forms the product anew
+    g = Grid1D(20.0, 201)
+    cfg = SolverConfig(dt=0.001, T=0.012, theta=theta)
+    u0, bd, states = bump_field(g), BoundaryData(), kept()
+    solve(u0, cfg, bd, observers=[states])
+    sys_ = _System(g, cfg.dt, theta)
+    state, history = u0, ()
+    for k in range(1, 13):
+        un = state.values
+        state, *_, carried = solver._advance(state, cfg, bd, sys_, history[:3])
+        if theta == 0.0:
+            assert carried is None
+        else:
+            assert carried.tobytes() == state.values.tobytes()
+        state.t, history = k * cfg.dt, (un,) + history[:6]
+        assert state.values.tobytes() == states[k].values.tobytes()
 
 
 def _soliton_start(steps):
@@ -578,10 +645,10 @@ def test_forcing_is_reused_across_steps_bit_for_bit(kept, monkeypatch):
     # some of them above the cubic
     assert max(orders) > 3
     sys_ = _System(g, dt, 0.5)
-    state, history = Field(g, u_e(g.nodes, 0.0), 0.0), ()
+    state, history, expl = Field(g, u_e(g.nodes, 0.0), 0.0), (), None
     for k in range(1, nsteps + 1):
         un = state.values
-        state = solver._advance(state, cfg, bd, sys_, history[:orders[k - 1]])[0]
+        state, *_, expl = solver._advance(state, cfg, bd, sys_, history[:orders[k - 1]], expl)
         state.t, history = k * dt, (un,) + history[:6]
         assert np.array_equal(state.values, states[k].values)
 
