@@ -27,7 +27,8 @@ u^{n+1}), 2u^{n+1} - b at theta = 1/2, with no D3 product: a fresh product's rou
 unrelated to the step before, and as it doubles with each backward difference it kept
 the order choice at the cubic.  Step 1 has no solve before it, and at theta = 0 (A = I)
 b holds no D3 u, so both form the product.  A forced step reuses the last step's
-F(x, t^{n+1}) as its F(x, t^n) whenever the two times agree bit for bit.  solve
+F(x, t^{n+1}) as its F(x, t^n) whenever the two times agree bit for bit.  solve calls
+f once, on every step's t^{n+1}; a step's sweeps allocate only their flux and b.  solve
 keeps only the final state and computes no wall traces: observers, such as
 diagnostics.TraceSeries, measure every other state as the march passes it.
 Before the first step solve checks, once per run, the corner condition
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from math import comb
+from math import comb, isfinite
 from typing import Callable, Optional
 
 import numpy as np
@@ -73,13 +74,15 @@ class BoundaryData:
 
     fprime is the complex step Im f(t + ih)/h, h = 1e-30, which has no
     cancellation error (Squire & Trapp, SIAM Rev. 40, 1998).  f must therefore
-    take a complex t through numpy: no float(), abs or np.real inside.  fprime
-    closes the trace diagnostics' third-derivative trace through the equation.
-    f defaults to the zero boundary f = 0.  keys names the config keys that set
-    f, for validate's refusals.
+    take a complex t through numpy: no float(), abs or np.real inside.  f must also
+    take an ndarray of real times and return their values elementwise, each the
+    bits of f at that time alone: solve evaluates every step's value in one call.
+    fprime closes the trace diagnostics' third-derivative trace through the
+    equation.  f defaults to the zero boundary f = 0.  keys names the config keys
+    that set f, for validate's refusals.
     """
 
-    f: Callable[[float], float] = lambda t: 0.0
+    f: Callable[[np.ndarray], np.ndarray] = np.zeros_like
     keys: tuple = ()
 
     def fprime(self, t: float) -> float:
@@ -228,13 +231,14 @@ _HISTORY = 7  # earlier states kept: grad^7 u^n is the sextic start's error
 _CHOOSE_EVERY = 128  # steps between order choices, the first on step 16
 
 
-def _extrapolate(u: np.ndarray, history) -> np.ndarray:
+def _extrapolate(u: np.ndarray, history, work: np.ndarray) -> np.ndarray:
     """The polynomial in time through u^n and history = (u^{n-1}, u^{n-2}, ...), most
-    recent first and at most 6 long, evaluated one step ahead (a new array)."""
+    recent first and at most 6 long, evaluated one step ahead (a new array); each
+    product with an earlier state is written into work, an array like u."""
     w = _EXTRAPOLANTS[len(history)]
     uk = w[0] * u
     for c, p in zip(w[1:], history):
-        uk += c * p
+        uk += np.multiply(c, p, out=work)
     return uk
 
 
@@ -265,13 +269,13 @@ class _LastForcing:
         return self.last[1]
 
 
-def _advance(field: Field, cfg: SolverConfig, bd: BoundaryData, sys_: _System, history=(),
+def _advance(field: Field, cfg: SolverConfig, f_left: float, sys_: _System, history=(),
              expl=None):
-    """One theta-step from u^n, with history = the accepted states before it, most
-    recent first, and expl = u^n - (1 - theta)*dt*D3 u^n as the last step carried it
-    (None: a D3 product forms it); returns (new field, final Picard update norm,
-    estimated distance left to the fixed point, sweeps, whether the stop test passed,
-    the new state's expl, None at theta = 0)."""
+    """One theta-step from u^n to u^{n+1}(0) = f_left, with history = the accepted states
+    before it, most recent first, and expl = u^n - (1 - theta)*dt*D3 u^n as the last step
+    carried it (None: a D3 product forms it); returns (new field, final Picard update norm,
+    estimated distance left to the fixed point, sweeps, whether the stop test passed, the
+    new state's expl, None at theta = 0).  One work array holds each temporary in turn."""
     u = field.values
     t = field.t
     tn = t + cfg.dt
@@ -283,23 +287,24 @@ def _advance(field: Field, cfg: SolverConfig, bd: BoundaryData, sys_: _System, h
         expl = expl + cfg.dt * (
             cfg.theta * np.asarray(cfg.forcing(x, tn), dtype=float) + (1.0 - cfg.theta) * Fn
         )
-    b_left = float(bd.f(tn))
-    tol = cfg.picard_tol * (1.0 + float(np.max(np.abs(u))))
-    uk = _extrapolate(u, history) if cfg.nonlinear else u
+    work = np.empty_like(u)
+    tol = cfg.picard_tol * (1.0 + float(np.abs(u, out=work).max()))
+    uk = _extrapolate(u, history, work) if cfg.nonlinear else u
     delta, prev_delta, converged = 0.0, np.inf, False
     for sweeps in range(1, cfg.picard_max + 1):
         if cfg.nonlinear:
-            um = u + uk
-            flux = (0.25 * cfg.dt) * (sys_.D1 @ (um * um))  # dt * D1(((u + uk)/2)^2)
+            um = np.add(u, uk, out=work)
+            flux = sys_.D1 @ np.multiply(um, um, out=work)
+            flux *= 0.25 * cfg.dt  # dt * D1(((u + uk)/2)^2)
             b = expl - flux
         else:
             b = expl.copy()
-        b[0] = b_left
+        b[0] = f_left
         b[-2] = 0.0
         b[-1] = 0.0
         unew = sys_.lu.solve(b)
-        delta = float(np.max(np.abs(unew - uk)))
-        if not np.isfinite(delta):  # a NaN or an inf anywhere in unew
+        delta = float(np.abs(np.subtract(unew, uk, out=work), out=work).max())
+        if not isfinite(delta):  # a NaN or an inf anywhere in unew
             raise SolverError(f"non-finite state at t = {tn:.6g}")
         uk = unew
         # from the second sweep on, rate/(1 - rate)*delta estimates the distance left
@@ -320,7 +325,7 @@ def _advance(field: Field, cfg: SolverConfig, bd: BoundaryData, sys_: _System, h
     else:
         distance = rate / (1.0 - rate) * delta if rate < 1.0 else np.inf
     # constrained rows hold exactly, not merely to factorization round-off
-    uk[0] = b_left
+    uk[0] = f_left
     uk[-2] = 0.0
     uk[-1] = 0.0
     # off the pinned rows the last solve gave (I + theta*dt*D3) uk = b, so theta*dt*D3 uk
@@ -362,13 +367,15 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
             obs(state)
         # references, not copies: each step's state is a new array
         history, order, expl = (), 3, None
+        # f(t^{n+1}) of every step in one call; step k's field.t is the pinned (k - 1)*dt
+        f_left = np.asarray(bd.f(np.arange(nsteps) * cfg.dt + cfg.dt), dtype=float)
         step_cfg = cfg if cfg.forcing is None else replace(cfg, forcing=_LastForcing(cfg.forcing))
         for k in range(1, nsteps + 1):
             un = state.values
             if k % _CHOOSE_EVERY == 16 and converged[k - _HISTORY - 1:k].all():
                 order = _order(un, history, cfg.picard_tol * (1.0 + float(np.max(np.abs(un)))))
             state, updates[k], distances[k], sweeps[k], converged[k], expl = _advance(
-                state, step_cfg, bd, sys_, history[:order], expl)
+                state, step_cfg, f_left[k - 1], sys_, history[:order], expl)
             history = (un,) + history[:_HISTORY - 1]
             # pin the step clock to k*dt so long runs do not accumulate drift
             state.t = k * cfg.dt

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from kdvhl.cli import available_recipes, resolve_config
+from kdvhl.config import parse_config
 from kdvhl.discretization import Grid1D
-from kdvhl.experiments import (_oracle_reference, run_oracle_compare, run_simulate, scenario,
-                               solver_config)
+from kdvhl.experiments import (_oracle_reference, run_identity, run_oracle_compare,
+                               run_simulate, scenario, solver_config)
 from kdvhl.solver import solve
 from kdvhl.weights import CutoffSpec, chi
 
@@ -69,3 +70,33 @@ def test_simulate_flags_the_unresolved_drain_law_on_l2_stopped():
     # that cannot check its law should say so in a false passes entry
     report, _ = run_simulate(resolve_config("l2_stopped"))
     assert False in report.get("passes", {}).values()
+
+
+# ROADMAP item 7's configuration: a manufactured solution at the wall under a cutoff whose
+# front crosses x = 0, so every wall term of both identities is material
+_IDENTITY_WALL = """
+experiment = identity
+grid.L = 30.0
+grid.n = 601
+time.dt = 0.0125
+time.T = 1.5
+weight.epsilon = 0.3
+weight.b = 1.5
+weight.v = 2.0
+weight.x0 = 0.5
+data.kind = mms
+data.center = 1.0
+data.width = 1.0
+boundary.kind = auto
+diagnostics.identity_levels = 1, 2
+study.levels = 3
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 7: with its wall terms live the l = 2 identity "
+                          "residual decays 1.28, 1.60 per level (the 6-node u_xxxx probe)")
+def test_identity_wall_residual_decays_at_both_levels():
+    # the l = 1 residual decays 4.05 and 4.02 per level here; the l = 2 one should too
+    report, _ = run_identity(parse_config(_IDENTITY_WALL))
+    assert min(report["residual_decay"]["2"]) >= 2.5

@@ -1,5 +1,6 @@
 """Implicit stepper: boundary rows, energy behavior, failure modes."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, prod
 
@@ -13,7 +14,7 @@ from kdvhl.config import ConfigError
 from kdvhl.datagen import gaussian_bump, gaussian_pulse
 from kdvhl.diagnostics import TraceSeries
 from kdvhl.discretization import Field, Grid1D, deriv_matrix, integrate
-from kdvhl.experiments import refine, scenario
+from kdvhl.experiments import _oracle_reference, refine, scenario, solver_config
 from kdvhl import solver
 from kdvhl.solver import (
     BoundaryData,
@@ -353,9 +354,9 @@ def _start_orders(monkeypatch, run):
     states solve hands _advance."""
     orders, advance = [], solver._advance
 
-    def spy(field, cfg, bd, sys_, history=(), expl=None):
+    def spy(field, cfg, f_left, sys_, history=(), expl=None):
         orders.append(len(history))
-        return advance(field, cfg, bd, sys_, history, expl)
+        return advance(field, cfg, f_left, sys_, history, expl)
 
     with monkeypatch.context() as m:
         m.setattr(solver, "_advance", spy)
@@ -375,9 +376,11 @@ def test_start_is_the_newton_extrapolant_of_the_chosen_order(monkeypatch):
     for k in range(7):
         u = states(k)
         scale = np.max(np.abs(u[0]))
-        assert np.max(np.abs(_extrapolate(u[1], tuple(u[2:2 + k])) - u[0])) <= 1e-14 * scale
+        start = _extrapolate(u[1], tuple(u[2:2 + k]), np.empty(50))
+        assert np.max(np.abs(start - u[0])) <= 1e-14 * scale
         u = states(k + 1)
-        assert np.max(np.abs(_extrapolate(u[1], tuple(u[2:2 + k])) - u[0])) > 1e-6 * scale
+        start = _extrapolate(u[1], tuple(u[2:2 + k]), np.empty(50))
+        assert np.max(np.abs(start - u[0])) > 1e-6 * scale
     # steps 1-4 start from orders 0-3 and later ones from the cubic until the first
     # choice on step 16; on the soliton recipe's grid it chooses a higher order, and
     # no step's order ever falls below 3
@@ -457,7 +460,7 @@ def test_carried_explicit_part_matches_the_d3_product(theta):
     scale = np.finfo(float).eps * (1.0 + dt * np.max(abs(D3).sum(axis=1)))
     state, expl = bump_field(g, 1.0, center=3.0, width=0.6), None
     for _ in range(5):
-        state, *_, expl = solver._advance(state, cfg, BoundaryData(), sys_, (), expl)
+        state, *_, expl = solver._advance(state, cfg, 0.0, sys_, (), expl)
         u = state.values
         want = u - (dt * (1.0 - theta)) * (D3 @ u)
         assert np.max(np.abs(expl - want)[1:-2]) <= scale * np.max(np.abs(u))
@@ -476,7 +479,8 @@ def test_theta_ends_keep_the_d3_product_route_bit_for_bit(theta, kept):
     state, history = u0, ()
     for k in range(1, 13):
         un = state.values
-        state, *_, carried = solver._advance(state, cfg, bd, sys_, history[:3])
+        state, *_, carried = solver._advance(state, cfg, float(bd.f(state.t + cfg.dt)), sys_,
+                                             history[:3])
         if theta == 0.0:
             assert carried is None
         else:
@@ -648,9 +652,43 @@ def test_forcing_is_reused_across_steps_bit_for_bit(kept, monkeypatch):
     state, history, expl = Field(g, u_e(g.nodes, 0.0), 0.0), (), None
     for k in range(1, nsteps + 1):
         un = state.values
-        state, *_, expl = solver._advance(state, cfg, bd, sys_, history[:orders[k - 1]], expl)
+        state, *_, expl = solver._advance(state, cfg, float(bd.f(state.t + dt)), sys_,
+                                          history[:orders[k - 1]], expl)
         state.t, history = k * dt, (un,) + history[:6]
         assert np.array_equal(state.values, states[k].values)
+
+
+@pytest.mark.parametrize("recipe,changes", [
+    ("dissipation", {}),                 # the default zero boundary
+    ("soliton", {}),                     # auto: the soliton's exact wall value
+    ("mms", {}),                         # auto: the manufactured solution's
+    ("trace_gain", {}),                  # gaussian-pulse
+    ("trace_gain", dict(boundary_kind="ramped-cosine")),
+    ("oracle", {}),                      # the whole-line march's Hermite inflow
+])
+def test_each_step_gets_its_boundary_value_bit_for_bit(monkeypatch, recipe, changes):
+    # solve evaluates f once, on every step's t^{n+1} as one array; step k must get the
+    # bits of f at its own field.t + dt, the pinned (k - 1)*dt plus dt, alone
+    cfg = resolve_config(recipe)
+    cfg = replace(cfg, T=40 * cfg.dt, **changes)
+    if cfg.experiment == "oracle-compare":
+        (u0, bd, _), forcing = _oracle_reference(cfg, Grid1D(cfg.L, cfg.n), ()), None
+    else:
+        _, u0, bd, forcing, _ = scenario(cfg)
+    got, advance = [], solver._advance
+
+    def spy(field, cfg, f_left, sys_, history=(), expl=None):
+        got.append((field.t, f_left))
+        return advance(field, cfg, f_left, sys_, history, expl)
+
+    monkeypatch.setattr(solver, "_advance", spy)
+    solve(u0, solver_config(cfg, forcing), bd)
+    assert len(got) == 40
+    for k, (t, f_left) in enumerate(got, start=1):
+        want = float(bd.f((k - 1) * cfg.dt + cfg.dt))
+        assert t == (k - 1) * cfg.dt
+        assert np.float64(f_left).tobytes() == np.float64(want).tobytes()
+    assert any(f_left != 0.0 for _, f_left in got) == (recipe != "dissipation")
 
 
 def test_kdv_scaling_covariance_bit_for_bit():
