@@ -238,15 +238,25 @@ class _Hermite:
     Each piece is a cubic in s = t - x_i, so a knot returns its value and slope
     exactly.  One path serves a scalar t (a few microseconds) and an array.  A
     complex t picks its piece by its real part, for a complex-step derivative.
+    Given the knots alone it holds no piece yet: fill builds pieces as their
+    knots' values arrive, each with the bits of a table built at once.
     """
 
-    def __init__(self, x, y, dy):
-        x, y, dy = (np.asarray(v, dtype=float) for v in (x, y, dy))
-        h = np.diff(x)
+    def __init__(self, x, y=None, dy=None):
+        self._x = np.asarray(x, dtype=float)
+        self._inner, self._left = self._x[1:-1], self._x[:-1]
+        self._coef = np.empty((4, len(self._x) - 1))
+        if y is not None:
+            self.fill(0, y, dy)
+
+    def fill(self, i, y, dy):
+        """Build the pieces between knots i, i + 1, ..., i + len(y) - 1 from the values y
+        and slopes dy at those knots."""
+        y, dy = (np.asarray(v, dtype=float) for v in (y, dy))
+        h = np.diff(self._x[i:i + len(y)])
         sec = np.diff(y) / h
-        self._inner, self._left = x[1:-1], x[:-1]
-        self._coef = np.array([y[:-1], dy[:-1], (3.0 * sec - 2.0 * dy[:-1] - dy[1:]) / h,
-                               (dy[:-1] + dy[1:] - 2.0 * sec) / h**2])
+        self._coef[:, i:i + len(h)] = (y[:-1], dy[:-1], (3.0 * sec - 2.0 * dy[:-1] - dy[1:]) / h,
+                                       (dy[:-1] + dy[1:] - 2.0 * sec) / h**2)
 
     def __call__(self, t):
         """The interpolant at t."""

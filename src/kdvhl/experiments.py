@@ -362,7 +362,8 @@ def run_identity(cfg: ExperimentConfig):
 
 
 def _oracle_reference(cfg: ExperimentConfig, grid: Grid1D, sample_times):
-    """March the whole line and restrict it to grid: (u0, inflow, a row per sample time)."""
+    """Start the whole-line march, probed on grid's window at sample_times, in a worker
+    beside the caller: its WholelineTrajectory, which the caller reads and closes."""
     per = PeriodicGrid(cfg.oracle_P, cfg.oracle_m, cfg.oracle_x_left)
     if cfg.oracle_kind == "soliton":
         u0w = soliton_solution(cfg.oracle_c, cfg.oracle_center)(per.nodes, 0.0)
@@ -375,28 +376,28 @@ def _oracle_reference(cfg: ExperimentConfig, grid: Grid1D, sample_times):
                           f"whole-line steps over time.T = {cfg.T}; the cubic interpolation "
                           f"in time needs at least 3")
     probe = WindowProbe(per, cfg.oracle_x_star, grid, wtimes, sample_times)
-    wholeline_solve(u0w, per, wtimes, observers=[probe])
-    return extract_halfline_data(probe)
+    return wholeline_solve(u0w, probe)
 
 
 def run_oracle_compare(cfg: ExperimentConfig):
     grid = Grid1D(cfg.L, cfg.n)
     # the half-line steps compared, at their pinned clocks k*dt
     times = np.round(np.linspace(0.0, cfg.T, cfg.oracle_samples) / cfg.dt) * cfg.dt
-    u0, bd, restr = _oracle_reference(cfg, grid, times)
-    # each state is compared with every restriction sampled at its time
-    sampled = {t: np.flatnonzero(times == t) for t in times}
-    diffs = np.empty(len(times))
+    # the sampled states, found by their clocks, wait for the march's end
+    kept = dict.fromkeys(times.tolist())
 
-    def compare(state):
-        for i in sampled.get(state.t, ()):
-            diffs[i] = np.sqrt(integrate((state.values - restr[i]) ** 2, grid))
+    def keep(state):
+        if state.t in kept:
+            kept[state.t] = state.values.copy()
 
-    solve(u0, solver_config(cfg, None), bd, observers=[compare])
+    with _oracle_reference(cfg, grid, times) as traj:
+        u0, bd = traj.halfline_data()
+        solve(u0, solver_config(cfg, None), bd, observers=[keep])
+        restr = extract_halfline_data(traj)
 
-    rows = [{"t": float(t), "diff_l2": float(diff),
+    rows = [{"t": float(t), "diff_l2": float(np.sqrt(integrate((kept[t] - ref) ** 2, grid))),
              "restriction_l2": float(np.sqrt(integrate(ref**2, grid)))}
-            for t, ref, diff in zip(times, restr, diffs)]
+            for t, ref in zip(times, restr)]
     scale = max(r["restriction_l2"] for r in rows)
     for r in rows:
         r["rel"] = r["diff_l2"] / scale if scale > 0 else 0.0

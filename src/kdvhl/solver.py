@@ -28,12 +28,14 @@ unrelated to the step before, and as it doubles with each backward difference it
 the order choice at the cubic.  Step 1 has no solve before it, and at theta = 0 (A = I)
 b holds no D3 u, so both form the product.  A forced step reuses the last step's
 F(x, t^{n+1}) as its F(x, t^n) whenever the two times agree bit for bit.  solve calls
-f once, on every step's t^{n+1}; a step's sweeps allocate only their flux and b.  solve
-keeps only the final state and computes no wall traces: observers, such as
-diagnostics.TraceSeries, measure every other state as the march passes it.
-Before the first step solve checks, once per run, the corner condition
-u0(0) = f(0) to 1e-10 and (BoundaryData.validate) that f and its complex-step
-fprime are finite; either failure is a ConfigError, the CLI's exit 2.
+f once per block of _BOUNDARY_BLOCK = 128 steps, on each of the block's t^{n+1}, so an
+inflow that is still arriving (the oracle's) is read only as far as the block needs;
+a step's sweeps allocate only their flux and b.  solve keeps only the final state and
+computes no wall traces: observers, such as diagnostics.TraceSeries, measure every
+other state as the march passes it.  Before the first step solve checks the corner
+condition u0(0) = f(0) to 1e-10 and (BoundaryData.validate) that f and its
+complex-step fprime are finite at t = 0, and before each block that they are finite
+at the block's times; either failure is a ConfigError, the CLI's exit 2.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ __all__ = [
 
 # corner condition u0(0) = f(0), required for a clean start
 _CORNER_TOL = 1e-10
+_BOUNDARY_BLOCK = 128  # steps whose boundary values solve evaluates and checks in one call
 
 
 class SolverError(RuntimeError):
@@ -75,29 +78,31 @@ class BoundaryData:
     fprime is the complex step Im f(t + ih)/h, h = 1e-30, which has no
     cancellation error (Squire & Trapp, SIAM Rev. 40, 1998).  f must therefore
     take a complex t through numpy: no float(), abs or np.real inside.  f must also
-    take an ndarray of real times and return their values elementwise, each the
-    bits of f at that time alone: solve evaluates every step's value in one call.
-    fprime closes the trace diagnostics' third-derivative trace through the
-    equation.  f defaults to the zero boundary f = 0.  keys names the config keys
+    take an ndarray of real (or complex) times and return their values elementwise,
+    each the bits of f at that time alone: solve evaluates a block of steps' values
+    in one call.  fprime closes the trace diagnostics' third-derivative trace through
+    the equation.  f defaults to the zero boundary f = 0.  keys names the config keys
     that set f, for validate's refusals.
     """
 
     f: Callable[[np.ndarray], np.ndarray] = np.zeros_like
     keys: tuple = ()
 
-    def fprime(self, t: float) -> float:
-        """df/dt at t by complex step."""
-        return float(np.imag(self.f(t + 1e-30j))) / 1e-30
+    def fprime(self, t):
+        """df/dt at t, a time or an array of times, by complex step."""
+        return np.imag(self.f(t + 1e-30j)) / 1e-30
 
-    def validate(self, T: float):
-        """Check that f and fprime are finite at 9 evenly spaced times in [0, T]."""
-        blame = f" (set by {', '.join(self.keys)})" if self.keys else ""
-        for t in np.linspace(0.0, T, 9):
-            with np.errstate(all="ignore"):  # a non-finite value is refused just below
-                vals = (self.f(t), self.fprime(t))
-            if not np.all(np.isfinite(vals)):
-                raise ConfigError(f"boundary data f or fprime{blame} is not finite near "
-                                  f"t = {t:.6g}")
+    def validate(self, times: np.ndarray) -> np.ndarray:
+        """Check that f and fprime are finite at each of the times (an array); returns
+        f(times), as floats."""
+        with np.errstate(all="ignore"):  # a non-finite value is refused just below
+            f = np.asarray(self.f(times), dtype=float)
+            ok = np.isfinite(f) & np.isfinite(self.fprime(times))
+        if not ok.all():
+            blame = f" (set by {', '.join(self.keys)})" if self.keys else ""
+            raise ConfigError(f"boundary data f or fprime{blame} is not finite near "
+                              f"t = {times[np.argmin(ok)]:.6g}")
+        return f
 
 
 @dataclass
@@ -353,7 +358,7 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
     if not mismatch <= _CORNER_TOL:
         raise ConfigError(f"incompatible data at the corner: |u0(0) - f(0)| = {mismatch:.3e} > "
                           f"{_CORNER_TOL:.0e} (move data.center or change boundary.*)")
-    bd.validate(cfg.T)
+    bd.validate(np.zeros(1))
     sys_ = _System(u0.grid, cfg.dt, cfg.theta)
     updates = np.zeros(nsteps + 1)
     distances = np.zeros(nsteps + 1)
@@ -367,15 +372,19 @@ def solve(u0: Field, cfg: SolverConfig, bd: BoundaryData, observers=()) -> Traje
             obs(state)
         # references, not copies: each step's state is a new array
         history, order, expl = (), 3, None
-        # f(t^{n+1}) of every step in one call; step k's field.t is the pinned (k - 1)*dt
-        f_left = np.asarray(bd.f(np.arange(nsteps) * cfg.dt + cfg.dt), dtype=float)
         step_cfg = cfg if cfg.forcing is None else replace(cfg, forcing=_LastForcing(cfg.forcing))
         for k in range(1, nsteps + 1):
+            if (k - 1) % _BOUNDARY_BLOCK == 0:
+                # f(t^{n+1}) of the block's steps in one call; step k's field.t is the
+                # pinned (k - 1)*dt
+                f_left = bd.validate(
+                    np.arange(k - 1, min(k - 1 + _BOUNDARY_BLOCK, nsteps)) * cfg.dt + cfg.dt)
             un = state.values
             if k % _CHOOSE_EVERY == 16 and converged[k - _HISTORY - 1:k].all():
                 order = _order(un, history, cfg.picard_tol * (1.0 + float(np.max(np.abs(un)))))
             state, updates[k], distances[k], sweeps[k], converged[k], expl = _advance(
-                state, step_cfg, f_left[k - 1], sys_, history[:order], expl)
+                state, step_cfg, f_left[(k - 1) % _BOUNDARY_BLOCK], sys_, history[:order],
+                expl)
             history = (un,) + history[:_HISTORY - 1]
             # pin the step clock to k*dt so long runs do not accumulate drift
             state.t = k * cfg.dt

@@ -101,7 +101,7 @@ def test_boundary_pulse_consistency(kind, params):
     for t in (0.2, 0.6, 1.1, 1.9):
         fd = (bd.f(t + h) - bd.f(t - h)) / (2.0 * h)
         assert bd.fprime(t) == pytest.approx(fd, abs=1e-6)
-    bd.validate(2.0)
+    bd.validate(np.linspace(0.0, 2.0, 9))
 
 
 def _gaussian_pulse_slope(t, A=0.5, t_c=0.6, w=0.25):
@@ -168,7 +168,7 @@ def _assert_wall(bd, f, keys, T):
         assert bd.f(t) == f(t)
         assert bd.fprime(t) == float(np.imag(f(t + 1e-30j))) / 1e-30
     assert bd.keys == keys
-    bd.validate(T)
+    bd.validate(np.linspace(0.0, T, 9))
 
 
 @pytest.mark.parametrize("recipe,keys", [

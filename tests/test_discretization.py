@@ -244,3 +244,18 @@ def test_hermite_reproduces_cubics_on_nonuniform_knots():
     assert np.array_equal(h(x[:-1]), p(x[:-1]))
     assert np.all(np.abs(slope(x[:-1]) - dp(x[:-1])) <= np.spacing(np.abs(dp(x[:-1]))))
     assert np.ndim(h(0.3)) == 0 and h(0.3) == h(np.array([0.3]))[0]
+
+
+def test_hermite_filled_in_overlapping_runs_is_the_table_built_at_once():
+    # the oracle's inflow fills its pieces as the march's rows arrive, each run
+    # starting at the last knot of the one before: every piece has the bits of
+    # the table built from all knots at once
+    rng = np.random.default_rng(11)
+    x = np.cumsum(rng.uniform(0.1, 0.3, 50))
+    y, dy = rng.standard_normal(50), rng.standard_normal(50)
+    whole, parts = _Hermite(x, y, dy), _Hermite(x)
+    for i, j in ((0, 7), (6, 30), (29, 31), (30, 50)):
+        parts.fill(i, y[i:j], dy[i:j])
+    t = np.concatenate([np.linspace(x[0], x[-1], 997), x])
+    assert np.array_equal(parts(t), whole(t))
+    assert np.array_equal(parts(t + 1e-30j), whole(t + 1e-30j))

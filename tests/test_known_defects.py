@@ -53,10 +53,12 @@ def test_no_picard_step_caps_in_the_first_20_steps_at_level_0():
         cfg = resolve_config(name)
         cfg = replace(cfg, T=20 * cfg.dt)
         if cfg.experiment == "oracle-compare":
-            (u0, bd, _), forcing = _oracle_reference(cfg, Grid1D(cfg.L, cfg.n), ()), None
+            with _oracle_reference(cfg, Grid1D(cfg.L, cfg.n), ()) as march:
+                (u0, bd), forcing = march.halfline_data(), None
+                traj = solve(u0, solver_config(cfg, forcing), bd)
         else:
             _, u0, bd, forcing, _ = scenario(cfg)
-        traj = solve(u0, solver_config(cfg, forcing), bd)
+            traj = solve(u0, solver_config(cfg, forcing), bd)
         capped[name] = int(np.sum(~traj.picard_converged))
     assert capped == dict.fromkeys(capped, 0)
 

@@ -1,17 +1,21 @@
 """Independent references: symbolic verification and the periodic solver."""
 
+import os
+import signal
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 
-from kdvhl.cli import resolve_config
+from kdvhl import oracle
+from kdvhl.cli import main, resolve_config
 from kdvhl.config import ConfigError, parse_config
 from kdvhl.datagen import gaussian_bump, soliton_solution
 from kdvhl.discretization import Grid1D
-from kdvhl.experiments import run_oracle_compare
+from kdvhl.experiments import _oracle_reference, run_oracle_compare
 from kdvhl.oracle import (
     PeriodicGrid,
     WindowProbe,
@@ -19,10 +23,11 @@ from kdvhl.oracle import (
     decaying_hump,
     extract_halfline_data,
     spectral_restriction,
+    wholeline_march,
     wholeline_solve,
     wholeline_times,
 )
-from kdvhl.solver import BoundaryData
+from kdvhl.solver import BoundaryData, SolverError
 
 
 def _reference_march(u0, grid, T, cfl):
@@ -75,8 +80,19 @@ class _Collect:
 
 
 def _march(u0, grid, T, cfl, observers=()):
-    """wholeline_solve over the time grid that wholeline_times gives."""
-    return wholeline_solve(u0, grid, wholeline_times(u0, grid, T, cfl), observers=observers)
+    """wholeline_march over the time grid that wholeline_times gives; returns that grid."""
+    times = wholeline_times(u0, grid, T, cfl)
+    wholeline_march(u0, grid, times, observers=observers)
+    return times
+
+
+def _streamed(u0, probe):
+    """The worker's march of u0, observed by probe: the half-line initial data, the
+    inflow, the sample rows and the trajectory, read to its end and closed."""
+    with wholeline_solve(u0, probe) as traj:
+        u0_half, bd = traj.halfline_data()
+        rows = extract_halfline_data(traj)
+    return u0_half, bd, rows, traj
 
 
 def _replay(probe, seen):
@@ -175,40 +191,40 @@ def soliton_run():
     times = wholeline_times(u0, per, 2.0, 0.1)
     seen = _Collect()
     probe = WindowProbe(per, 12.0, Grid1D(20.0, 201), times)
-    traj = wholeline_solve(u0, per, times, observers=[seen, probe])
-    return per, traj, seen, probe
+    wholeline_march(u0, per, times, observers=[seen, probe])
+    return per, times, seen, probe
 
 
 def test_wholeline_observers_see_every_step(soliton_run):
-    per, traj, seen, probe = soliton_run
-    assert seen.steps == list(range(len(traj.times)))
-    assert np.array_equal(seen.times, traj.times)
-    assert len(probe.traces) == len(traj.times)
+    per, times, seen, probe = soliton_run
+    assert seen.steps == list(range(len(times)))
+    assert np.array_equal(seen.times, times)
+    assert len(probe.traces) == len(times)
 
 
 def test_wholeline_matches_complex_reference(soliton_run):
-    per, traj, seen, _ = soliton_run
+    per, times, seen, _ = soliton_run
     u0 = soliton_solution(1.0, 8.0)(per.nodes, 0.0)
-    times, states = _reference_march(u0, per, T=2.0, cfl=0.1)
-    assert np.array_equal(times, traj.times)
+    ref_times, states = _reference_march(u0, per, T=2.0, cfl=0.1)
+    assert np.array_equal(ref_times, times)
     assert np.max(np.abs(seen.states(per.m) - states)) <= 1e-12
 
 
 def test_wholeline_conserves_mass(soliton_run):
-    per, traj, seen, _ = soliton_run
+    per, times, seen, _ = soliton_run
     masses = np.sum(seen.states(per.m), axis=1) * per.dx
     assert np.max(np.abs(masses - masses[0])) <= 1e-10
 
 
 def test_wholeline_preserves_energy(soliton_run):
-    per, traj, seen, _ = soliton_run
+    per, times, seen, _ = soliton_run
     e = np.sum(seen.states(per.m) ** 2, axis=1) * per.dx
     assert abs(e[-1] - e[0]) / e[0] <= 1e-6
 
 
 def test_wholeline_transports_soliton(soliton_run):
-    per, traj, seen, _ = soliton_run
-    ref = soliton_solution(1.0, 8.0)(per.nodes, traj.times[-1])
+    per, times, seen, _ = soliton_run
+    ref = soliton_solution(1.0, 8.0)(per.nodes, times[-1])
     assert np.max(np.abs(seen.states(per.m)[-1] - ref)) <= 1e-5
 
 
@@ -227,18 +243,18 @@ def test_wholeline_dealiases_the_flux():
     def kept_fraction(step, t, uhat):
         worst.append(np.max(np.abs(uhat[kept])) / np.max(np.abs(uhat)))
 
-    traj = _march(u0, per, T=1.0, cfl=0.1, observers=[kept_fraction])
-    assert len(worst) == len(traj.times) > 1
+    times = _march(u0, per, T=1.0, cfl=0.1, observers=[kept_fraction])
+    assert len(worst) == len(times) > 1
     assert max(worst) <= 1e-12
 
 
 def test_spectral_restriction_interpolates(soliton_run):
-    per, traj, seen, _ = soliton_run
-    k = len(traj.times) // 2
+    per, times, seen, _ = soliton_run
+    k = len(times) // 2
     at_nodes = spectral_restriction(seen.spectra[k], per, per.x_left, per.dx, per.m)
     assert np.max(np.abs(at_nodes - seen.states(per.m)[k])) <= 1e-12
     mids = (per.nodes[100] + 0.5 * per.dx, per.dx, 40)
-    exact = soliton_solution(1.0, 8.0)(per.nodes[100:140] + 0.5 * per.dx, traj.times[k])
+    exact = soliton_solution(1.0, 8.0)(per.nodes[100:140] + 0.5 * per.dx, times[k])
     assert np.max(np.abs(spectral_restriction(seen.spectra[k], per, *mids) - exact)) <= 1e-4
     # a stack of spectra restricts row by row
     stack = spectral_restriction(np.array(seen.spectra[:3]), per, *mids)
@@ -285,18 +301,18 @@ def test_extraction_window_must_fit():
 
 
 def test_extracted_data_consistent(soliton_run):
-    per, traj, seen, probe = soliton_run
-    probe = _replay(WindowProbe(per, 12.0, probe.window, traj.times, traj.times[-2:]), seen)
-    u0, bd, restr = extract_halfline_data(probe)
+    per, times, seen, probe = soliton_run
+    u0, bd, restr, _ = _streamed(soliton_solution(1.0, 8.0)(per.nodes, 0.0),
+                                 WindowProbe(per, 12.0, probe.window, times, times[-2:]))
     grid = probe.window
     assert restr.shape == (2, grid.n)
     # corner compatibility and a self-consistent (f, f') pair
     assert abs(bd.f(0.0) - u0.values[0]) <= 1e-12
-    bd.validate(2.0)
+    bd.validate(np.linspace(0.0, 2.0, 9))
     # at the march times f is the probed trace and f' the equation's slope
     fvals, d1, d3 = np.array(probe.traces).T
-    f = np.array([bd.f(t) for t in traj.times])
-    fp = np.array([bd.fprime(t) for t in traj.times])
+    f = np.array([bd.f(t) for t in times])
+    fp = np.array([bd.fprime(t) for t in times])
     assert np.max(np.abs(f - fvals)) <= 1e-14 * np.max(np.abs(fvals))
     slope = -(d3 + 2.0 * fvals * d1)
     assert np.max(np.abs(fp - slope)) <= 1e-12 * np.max(np.abs(slope))
@@ -309,10 +325,10 @@ def test_inflow_slope_is_the_hermite_cubics_derivative(soliton_run):
     # the complex step of the inflow against the derivative of the cubic Hermite
     # piece through the probed values and equation slopes at the two march times
     # around each t, written out in the Hermite basis
-    per, traj, seen, probe = soliton_run
-    probe = _replay(WindowProbe(per, 12.0, probe.window, traj.times, traj.times[-1:]), seen)
-    _, bd, _ = extract_halfline_data(probe)
-    knots = np.asarray(traj.times)
+    per, times, seen, probe = soliton_run
+    _, bd, _, _ = _streamed(soliton_solution(1.0, 8.0)(per.nodes, 0.0),
+                            WindowProbe(per, 12.0, probe.window, times, times[-1:]))
+    knots = np.asarray(times)
     fvals, d1, d3 = np.array(probe.traces).T
     slopes = -(d3 + 2.0 * fvals * d1)
     ts = np.concatenate([np.linspace(0.0, knots[-1], 997), knots])
@@ -326,13 +342,14 @@ def test_inflow_slope_is_the_hermite_cubics_derivative(soliton_run):
 
 
 def test_stacked_restriction_matches_separate_calls(soliton_run):
-    # step 0 and the further spectra share each block's transforms; on a
-    # 2001-point window (the oracle recipe's) every row is the bits of its own call
-    per, traj, seen, probe = soliton_run
-    samples = traj.times[1::len(traj.times) // 9][:9]
-    wide = _replay(WindowProbe(per, 12.0, Grid1D(40.0, 2001), traj.times, samples), seen)
+    # the sample spectra share each block's transforms; on a 2001-point window (the
+    # oracle recipe's) every row is the bits of its own call, as is step 0's
+    per, times, seen, probe = soliton_run
+    samples = times[1::len(times) // 9][:9]
+    wide = _replay(WindowProbe(per, 12.0, Grid1D(40.0, 2001), times, samples), seen)
     spectra = wide.sample_spectra()
-    u0, _, restr = extract_halfline_data(wide)
+    u0, _, restr, _ = _streamed(soliton_solution(1.0, 8.0)(per.nodes, 0.0),
+                                WindowProbe(per, 12.0, Grid1D(40.0, 2001), times, samples))
     x = (12.0, wide.window.h, wide.window.n)
     assert np.array_equal(u0.values, spectral_restriction(seen.spectra[0], per, *x))
     assert len(restr) == 9
@@ -365,7 +382,7 @@ def test_chirp_z_restriction_is_as_accurate_as_the_dense_sum():
     keep = np.linspace(0, len(times) - 1, 10).astype(int)
     window = Grid1D(cfg.L, cfg.n)
     probe = WindowProbe(per, cfg.oracle_x_star, window, times, times[keep])
-    wholeline_solve(u0, per, times, observers=[probe])
+    wholeline_march(u0, per, times, observers=[probe])
     spectra = probe.sample_spectra()
     for x0, h, n in ((cfg.oracle_x_star, window.h, window.n), (17.3, 0.031, 389),
                      (-20.0, 0.7, 130)):
@@ -383,11 +400,11 @@ def test_kept_spectra_survive_the_in_place_march(soliton_run):
     # the march hands every observer one buffer that it updates in place: a
     # reference taken at a step is the final state by the end, while the
     # probe's kept copies still hold their own steps' spectra
-    per, traj, seen, _ = soliton_run
+    per, times, seen, _ = soliton_run
     u0 = soliton_solution(1.0, 8.0)(per.nodes, 0.0)
     refs = []
-    probe = WindowProbe(per, 12.0, Grid1D(20.0, 201), traj.times, traj.times[[1, 5]])
-    wholeline_solve(u0, per, traj.times,
+    probe = WindowProbe(per, 12.0, Grid1D(20.0, 201), times, times[[1, 5]])
+    wholeline_march(u0, per, times,
                     observers=[probe, lambda step, t, uhat: refs.append(uhat)])
     assert all(r is refs[0] for r in refs)
     assert np.array_equal(refs[0], seen.spectra[-1])
@@ -400,9 +417,9 @@ def test_kept_spectra_survive_the_in_place_march(soliton_run):
 def test_probe_samples_on_march_steps_are_the_march_spectra(soliton_run):
     # at a march time the cubic Lagrange weights are one-hot, so the sample's
     # spectrum is that step's own, bit for bit, at both ends and inside
-    per, traj, seen, _ = soliton_run
-    steps = [0, 1, 2, 7, len(traj.times) // 2, len(traj.times) - 2, len(traj.times) - 1]
-    probe = _replay(WindowProbe(per, 12.0, Grid1D(20.0, 201), traj.times, traj.times[steps]),
+    per, times, seen, _ = soliton_run
+    steps = [0, 1, 2, 7, len(times) // 2, len(times) - 2, len(times) - 1]
+    probe = _replay(WindowProbe(per, 12.0, Grid1D(20.0, 201), times, times[steps]),
                     seen)
     assert np.array_equal(probe.sample_spectra(), np.array([seen.spectra[s] for s in steps]))
 
@@ -410,8 +427,8 @@ def test_probe_samples_on_march_steps_are_the_march_spectra(soliton_run):
 def test_probe_keeps_step_0_and_the_sample_windows(soliton_run):
     # each sample keeps the four steps around it (the first four and the last
     # four at the ends), and the probe keeps those and step 0, nothing else
-    per, traj, seen, _ = soliton_run
-    t, n = traj.times, len(traj.times) - 1
+    per, times, seen, _ = soliton_run
+    t, n = times, len(times) - 1
     samples = [0.5 * (t[10] + t[11]), 0.25 * t[40] + 0.75 * t[41], t[n]]
     probe = _replay(WindowProbe(per, 12.0, Grid1D(20.0, 201), t, samples), seen)
     assert sorted(probe.spectra) == [0, 9, 10, 11, 12, 39, 40, 41, 42, n - 3, n - 2, n - 1, n]
@@ -429,9 +446,9 @@ def test_march_commutes_with_kdv_scaling():
         per = PeriodicGrid(P, 256, x_left=-P / 2)
         seen = _Collect()
         scale = 120.0 / P
-        traj = _march(scale**2 * u0(scale * per.nodes), per, T=T, cfl=0.1,
+        times = _march(scale**2 * u0(scale * per.nodes), per, T=T, cfl=0.1,
                       observers=[seen])
-        runs.append((traj.times, np.array(seen.spectra)))
+        runs.append((times, np.array(seen.spectra)))
     (times, spectra), (times2, spectra2) = runs
     assert len(times) == len(times2) > 50
     assert np.array_equal(times2, times / 8.0)
@@ -441,9 +458,9 @@ def test_march_commutes_with_kdv_scaling():
 def test_march_keeps_the_mean_mode_bitwise(soliton_run):
     # the flux -ik vanishes at k = 0 and the phase there is exp(0) = 1, so
     # the mass mode never changes, not even in its last bit
-    per, traj, seen, _ = soliton_run
+    per, times, seen, _ = soliton_run
     mean = np.array([s[0] for s in seen.spectra])
-    assert len(mean) == len(traj.times)
+    assert len(mean) == len(times)
     assert np.array_equal(mean, np.full(len(mean), mean[0]))
 
 
@@ -451,8 +468,8 @@ def test_bump_data_round_trip():
     per = PeriodicGrid(96.0, 256, x_left=-48.0)
     u0 = gaussian_bump(0.5, 0.0, 3.0)(per.nodes)
     seen = _Collect()
-    traj = _march(u0, per, T=0.5, cfl=0.3, observers=[seen])
-    assert len(seen.spectra) == len(traj.times)
+    times = _march(u0, per, T=0.5, cfl=0.3, observers=[seen])
+    assert len(seen.spectra) == len(times)
     assert seen.steps[0] == 0 and seen.times[0] == 0.0
     assert np.array_equal(seen.spectra[0], np.fft.rfft(u0))
 
@@ -533,10 +550,140 @@ def test_probe_without_samples_extracts_no_sample_rows():
     assert len(times) == 5
     bare, sampled = (WindowProbe(per, 0.0, Grid1D(20.0, 101), times, s)
                      for s in ((), times[-1:]))
-    wholeline_solve(u0, per, times, observers=[bare, sampled])
-    u0_bare, bd_bare, rows = extract_halfline_data(bare)
-    u0_sampled, bd_sampled, _ = extract_halfline_data(sampled)
+    u0_bare, bd_bare, rows, _ = _streamed(u0, bare)
+    u0_sampled, bd_sampled, _, _ = _streamed(u0, sampled)
     assert rows.shape == (0, 101)
     # the initial data and the inflow are the sampled probe's, bit for bit
     assert np.array_equal(u0_bare.values, u0_sampled.values)
     assert bd_bare.f(1.25) == bd_sampled.f(1.25)
+
+
+def _no_child_left():
+    # every path reaps the march's worker
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _records(traj):
+    """Every record of a trajectory's stream, read raw: (kind, payload) pairs."""
+    records = []
+    while head := traj._stream.read(oracle._HEADER.size):
+        kind, size = oracle._HEADER.unpack(head)
+        records.append((kind, traj._stream.read(size)))
+    return records
+
+
+def test_worker_streams_the_in_process_march_bit_for_bit(soliton_run):
+    # the worker's records against a march in this process with its own probe:
+    # step 0's spectrum at once, the three trace doubles of every step in records
+    # of 64 steps, then each sample time's spectrum and the end, all bit for bit
+    per, times, _, probe = soliton_run
+    u0 = soliton_solution(1.0, 8.0)(per.nodes, 0.0)
+    samples = [0.5 * (times[10] + times[11]), times[100], times[-1]]
+    local = WindowProbe(per, 12.0, probe.window, times, samples)
+    wholeline_march(u0, per, times, observers=[local])
+    with wholeline_solve(u0, WindowProbe(per, 12.0, probe.window, times, samples)) as traj:
+        records = _records(traj)
+    rows = -(-len(times) // oracle._ROWS)
+    assert [k for k, _ in records] == ([oracle._INITIAL] + [oracle._TRACES] * rows
+                                       + [oracle._SAMPLES, oracle._END])
+    assert records[0][1] == local.spectra[0].tobytes()
+    assert b"".join(body for _, body in records[1:-2]) == local.traces.tobytes()
+    assert records[-2][1] == local.sample_spectra().tobytes()
+    assert traj.worker_rusage.ru_maxrss > 0
+    _no_child_left()
+
+
+def _oracle_config(T, **changes):
+    return replace(parse_config(_ORACLE_SMALL.format(T=T)), **changes)
+
+
+def test_march_failure_in_the_worker_is_the_callers_solver_error(tmp_path, capsys):
+    # a bump of amplitude 50 at cfl 100 goes non-finite on the march's first step,
+    # in the worker; the caller raises the march's own SolverError, word for word,
+    # and the CLI exits 3 with that one line
+    cfg = _oracle_config(1.0, oracle_kind="bump", oracle_amplitude=50.0, oracle_center=10.0,
+                         oracle_cfl=100.0)
+    per = PeriodicGrid(cfg.oracle_P, cfg.oracle_m, cfg.oracle_x_left)
+    u0 = gaussian_bump(50.0, 10.0, cfg.oracle_width)(per.nodes)
+    with pytest.raises(SolverError, match="whole-line solve went non-finite") as here:
+        wholeline_march(u0, per, wholeline_times(u0, per, cfg.T, cfg.oracle_cfl))
+    with pytest.raises(SolverError) as there:
+        run_oracle_compare(cfg)
+    assert str(there.value) == str(here.value)
+    _no_child_left()
+    text = _ORACLE_SMALL.format(T=1.0).replace("oracle.kind = soliton", "oracle.kind = bump")
+    cfgfile = tmp_path / "blowup.cfg"
+    cfgfile.write_text(text.replace("oracle.cfl = 0.1", "oracle.cfl = 100")
+                       + "oracle.amplitude = 50\n")
+    assert main(["oracle-compare", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"solver failure: {here.value}\n"
+    _no_child_left()
+
+
+def test_half_line_failure_beside_the_worker():
+    # on a coarse march (m = 256) the half-line solve diverges at its last step
+    # (c = 9 at dt = 0.5), in the caller, while the worker marches: the caller
+    # raises the error that a march run first, in the same process, gave, and the
+    # worker is reaped
+    cfg = _oracle_config(2.0, n=201, oracle_m=256, dt=0.5, oracle_c=9.0)
+    with pytest.raises(SolverError) as err:
+        run_oracle_compare(cfg)
+    assert str(err.value) == ("picard iteration diverging at t = 2 (update grew 2.558e+02 "
+                              "from 5.412e+01); dt too large")
+    _no_child_left()
+
+
+def test_killed_worker_is_a_solver_error_not_a_hang():
+    # the oracle recipe's 4094 trace rows fill more than a pipe holds, so the
+    # worker is still marching when it is killed after its first record
+    cfg = resolve_config("oracle")
+    with _oracle_reference(cfg, Grid1D(cfg.L, cfg.n), ()) as traj:
+        traj.halfline_data()
+        os.kill(traj._pid, signal.SIGKILL)
+        with pytest.raises(SolverError, match="march stopped after .* of 4095 time steps"):
+            traj.sample_spectra()
+    _no_child_left()
+    # an error in the caller ends a worker that is still marching
+    with pytest.raises(KeyError):
+        with _oracle_reference(cfg, Grid1D(cfg.L, cfg.n), ()) as traj:
+            traj.halfline_data()
+            raise KeyError("caller")
+    assert traj.rows < len(traj.times)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("error,raised", [
+    (ConfigError("oracle.m is too small"), ConfigError),
+    (MemoryError("no room for the spectra"), MemoryError),
+    (KeyError("step"), RuntimeError),
+])
+def test_worker_error_crosses_as_its_class(monkeypatch, error, raised):
+    # the worker's ConfigError, SolverError and MemoryError reach the caller as the
+    # same class with the same message; any other error, as a RuntimeError that
+    # names it and carries the worker's traceback
+    def fail(u0, probe, out):
+        raise error
+
+    monkeypatch.setattr(oracle, "_stream", fail)
+    cfg = _oracle_config(1.0)
+    with pytest.raises(raised) as got:
+        with _oracle_reference(cfg, Grid1D(cfg.L, cfg.n), ()) as traj:
+            traj.halfline_data()
+    if raised is RuntimeError:
+        assert str(got.value).startswith("the whole-line worker raised KeyError: Traceback")
+    else:
+        assert str(got.value) == str(error)
+    _no_child_left()
+
+
+def test_worker_exits_when_its_caller_stops_reading():
+    # a caller that dies closes its end of the pipe: the worker's next write fails
+    # (EPIPE) and it exits by itself, unkilled, with status 1
+    cfg = resolve_config("oracle")
+    traj = _oracle_reference(cfg, Grid1D(cfg.L, cfg.n), ())
+    traj.halfline_data()
+    traj._stream.close()
+    _, status, _ = os.wait4(traj._pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 1
+    _no_child_left()

@@ -87,7 +87,7 @@ x = np.sin(g.nodes)
 out = [discretization.deriv_matrix(g, 3) @ x, solver._System(g, 0.0125, 0.5).lu.solve(x)]
 per = oracle.PeriodicGrid(40.0, 128, -20.0)
 u0 = np.exp(-per.nodes ** 2)
-oracle.wholeline_solve(u0, per, oracle.wholeline_times(u0, per, 0.05, 0.5),
+oracle.wholeline_march(u0, per, oracle.wholeline_times(u0, per, 0.05, 0.5),
                        observers=[lambda step, t, uhat: out.append(uhat.copy())])
 out.append(oracle.spectral_restriction(np.array(out[-2:]), per, -5.0, 0.1, 150))
 print(hashlib.sha256(b"".join(v.tobytes() for v in out)).hexdigest())

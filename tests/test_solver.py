@@ -607,7 +607,7 @@ def test_nonfinite_boundary_data_rejected(which):
     # "f": NaN from t = 0.05 on.  "fprime": sin(1e300 t) is finite on the real axis,
     # but its complex step Im sin(1e300 (t + ih)) = cos(1e300 t) sinh(1e270) overflows
     def nan_late(t):
-        return 0.0 * t if np.real(t) < 0.05 else np.nan * t
+        return np.where(np.real(t) < 0.05, 0.0 * t, np.nan * t)
 
     def fast(t):
         return np.sin(1e300 * t)
@@ -616,9 +616,24 @@ def test_nonfinite_boundary_data_rejected(which):
         assert np.all(np.isfinite(fast(np.linspace(0.0, 0.5, 9))))
     bd = BoundaryData(f=nan_late if which == "f" else fast)
     with pytest.raises(ValueError, match="not finite"):
-        bd.validate(0.5)
+        bd.validate(np.linspace(0.0, 0.5, 9))
     with pytest.raises(ValueError, match="not finite"):
         solve(Field(Grid1D(20.0, 201), np.zeros(201), 0.0), SolverConfig(dt=0.05, T=0.5), bd)
+
+
+def test_boundary_going_nonfinite_late_is_refused_at_its_block(kept):
+    # f turns NaN at t = 0.4 of 0.5, in the second block of 128 steps: the steps of
+    # the first block run, and the second block's check refuses f before its first
+    # step, naming the first of its times where f is not finite
+    def nan_late(t):
+        return np.where(np.real(t) < 0.4, 0.0 * t, np.nan * t)
+
+    states = kept()
+    with pytest.raises(ConfigError, match=r"^boundary data f or fprime is not finite near "
+                                          r"t = 0\.4$"):
+        solve(Field(Grid1D(20.0, 201), np.zeros(201), 0.0), SolverConfig(dt=0.002, T=0.5),
+              BoundaryData(f=nan_late), observers=[states])
+    assert len(states) == solver._BOUNDARY_BLOCK + 1
 
 
 def test_forcing_is_reused_across_steps_bit_for_bit(kept, monkeypatch):
@@ -667,12 +682,17 @@ def test_forcing_is_reused_across_steps_bit_for_bit(kept, monkeypatch):
     ("oracle", {}),                      # the whole-line march's Hermite inflow
 ])
 def test_each_step_gets_its_boundary_value_bit_for_bit(monkeypatch, recipe, changes):
-    # solve evaluates f once, on every step's t^{n+1} as one array; step k must get the
-    # bits of f at its own field.t + dt, the pinned (k - 1)*dt plus dt, alone
+    # solve evaluates f one block of steps at a time, on every step's t^{n+1} as one
+    # array; step k must get the bits of f at its own field.t + dt, the pinned
+    # (k - 1)*dt plus dt, alone.  300 steps span three blocks, the last one partial
+    nsteps = 300
+    assert nsteps > 2 * solver._BOUNDARY_BLOCK and nsteps % solver._BOUNDARY_BLOCK
     cfg = resolve_config(recipe)
-    cfg = replace(cfg, T=40 * cfg.dt, **changes)
+    cfg = replace(cfg, T=nsteps * cfg.dt, **changes)
+    march = None
     if cfg.experiment == "oracle-compare":
-        (u0, bd, _), forcing = _oracle_reference(cfg, Grid1D(cfg.L, cfg.n), ()), None
+        march = _oracle_reference(cfg, Grid1D(cfg.L, cfg.n), ())
+        (u0, bd), forcing = march.halfline_data(), None
     else:
         _, u0, bd, forcing, _ = scenario(cfg)
     got, advance = [], solver._advance
@@ -682,13 +702,17 @@ def test_each_step_gets_its_boundary_value_bit_for_bit(monkeypatch, recipe, chan
         return advance(field, cfg, f_left, sys_, history, expl)
 
     monkeypatch.setattr(solver, "_advance", spy)
-    solve(u0, solver_config(cfg, forcing), bd)
-    assert len(got) == 40
-    for k, (t, f_left) in enumerate(got, start=1):
-        want = float(bd.f((k - 1) * cfg.dt + cfg.dt))
-        assert t == (k - 1) * cfg.dt
-        assert np.float64(f_left).tobytes() == np.float64(want).tobytes()
-    assert any(f_left != 0.0 for _, f_left in got) == (recipe != "dissipation")
+    try:
+        solve(u0, solver_config(cfg, forcing), bd)
+        assert len(got) == nsteps
+        for k, (t, f_left) in enumerate(got, start=1):
+            want = float(bd.f((k - 1) * cfg.dt + cfg.dt))
+            assert t == (k - 1) * cfg.dt
+            assert np.float64(f_left).tobytes() == np.float64(want).tobytes()
+        assert any(f_left != 0.0 for _, f_left in got) == (recipe != "dissipation")
+    finally:
+        if march is not None:
+            march.close()
 
 
 def test_kdv_scaling_covariance_bit_for_bit():
