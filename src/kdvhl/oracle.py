@@ -17,39 +17,43 @@ solver whose answer can then be cross-checked against the restriction itself.
 
 The worker: wholeline_solve runs the march in one forked process (os.fork and
 a pipe), with a WindowProbe as its observer, while the caller solves the
-half-line problem.  Through the pipe go, in this order: step 0's spectrum, at
-once; the probe's three trace doubles per step, in records of _ROWS steps; after
-the march, each sample time's spectrum; then an end record, or the worker's
-error as its class name and message, which the caller raises as the same class.
-The worker always ends with os._exit, so it never returns into the caller's
-stack, runs no exit handler and flushes no inherited stdio buffer; if the caller
-dies first, its next write fails (EPIPE) and it exits.  A fork, not a fresh
-interpreter, whose start and imports cost about 0.2 s against the march's 0.3 s
-on a 2-vCPU Xeon VM.  The worker's only BLAS products, the probe's taps
-(513 x 3 at m = 1024) and the sample interpolation (4 x 513), are below
-OpenBLAS's threading size (m*n >= 9216), so the worker never restarts the thread
-pool that the fork leaves behind.  The caller's WholelineTrajectory takes the
-records only as it needs them: its inflow f(t) waits until the march has passed
-t.  Leaving it ends the worker (killed if it has not finished) and reaps it.
+half-line problem.  Through the pipe go pickled ndarrays, each named by its
+place in the stream: step 0's spectrum, at once; then the probe's trace rows
+(u, u_x, u_xxx per step) in records of _ROWS steps, each record led by the last
+row of the one before; then, after the march, the sample spectra.  A worker
+error ends the stream as a pickled exception, which the caller raises: a
+ConfigError, SolverError or MemoryError as itself, any other as a RuntimeError
+that carries the worker's traceback.  Only the worker's own fork writes to the
+pipe, so the caller unpickles no outside input.  The worker always ends with
+os._exit, so it never returns into the caller's stack, runs no exit handler and
+flushes no inherited stdio buffer; if the caller dies first, its next write
+fails (EPIPE) and it exits.  A fork, not a fresh interpreter, whose start and
+imports cost about 0.2 s against the march's 0.3 s on a 2-vCPU Xeon VM.  The
+worker's only BLAS products, the probe's taps (513 x 3 at m = 1024) and the
+sample interpolation (4 x 513), are below OpenBLAS's threading size
+(m*n >= 9216), so the worker never restarts the thread pool that the fork
+leaves behind.  The caller's WholelineTrajectory takes the records only as it
+needs them: its inflow f(t) waits until the march has passed t.  Leaving it
+ends the worker (killed unless the sample spectra have arrived) and reaps it.
 
 Bounded buffers.  The worker holds the march's eight half-spectrum buffers and
-its probe: three doubles per step, and copies of the spectra of step 0 and of
-the four steps around each sample time, whose cubic Lagrange interpolant in time
-gives that sample's spectrum.  The caller holds the time grid and the inflow's
-Hermite table (four doubles per step), into which each record's trace rows go
-as they arrive, step 0's spectrum and, once the march ends, one spectrum per
-sample time.  A restriction evaluates _BLOCK = 128 points at a time, as a
-chirp-z transform on pocketfft's c2c: however many points it restricts, it
-holds the chirp's transform and one complex row of the FFT length (640 at
-m = 1024, 10 kB) per spectrum of the stack, and each block's two transforms
-take every row at once.
+its probe: the trace rows not yet sent (at most _ROWS + 1), and copies of the
+spectra of step 0 and of the four steps around each sample time, whose cubic
+Lagrange interpolant in time gives that sample's spectrum.  The caller holds
+the time grid and the inflow's Hermite table (four doubles per step), into
+which each record's trace rows go as they arrive, step 0's spectrum and, once
+the march ends, one spectrum per sample time.  A restriction evaluates
+_BLOCK = 128 points at a time, as a chirp-z transform on pocketfft's c2c:
+however many points it restricts, it holds the chirp's transform and one
+complex row of the FFT length (640 at m = 1024, 10 kB) per spectrum of the
+stack, and each block's two transforms take every row at once.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import signal
-import struct
 import traceback
 from array import array
 from dataclasses import dataclass
@@ -76,10 +80,6 @@ _SUPPORT_TOL = 1e-10
 _BLOCK = 128  # points per chirp-z block of the restriction
 _POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
 _ROWS = 64  # march steps whose trace rows the worker sends in one record
-# a worker record: its kind and its payload's length in bytes, then the payload
-_HEADER = struct.Struct("<qq")
-_TRACES, _INITIAL, _SAMPLES, _END, _ERROR = range(5)
-_ERRORS = {e.__name__: e for e in (ConfigError, SolverError, MemoryError)}
 
 
 @dataclass(frozen=True)
@@ -293,29 +293,25 @@ def wholeline_march(u0_values, grid: PeriodicGrid, times, observers=()):
                 obs(step, times[step], uhat)
 
 
-def _send(out, kind: int, payload: bytes = b""):
-    """Write one record to the worker's end of the pipe."""
-    out.write(_HEADER.pack(kind, len(payload)))
-    out.write(payload)
-    out.flush()
-
-
 def _stream(u0, probe: WindowProbe, out):
     """The worker's march, with probe as its observer: step 0's spectrum goes out at
     once and the trace rows every _ROWS steps and after the last, then the sample
-    spectra and the end record."""
+    spectra.  Once a record is sent the probe keeps only its last row, which leads
+    the next record."""
     last = len(probe.times) - 1
 
     def observe(step, t, uhat):
         probe(step, t, uhat)
         if step == 0:
-            _send(out, _INITIAL, uhat.tobytes())
+            pickle.dump(uhat, out)
+            out.flush()
         if step % _ROWS == _ROWS - 1 or step == last:
-            _send(out, _TRACES, probe._traces[3 * (step - step % _ROWS):].tobytes())
+            pickle.dump(probe.traces, out)
+            out.flush()
+            del probe._traces[:-3]
 
     wholeline_march(u0, probe.grid, probe.times, observers=[observe])
-    _send(out, _SAMPLES, probe.sample_spectra().tobytes())
-    _send(out, _END)
+    pickle.dump(probe.sample_spectra(), out)
 
 
 def wholeline_solve(u0_values, probe: WindowProbe) -> WholelineTrajectory:
@@ -334,10 +330,11 @@ def wholeline_solve(u0_values, probe: WindowProbe) -> WholelineTrajectory:
                 try:
                     _stream(u0, probe, out)
                 except Exception as exc:
-                    # the caller raises it as its own class, or else with this traceback
-                    name = type(exc).__name__
-                    msg = str(exc) if name in _ERRORS else traceback.format_exc()
-                    _send(out, _ERROR, f"{name}\n{msg}".encode())
+                    # the caller raises it: as itself, or else with this traceback
+                    if not isinstance(exc, (ConfigError, SolverError, MemoryError)):
+                        exc = RuntimeError(f"the whole-line worker raised "
+                                           f"{type(exc).__name__}: {traceback.format_exc()}")
+                    pickle.dump(exc, out)
             code = 0
         finally:
             os._exit(code)
@@ -389,9 +386,10 @@ class WindowProbe:
         return np.array(self._traces).reshape(-1, 3)
 
     def sample_spectra(self) -> np.ndarray:
-        """One row per sample time: the Lagrange cubic in time of its four kept spectra."""
-        return np.array([lag @ np.array([self.spectra[i] for i in idx])
-                         for idx, lag in self._windows])
+        """One row per sample time (no row without samples): the Lagrange cubic in time
+        of its four kept spectra."""
+        rows = [lag @ np.array([self.spectra[i] for i in idx]) for idx, lag in self._windows]
+        return np.array(rows, dtype=complex).reshape(-1, self.grid.m // 2 + 1)
 
 
 class WholelineTrajectory:
@@ -399,18 +397,18 @@ class WholelineTrajectory:
     time grid, and the probe's records as the caller takes them.
 
     The trace rows of the first `rows` steps went into the inflow's Hermite pieces;
-    only the last row's value and slope are kept, for the piece after it.  A context
-    manager: leaving it, or close(), ends the worker (killed unless its stream has
-    ended) and reaps it; worker_rusage then holds the worker's resource usage.
+    each trace record repeats the last row of the one before, so the piece between
+    two records is built from the later one and no row is kept here.  A context
+    manager: leaving it, or close(), ends the worker (killed unless the sample
+    spectra have arrived) and reaps it; worker_rusage then holds the worker's
+    resource usage.
     """
 
     def __init__(self, probe: WindowProbe, pid: int, stream):
         self.times, self.probe = probe.times, probe
         self._pid, self._stream = pid, stream
         self.rows = 0
-        self._tail = (np.empty(0), np.empty(0))
         self._spectrum0 = self._samples = None
-        self._ended = False
         self._inflow = _Hermite(self.times)
         self.worker_rusage = None
 
@@ -423,41 +421,31 @@ class WholelineTrajectory:
     def close(self):
         if self.worker_rusage is None:
             self._stream.close()
-            if not self._ended:
+            if self._samples is None:
                 os.kill(self._pid, signal.SIGKILL)
             self.worker_rusage = os.wait4(self._pid, 0)[2]
 
     def _read(self, done):
-        """Take the worker's records until done() holds.  The worker's error is raised
-        as its own class; a stream that ends before the march does, a SolverError."""
+        """Take the worker's records until done() holds: step 0's spectrum, trace
+        records until every step has its row, then the sample spectra.  The worker's
+        error is raised as it arrives; a stream that ends first, a SolverError."""
         while not done():
-            head = self._stream.read(_HEADER.size)
-            kind, size = _HEADER.unpack(head) if len(head) == _HEADER.size else (None, 0)
-            body = self._stream.read(size)
-            if len(body) < size:
-                kind = None
-            if kind == _TRACES:
-                f, d1, d3 = np.frombuffer(body).reshape(-1, 3).T
-                y = np.concatenate([self._tail[0], f])
-                dy = np.concatenate([self._tail[1], -(d3 + 2.0 * f * d1)])
-                self._inflow.fill(self.rows - len(self._tail[0]), y, dy)
-                self.rows += len(f)
-                self._tail = (y[-1:], dy[-1:])
-            elif kind == _INITIAL:
-                self._spectrum0 = np.frombuffer(body, dtype=complex)
-            elif kind == _SAMPLES:
-                self._samples = np.frombuffer(body, dtype=complex).reshape(
-                    -1, self.probe.grid.m // 2 + 1)
-            elif kind == _ERROR:  # the worker's last record; it exits by itself
-                name, msg = body.decode().split("\n", 1)
-                if name in _ERRORS:
-                    raise _ERRORS[name](msg)
-                raise RuntimeError(f"the whole-line worker raised {name}: {msg}")
-            elif kind == _END and self.rows == len(self.times):
-                self._ended = True
-            else:
+            try:
+                record = pickle.load(self._stream)
+            except (EOFError, pickle.UnpicklingError):
                 raise SolverError(f"the whole-line march stopped after {self.rows} of "
-                                  f"{len(self.times)} time steps (its worker ended)")
+                                  f"{len(self.times)} time steps (its worker ended)") from None
+            if isinstance(record, BaseException):
+                raise record
+            if self._spectrum0 is None:
+                self._spectrum0 = record
+            elif self.rows < len(self.times):
+                f, d1, d3 = record.T
+                start = max(self.rows - 1, 0)
+                self._inflow.fill(start, f, -(d3 + 2.0 * f * d1))
+                self.rows = start + len(f)
+            else:
+                self._samples = record
 
     def _f(self, t):
         """The inflow at t, once the march has passed the knots of t's cubic piece."""
@@ -482,7 +470,7 @@ class WholelineTrajectory:
 
     def sample_spectra(self) -> np.ndarray:
         """The probe's sample spectra, one row per sample time, once the march has ended."""
-        self._read(lambda: self._ended)
+        self._read(lambda: self._samples is not None)
         return self._samples
 
 

@@ -1,6 +1,7 @@
 """Independent references: symbolic verification and the periodic solver."""
 
 import os
+import pickle
 import signal
 import tracemalloc
 from dataclasses import replace
@@ -553,6 +554,7 @@ def test_probe_without_samples_extracts_no_sample_rows():
     u0_bare, bd_bare, rows, _ = _streamed(u0, bare)
     u0_sampled, bd_sampled, _, _ = _streamed(u0, sampled)
     assert rows.shape == (0, 101)
+    assert bare.sample_spectra().shape == (0, per.m // 2 + 1)
     # the initial data and the inflow are the sampled probe's, bit for bit
     assert np.array_equal(u0_bare.values, u0_sampled.values)
     assert bd_bare.f(1.25) == bd_sampled.f(1.25)
@@ -565,18 +567,20 @@ def _no_child_left():
 
 
 def _records(traj):
-    """Every record of a trajectory's stream, read raw: (kind, payload) pairs."""
+    """Every record of a trajectory's stream, unpickled until its end."""
     records = []
-    while head := traj._stream.read(oracle._HEADER.size):
-        kind, size = oracle._HEADER.unpack(head)
-        records.append((kind, traj._stream.read(size)))
-    return records
+    while True:
+        try:
+            records.append(pickle.load(traj._stream))
+        except EOFError:
+            return records
 
 
 def test_worker_streams_the_in_process_march_bit_for_bit(soliton_run):
     # the worker's records against a march in this process with its own probe:
-    # step 0's spectrum at once, the three trace doubles of every step in records
-    # of 64 steps, then each sample time's spectrum and the end, all bit for bit
+    # step 0's spectrum at once, the three traces of every step in records of 64
+    # steps, each led by the last row of the record before, then each sample
+    # time's spectrum, all bit for bit
     per, times, _, probe = soliton_run
     u0 = soliton_solution(1.0, 8.0)(per.nodes, 0.0)
     samples = [0.5 * (times[10] + times[11]), times[100], times[-1]]
@@ -584,14 +588,44 @@ def test_worker_streams_the_in_process_march_bit_for_bit(soliton_run):
     wholeline_march(u0, per, times, observers=[local])
     with wholeline_solve(u0, WindowProbe(per, 12.0, probe.window, times, samples)) as traj:
         records = _records(traj)
-    rows = -(-len(times) // oracle._ROWS)
-    assert [k for k, _ in records] == ([oracle._INITIAL] + [oracle._TRACES] * rows
-                                       + [oracle._SAMPLES, oracle._END])
-    assert records[0][1] == local.spectra[0].tobytes()
-    assert b"".join(body for _, body in records[1:-2]) == local.traces.tobytes()
-    assert records[-2][1] == local.sample_spectra().tobytes()
+    traces = records[1:-1]
+    assert len(traces) == -(-len(times) // oracle._ROWS)
+    assert records[0].tobytes() == local.spectra[0].tobytes()
+    for before, after in zip(traces, traces[1:]):
+        assert after[0].tobytes() == before[-1].tobytes()
+    assert b"".join([traces[0].tobytes()] + [r[1:].tobytes() for r in traces[1:]]) \
+        == local.traces.tobytes()
+    assert records[-1].tobytes() == local.sample_spectra().tobytes()
     assert traj.worker_rusage.ru_maxrss > 0
     _no_child_left()
+
+
+def test_worker_memory_does_not_grow_with_the_march():
+    # the worker's body, in this process, into a sink that discards its input:
+    # once a trace record is sent the probe keeps only its last row, so the peak
+    # holds the march's buffers and the kept spectra, not 24 bytes per step
+    per = PeriodicGrid(120.0, 256, x_left=-30.0)
+    u0 = soliton_solution(1.0, 12.0)(per.nodes, 0.0)
+    window = Grid1D(40.0, 401)
+
+    def probe(T):
+        times = wholeline_times(u0, per, T, 0.1)
+        return WindowProbe(per, 20.0, window, times, np.linspace(0.0, T, 3))
+
+    with open(os.devnull, "wb") as sink:
+        oracle._stream(u0, probe(16.0), sink)  # warm the kernels and lazy imports
+        peaks, steps = [], []
+        for T in (16.0, 32.0):
+            p = probe(T)
+            tracemalloc.start()
+            try:
+                oracle._stream(u0, p, sink)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            steps.append(len(p.times) - 1)
+    assert steps[1] > 1.9 * steps[0] > 1900, steps
+    assert peaks[1] - peaks[0] < 8 * (steps[1] - steps[0]), (peaks, steps)
 
 
 def _oracle_config(T, **changes):
@@ -674,6 +708,20 @@ def test_worker_error_crosses_as_its_class(monkeypatch, error, raised):
         assert str(got.value).startswith("the whole-line worker raised KeyError: Traceback")
     else:
         assert str(got.value) == str(error)
+    _no_child_left()
+
+
+def test_truncated_record_is_a_solver_error(monkeypatch):
+    # a worker whose stream ends inside a record: the caller's unpickling fails,
+    # and it raises the stream's SolverError, not the UnpicklingError
+    def truncated(u0, probe, out):
+        out.write(pickle.dumps(u0)[:40])
+
+    monkeypatch.setattr(oracle, "_stream", truncated)
+    cfg = _oracle_config(1.0)
+    with pytest.raises(SolverError, match="march stopped after 0 of"):
+        with _oracle_reference(cfg, Grid1D(cfg.L, cfg.n), ()) as traj:
+            traj.halfline_data()
     _no_child_left()
 
 
